@@ -262,15 +262,11 @@ class BlueMsnRestore(BlueMsnS):
         return BlueAction(kind, node)
 
 
-class BlueMsnRnvRestore(BlueMsnRnv):
+class BlueMsnRnvRestore(BlueMsnRnv, BlueMsnRestore):
     """Full defensive repertoire short of isolation: clean or restore when
     acting defensively, scan or harden otherwise."""
 
     policy_id = "blue.msn_rnv_restore"
-
-    def _defensive(self, obs, rng, node):
-        kind = BLUE_MAKE_SAFE if rng.integers(2) == 0 else BLUE_RESTORE
-        return BlueAction(kind, node)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +550,9 @@ def make_red(spec: RedPolicySpec):
     return RED_REGISTRY[spec.kind](spec)
 
 
+_RED_ID_KEYS = ("alpha", "seed", "index", "probs")
+
+
 def parse_red_id(name: str) -> RedPolicySpec:
     """Parse a red agent id string into a spec.
 
@@ -576,7 +575,13 @@ def parse_red_id(name: str) -> RedPolicySpec:
         key, _, value = part.partition("=")
         if not value:
             raise ConfigError(f"malformed agent argument {part!r} in {name!r}")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _RED_ID_KEYS:
+            raise ConfigError(
+                f"unknown agent argument {key!r} in {name!r}; expected one of "
+                + ", ".join(_RED_ID_KEYS)
+            )
+        kv[key] = value.strip()
     if "probs" in kv:
         params = tuple(float(x) for x in kv["probs"].split(":"))
         return RedPolicySpec(kind=kind, params=params, label=name)

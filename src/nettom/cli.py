@@ -18,6 +18,7 @@ import numpy as np
 
 from . import agents, cyberenv, dataset, evalkit, graph_core, sinkhorn, transport
 from .errors import ConfigError, DataError
+from .seeding import derive_seed
 
 #: Experiment defaults applied when a config file omits a field.
 EXPERIMENT_DEFAULTS = {
@@ -32,7 +33,6 @@ EXPERIMENT_DEFAULTS = {
     "floor": 0.1,
     "kmeans_k": 4,
     "entry_count": 1,
-    "holdout_reds": 200,
 }
 
 CONFIG_SCHEMA_VERSION = 1
@@ -169,7 +169,7 @@ def simulate(blue, red_id, topology, episodes, seed, out):
     if episodes < 0:
         raise _fail_usage("--episodes must be >= 0")
     try:
-        net, cm = dataset.topology(topology)
+        net, cm = graph_core.topology(topology)
         blue_policy = agents.make_blue(blue)
         red_spec = agents.parse_red_id(red_id)
     except ConfigError as exc:
@@ -180,7 +180,7 @@ def simulate(blue, red_id, topology, episodes, seed, out):
     for e in range(episodes):
         traj = cyberenv.rollout(
             net, blue_policy, agents.make_red(red_spec),
-            dataset.derive_seed(seed, "simulate", e), cm=cm,
+            derive_seed(seed, "simulate", e), cm=cm,
             episode_id=f"sim-{e}",
         )
         cyberenv.write_trajectory(traj, out_dir / f"episode_{e:04d}.jsonl")
@@ -248,6 +248,9 @@ def dataset_cmd(config_path, out, jobs):
     blues = _field(config, "blues", list, required=True)
     networks = _field(config, "networks", list, required=True)
     seed = _field(config, "seed", int, required=True)
+    holdout = _field(config, "holdout_reds", int, default=0)
+    if holdout < 0:
+        raise _fail_usage("config.holdout_reds: must be >= 0")
     reds = _red_specs_from_config(config, config_path)
     for i, spec in enumerate(reds):
         if spec.params is None:
@@ -278,21 +281,20 @@ def dataset_cmd(config_path, out, jobs):
         f"(train={n_train}, val={len(manifest.samples) - n_train}) "
         f"excluded={len(manifest.excluded)} past_pools_disjoint={disjoint}"
     )
-    holdout = config.get("holdout_reds", 0)
     if holdout:
         red_kinds = {spec.kind for spec in reds}
         if len(red_kinds) != 1:
             raise _fail_usage("config.holdout_reds needs a single red kind")
         kind = red_kinds.pop()
         holdout_specs = agents.species_members(
-            kind, EXPERIMENT_DEFAULTS["alpha"], int(holdout),
-            dataset.derive_seed(seed, "holdout"),
+            kind, EXPERIMENT_DEFAULTS["alpha"], holdout,
+            derive_seed(seed, "holdout"),
         )
         test_config = dataset.DatasetConfig(
             blues=ds_config.blues,
             reds=tuple(holdout_specs),
             networks=ds_config.networks,
-            master_seed=dataset.derive_seed(seed, "holdout", "build"),
+            master_seed=derive_seed(seed, "holdout", "build"),
             n_c=ds_config.n_c,
             n_p=ds_config.n_p,
             n_past=ds_config.n_past,
@@ -348,7 +350,7 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
         hvt = evalkit.score_hvt(preds, manifest)
         sr = evalkit.score_sr(preds, manifest, coefficients=coeffs,
                               floor=floor, gammas=gamma_set)
-    except DataError as exc:
+    except (ConfigError, DataError) as exc:
         raise _fail_data(str(exc))
 
     hedging = None
@@ -364,7 +366,7 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
             nets = {s.network for s in stratum}
             branch_of = None
             if len(nets) == 1:
-                branch_of = dataset.topology(nets.pop())[0].branch_of
+                branch_of = graph_core.topology(nets.pop())[0].branch_of
             hedging = evalkit.hedging_clusters(
                 np.asarray(vectors, dtype=float), kmeans_k, seed,
                 branch_of=branch_of,

@@ -17,10 +17,9 @@ same config reproduces every file byte for byte.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +27,14 @@ import numpy as np
 from .agents import RedPolicySpec, make_blue, make_red
 from .cyberenv import (
     RED_WIN,
+    EnvConfig,
     EpisodeTrajectory,
     StateObservation,
-    read_trajectory,
     rollout,
     trajectory_to_jsonl,
 )
 from .errors import ConfigError, SampleExclusionError
-from .graph_core import all_pairs_shortest_paths, generate_network
+from .graph_core import topology
 from .seeding import derive_seed, rng_for
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -135,12 +134,6 @@ def build_game_set(blues, reds, networks, master_seed: int = 0) -> list[GameConf
     return games
 
 
-@lru_cache(maxsize=None)
-def topology(name: str):
-    net = generate_network(name)
-    return net, all_pairs_shortest_paths(net)
-
-
 def _episode_jobs(game: GameConfig, n_c: int, n_p: int):
     """(episode_id, seed) pairs for one game: currents then their pools."""
     jobs = []
@@ -154,13 +147,17 @@ def _episode_jobs(game: GameConfig, n_c: int, n_p: int):
     return jobs
 
 
-def _run_episode(network: str, blue_id: str, red_spec: RedPolicySpec,
-                 episode_id: str, seed: int) -> EpisodeTrajectory:
+def run_episode(network: str, blue_id: str, red_spec: RedPolicySpec,
+                episode_id: str, seed: int,
+                config: EnvConfig | None = None) -> EpisodeTrajectory:
+    """Play one seeded episode on a shipped topology; a failure names the
+    episode, the matchup and the seed."""
     net, cm = topology(network)
     blue = make_blue(blue_id)
     red = make_red(red_spec)
     try:
-        return rollout(net, blue, red, seed, cm=cm, episode_id=episode_id)
+        return rollout(net, blue, red, seed, cm=cm, config=config,
+                       episode_id=episode_id)
     except Exception as exc:
         raise RuntimeError(
             f"episode {episode_id} on {network} "
@@ -168,32 +165,22 @@ def _run_episode(network: str, blue_id: str, red_spec: RedPolicySpec,
         ) from exc
 
 
-def _run_episode_serialized(args) -> tuple[str, str]:
-    network, blue_id, red_spec, episode_id, seed = args
-    traj = _run_episode(network, blue_id, red_spec, episode_id, seed)
-    return episode_id, trajectory_to_jsonl(traj)
+def map_jobs(fn, tasks, jobs: int) -> list:
+    """``fn`` applied to every task, results in task order; ``jobs > 1``
+    spreads the calls over that many worker processes."""
+    if jobs <= 1:
+        return [fn(task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=4))
 
 
-def generate_game_episodes(game: GameConfig, n_c: int, n_p: int
-                           ) -> tuple[list[EpisodeTrajectory], list[list[EpisodeTrajectory]]]:
-    """Roll out the n_c current episodes and their disjoint n_p-episode pools."""
-    currents = []
-    pools = []
-    for c in range(n_c):
-        cur = _run_episode(
-            game.network, game.blue, game.red,
-            f"{game.game_id}-c{c}", derive_seed(game.base_seed, "cur", c),
-        )
-        pool = [
-            _run_episode(
-                game.network, game.blue, game.red,
-                f"{game.game_id}-c{c}-p{j}", derive_seed(game.base_seed, "past", c, j),
-            )
-            for j in range(n_p)
-        ]
-        currents.append(cur)
-        pools.append(pool)
-    return currents, pools
+def _write_episode(task) -> EpisodeTrajectory:
+    episodes_dir, network, blue_id, red_spec, episode_id, seed = task
+    traj = run_episode(network, blue_id, red_spec, episode_id, seed)
+    (episodes_dir / f"{episode_id}.jsonl").write_text(
+        trajectory_to_jsonl(traj), encoding="utf-8"
+    )
+    return traj
 
 
 def subsample_indices(final_step: int, k: int) -> tuple[int, ...]:
@@ -345,29 +332,12 @@ def build_dataset(config: DatasetConfig, out_dir: str | Path,
     games = build_game_set(
         config.blues, config.reds, config.networks, config.master_seed
     )
-    tasks = []
-    for game in games:
-        for episode_id, seed in _episode_jobs(game, config.n_c, config.n_p):
-            tasks.append((game.network, game.blue, game.red, episode_id, seed))
-
-    trajs: dict[str, EpisodeTrajectory] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for episode_id, payload in pool.map(
-                _run_episode_serialized, tasks, chunksize=4
-            ):
-                (episodes_dir / f"{episode_id}.jsonl").write_text(
-                    payload, encoding="utf-8"
-                )
-        for network, blue, red, episode_id, seed in tasks:
-            trajs[episode_id] = read_trajectory(episodes_dir / f"{episode_id}.jsonl")
-    else:
-        for network, blue, red, episode_id, seed in tasks:
-            traj = _run_episode(network, blue, red, episode_id, seed)
-            (episodes_dir / f"{episode_id}.jsonl").write_text(
-                trajectory_to_jsonl(traj), encoding="utf-8"
-            )
-            trajs[episode_id] = traj
+    tasks = [
+        (episodes_dir, game.network, game.blue, game.red, episode_id, seed)
+        for game in games
+        for episode_id, seed in _episode_jobs(game, config.n_c, config.n_p)
+    ]
+    trajs = {t.episode_id: t for t in map_jobs(_write_episode, tasks, jobs)}
 
     all_samples: list[ToMSample] = []
     all_excluded: list[dict] = []

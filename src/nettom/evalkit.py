@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .agents import make_blue, make_red
-from .cyberenv import BLUE_WIN, EnvConfig, rollout
-from .dataset import DatasetManifest, ToMSample, gamma_key, topology
+from .cyberenv import BLUE_WIN, EnvConfig
+from .dataset import DatasetManifest, ToMSample, gamma_key, map_jobs, run_episode
 from .errors import ConfigError, DataError
+from .graph_core import topology
 from .seeding import derive_seed
 from .transport import WeightingConfig, check_distribution, ntd_weighted
 
@@ -51,12 +50,6 @@ class CellStats:
 class TournamentTable:
     cells: list[CellStats]
 
-    def lookup(self, blue: str, red: str, network: str) -> CellStats:
-        for c in self.cells:
-            if (c.blue, c.red, c.network) == (blue, red, network):
-                return c
-        raise KeyError((blue, red, network))
-
     def averaged(self) -> list[CellStats]:
         """Per (blue, red) cells averaged across networks."""
         keys = sorted({(c.blue, c.red) for c in self.cells})
@@ -75,13 +68,11 @@ class TournamentTable:
         return out
 
 
-def _tournament_episode(args) -> tuple[int, float, bool, int]:
-    index, network, blue_id, red_spec, seed, entry_count = args
-    net, cm = topology(network)
-    config = EnvConfig(entry_count=entry_count)
-    traj = rollout(net, make_blue(blue_id), make_red(red_spec), seed,
-                   cm=cm, config=config)
-    return index, traj.total_blue_reward, traj.outcome == BLUE_WIN, traj.final_step
+def _tournament_episode(args) -> tuple[float, bool, int]:
+    network, blue_id, red_spec, seed, config = args
+    traj = run_episode(network, blue_id, red_spec, f"{network}-{seed}", seed,
+                       config)
+    return traj.total_blue_reward, traj.outcome == BLUE_WIN, traj.final_step
 
 
 def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
@@ -99,40 +90,25 @@ def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
     if episodes_per_cell < 1:
         raise ConfigError("episodes_per_cell must be >= 1")
 
+    config = EnvConfig(entry_count=entry_count)
     tasks = []
     cell_keys = []
     for blue in blues:
         for red in reds:
             for network in networks:
                 cell_keys.append((blue, red.policy_id, network))
-                cell_index = len(cell_keys) - 1
-                for e in range(episodes_per_cell):
-                    tasks.append((
-                        cell_index, network, blue, red,
-                        derive_seed(seed, "tournament", blue, red.policy_id,
-                                    network, e),
-                        entry_count,
-                    ))
-
-    results: list[tuple[float, bool, int]] = [None] * len(tasks)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for pos, (idx, reward, won, dur) in zip(
-                range(len(tasks)),
-                pool.map(_tournament_episode, tasks, chunksize=4),
-            ):
-                results[pos] = (reward, won, dur)
-    else:
-        for pos, task in enumerate(tasks):
-            _, reward, won, dur = _tournament_episode(task)
-            results[pos] = (reward, won, dur)
+                tasks.extend(
+                    (network, blue, red,
+                     derive_seed(seed, "tournament", blue, red.policy_id,
+                                 network, e),
+                     config)
+                    for e in range(episodes_per_cell)
+                )
+    results = map_jobs(_tournament_episode, tasks, jobs)
 
     cells = []
-    per_cell: dict[int, list] = {i: [] for i in range(len(cell_keys))}
-    for task, res in zip(tasks, results):
-        per_cell[task[0]].append(res)
-    for idx, (blue, red_id, network) in enumerate(cell_keys):
-        rows = per_cell[idx]
+    for i, (blue, red_id, network) in enumerate(cell_keys):
+        rows = results[i * episodes_per_cell:(i + 1) * episodes_per_cell]
         cells.append(CellStats(
             blue=blue,
             red=red_id,
@@ -205,10 +181,18 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
                 (f"pred_sr[{k}]", v) for k, v in rec.pred_sr.items()
             ]:
                 arr = np.asarray(vec, dtype=float)
+                if not np.isfinite(arr).all():
+                    raise DataError(
+                        f"{path}:{lineno}: {label} has non-finite entries"
+                    )
                 if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-6:
                     raise DataError(
                         f"{path}:{lineno}: {label} is not normalized within 1e-6"
                     )
+            if rec.sample_id in records:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate sample_id {rec.sample_id!r}"
+                )
             records[rec.sample_id] = rec
     return records
 

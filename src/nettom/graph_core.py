@@ -10,6 +10,7 @@ from __future__ import annotations
 import collections
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,13 @@ def all_pairs_shortest_paths(net: Network) -> CostMatrix:
     if (dist < 0).any():
         raise ValueError("graph is disconnected; shortest paths are not finite")
     return CostMatrix(dist=dist, diameter=int(dist.max()))
+
+
+@lru_cache(maxsize=None)
+def topology(name: str) -> tuple[Network, CostMatrix]:
+    """A shipped topology and its shortest paths, built once per process."""
+    net = generate_network(name)
+    return net, all_pairs_shortest_paths(net)
 
 
 def shortest_path(net: Network, source: int, target: int,

@@ -43,11 +43,6 @@ class SinkhornParams:
             raise ValueError("convergence_tol must be positive")
 
 
-def default_params(cm) -> SinkhornParams:
-    """Defaults that pass the convergence checks on the shipped topologies."""
-    return SinkhornParams(lam=0.05 * cm.diameter)
-
-
 @dataclass(frozen=True)
 class SinkhornResult:
     """Converged (or truncated) scaling state and the regularized loss."""

@@ -62,6 +62,8 @@ def check_distribution(x: np.ndarray, n: int, name: str = "distribution") -> np.
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries")
     if (x < 0).any():
         raise ValueError(f"{name} has negative entries")
     total = float(x.sum())

@@ -346,6 +346,13 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="malformed"):
             ag.parse_red_id("red.hvt_pref_sp:alpha")
 
+    def test_unknown_argument_keys_rejected(self):
+        with pytest.raises(ConfigError, match="unknown agent argument 'bogus'"):
+            ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,bogus=3")
+        # seed= without index= still names the species, as documented.
+        spec = ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,seed=5")
+        assert spec.params is None and spec.alpha == 0.01
+
     def test_species_members_are_labelled(self):
         members = ag.species_members("hvt_pref_sp", 0.01, 3, seed=5)
         assert [m.policy_id for m in members] == [

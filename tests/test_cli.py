@@ -190,6 +190,21 @@ class TestDatasetCommand:
         # fresh draws: no attacker appears in both manifests
         assert not (set(test_manifest.red_split) & set(main_manifest.red_split))
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "config.holdout_reds: expected int"),
+        (-2, "config.holdout_reds: must be >= 0"),
+    ])
+    def test_bad_holdout_reds_exit_2(self, runner, tmp_path, value, message):
+        cfg = tmp_path / "d.json"
+        _write_dataset_config(
+            cfg, reds=["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"],
+            holdout_reds=value)
+        result = runner.invoke(main, ["dataset", "--config", str(cfg),
+                                      "--out", str(tmp_path / "data")])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "data").exists()
+
 
 class TestScoreCommand:
     def test_perfect_predictions_score_perfectly(self, runner, tmp_path):
@@ -244,6 +259,45 @@ class TestScoreCommand:
         ])
         assert result.exit_code == 1
         assert "missing from predictions" in result.output
+
+    def _built(self, runner, tmp_path):
+        cfg = tmp_path / "d.json"
+        _write_dataset_config(
+            cfg, reds=[f"red.hvt_pref_sp:alpha=0.01,seed=5,index={i}"
+                       for i in range(2)])
+        result = runner.invoke(main, ["dataset", "--config", str(cfg),
+                                      "--out", str(tmp_path / "data")])
+        assert result.exit_code == 0, result.output
+        return tmp_path / "data" / "manifest.json"
+
+    def _score(self, runner, tmp_path, preds, manifest_path):
+        return runner.invoke(main, [
+            "score", "--predictions", str(preds),
+            "--manifest", str(manifest_path), "--out", str(tmp_path / "rep"),
+        ])
+
+    def test_unknown_topology_in_manifest_exit_1(self, runner, tmp_path):
+        manifest_path = self._built(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        obj = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for sample in obj["samples"]:
+            sample["network"] = "ring9"
+        manifest_path.write_text(json.dumps(obj), encoding="utf-8")
+        result = self._score(runner, tmp_path, preds, manifest_path)
+        assert result.exit_code == 1
+        assert "unknown topology 'ring9'" in result.output
+        assert result.exc_info[0] is SystemExit
+
+    def test_duplicate_sample_id_exit_1(self, runner, tmp_path):
+        manifest_path = self._built(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        lines = preds.read_text(encoding="utf-8").splitlines()
+        preds.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        result = self._score(runner, tmp_path, preds, manifest_path)
+        assert result.exit_code == 1
+        assert f"preds.jsonl:{len(lines) + 1}: duplicate sample_id" in result.output
 
 
 class TestNtdCommands:

@@ -56,19 +56,11 @@ class TestGameSet:
 
 
 class TestEpisodeGeneration:
-    def test_episode_arithmetic(self):
-        game = ds.build_game_set(["blue.msn_d"], _members(1), ["tree30"],
-                                 master_seed=3)[0]
-        currents, pools = ds.generate_game_episodes(game, n_c=3, n_p=8)
-        assert len(currents) == 3
-        assert sum(len(p) for p in pools) == 24  # 27 episodes in total
-
     def test_boundary_single_episode(self):
         game = ds.build_game_set(["blue.sleep"], _members(1), ["tree30"],
                                  master_seed=3)[0]
-        currents, pools = ds.generate_game_episodes(game, n_c=1, n_p=0)
-        assert len(currents) == 1
-        assert pools == [[]]
+        jobs = ds._episode_jobs(game, n_c=1, n_p=0)
+        assert [episode_id for episode_id, _ in jobs] == [f"{game.game_id}-c0"]
 
 
 class TestSubsampling:
@@ -165,10 +157,21 @@ class TestSrGroundTruth:
 
 
 @pytest.fixture(scope="module")
-def one_game():
-    game = ds.build_game_set(["blue.msn_d"], _members(1), ["tree30"],
-                             master_seed=11)[0]
-    currents, pools = ds.generate_game_episodes(game, n_c=3, n_p=8)
+def one_game(tmp_path_factory):
+    """One built game (3 currents, 8 past episodes each), read back from disk."""
+    config = ds.DatasetConfig(blues=("blue.msn_d",), reds=tuple(_members(1)),
+                              networks=("tree30",), master_seed=11)
+    out = tmp_path_factory.mktemp("one_game")
+    ds.build_dataset(config, out)
+    game = ds.build_game_set(config.blues, config.reds, config.networks,
+                             config.master_seed)[0]
+
+    def load(episode_id):
+        return ce.read_trajectory(out / "episodes" / f"{episode_id}.jsonl")
+
+    currents = [load(f"{game.game_id}-c{c}") for c in range(3)]
+    pools = [[load(f"{game.game_id}-c{c}-p{j}") for j in range(8)]
+             for c in range(3)]
     return game, currents, pools
 
 

@@ -331,6 +331,25 @@ class TestPredictionIO:
         with pytest.raises(DataError, match="normalized"):
             ek.read_predictions(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            '{"sample_id": "s0", "pred_hvn": [0.5, 0.5, 0.0], '
+            f'"pred_sr": {{"0.5": [{bad}, 0.5, 0.5]}}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=r"preds.jsonl:1: pred_sr\[0.5\] has non-finite"):
+            ek.read_predictions(path)
+
+    def test_rejects_duplicate_sample_id(self, tmp_path):
+        line = json.dumps({"sample_id": "s0", "pred_hvn": [1.0, 0.0, 0.0],
+                           "pred_sr": {}})
+        path = tmp_path / "preds.jsonl"
+        path.write_text(f"{line}\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="preds.jsonl:2: duplicate sample_id 's0'"):
+            ek.read_predictions(path)
+
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"sample_id": "s0"}\n', encoding="utf-8")

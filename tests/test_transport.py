@@ -71,6 +71,15 @@ class TestWasserstein:
         with pytest.raises(ValueError, match="negative"):
             tp.wasserstein(np.array([1.5, -0.5, 0.0]), delta(3, 0), cm)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, path3, bad):
+        _, cm = path3
+        p = np.array([bad, 0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            tp.ntd(p, delta(3, 0), cm)
+        with pytest.raises(ValueError, match="non-finite"):
+            tp.ntd(delta(3, 0), p, cm)
+
     def test_oracle_equivalence_small_supports(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
