@@ -320,10 +320,21 @@ def red_param_dim(kind: str) -> int:
 
 
 def _attackable(obs: StateObservation) -> np.ndarray:
-    entries = np.flatnonzero(obs.is_entry)
     return attackable_nodes(
-        obs.active_adjacency, obs.compromised_visible, obs.isolated, entries
+        obs.active_adjacency, obs.compromised_visible, obs.isolated, obs.is_entry
     )
+
+
+def _move_targets(obs: StateObservation) -> np.ndarray:
+    """Nodes a random move may relocate to: live neighbours of a live
+    compromised node."""
+    live = obs.compromised_visible & ~obs.isolated
+    return np.flatnonzero((obs.active_adjacency & live[None, :]).any(axis=1))
+
+
+def _strike_kind(obs: StateObservation) -> str:
+    """Zero-day while the budget lasts, otherwise an ordinary attack."""
+    return RED_ZERO_DAY if (obs.zero_day_budget or 0) > 0 else RED_BASIC_ATTACK
 
 
 class _RedBase(_Policy):
@@ -353,9 +364,7 @@ class RedRandomSimple(_RedBase):
         if kind in (RED_DO_NOTHING, RED_SPREAD, RED_INTRUDE):
             return RedAction(kind)
         if kind == RED_RANDOM_MOVE:
-            live = obs.compromised_visible & ~obs.isolated
-            near = (obs.active_adjacency & live[None, :]).any(axis=1)
-            pool = np.flatnonzero(near)
+            pool = _move_targets(obs)
             if pool.size == 0:
                 return RedAction(RED_DO_NOTHING)
             return RedAction(kind, int(pool[rng.integers(pool.size)]))
@@ -374,8 +383,8 @@ class RedRandomSmart(RedRandomSimple):
     ordinary attack instead of wasting the turn."""
 
     def _emit(self, kind, obs, rng):
-        if kind == RED_ZERO_DAY and (obs.zero_day_budget or 0) == 0:
-            kind = RED_BASIC_ATTACK
+        if kind == RED_ZERO_DAY:
+            kind = _strike_kind(obs)
         return super()._emit(kind, obs, rng)
 
 
@@ -418,8 +427,7 @@ class RedHvtSimple(RedRandomSimple):
         reachable = _attackable(obs) & obs.is_hvn
         hits = np.flatnonzero(reachable)
         if hits.size:
-            kind = RED_ZERO_DAY if (obs.zero_day_budget or 0) > 0 else RED_BASIC_ATTACK
-            return RedAction(kind, int(hits[0]))
+            return RedAction(_strike_kind(obs), int(hits[0]))
         return super().act(obs, rng)
 
 
@@ -456,9 +464,7 @@ class RedHvtPreferenceSP(_RedBase):
         this attacker from its always-on-path variant in tournament play.
         """
         if rng.integers(2) == 0:
-            live = obs.compromised_visible & ~obs.isolated
-            near = (obs.active_adjacency & live[None, :]).any(axis=1)
-            pool = np.flatnonzero(near)
+            pool = _move_targets(obs)
             if pool.size:
                 return RedAction(RED_RANDOM_MOVE,
                                  int(pool[rng.integers(pool.size)]))
@@ -472,8 +478,7 @@ class RedHvtPreferenceSP(_RedBase):
             nxt = self._next_on_path(obs, attackable)
         if nxt is None:
             return RedAction(RED_DO_NOTHING)
-        kind = RED_ZERO_DAY if (obs.zero_day_budget or 0) > 0 else RED_BASIC_ATTACK
-        return RedAction(kind, nxt)
+        return RedAction(_strike_kind(obs), nxt)
 
     def _next_on_path(self, obs, attackable):
         path = self._path

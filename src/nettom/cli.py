@@ -9,6 +9,7 @@ output directory and the worker count may come from the environment
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,19 +21,13 @@ from . import agents, cyberenv, dataset, evalkit, graph_core, sinkhorn, transpor
 from .errors import ConfigError, DataError
 from .seeding import derive_seed
 
-#: Experiment defaults applied when a config file omits a field.
+#: Experiment defaults that no library module defines. Dataset sizes and
+#: discounts default to ``dataset.DatasetConfig``, the scoring floor to
+#: ``evalkit.DEFAULT_FLOOR`` and the entry count to ``evalkit.run_tournament``.
 EXPERIMENT_DEFAULTS = {
-    "n_c": 3,
-    "n_p": 8,
-    "n_past": 4,
-    "past_k": 5,
-    "gammas": [0.5, 0.95, 0.999],
-    "split_ratio": 0.75,
     "alpha": 0.01,
     "episodes_per_cell": 100,
-    "floor": 0.1,
     "kmeans_k": 4,
-    "entry_count": 1,
 }
 
 CONFIG_SCHEMA_VERSION = 1
@@ -66,19 +61,29 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _field(config: dict, name: str, kind, default=None, required=False):
+def _typed(value, where: str, kind):
+    """``value`` if it is a ``kind``; an int passes as a float, and JSON
+    true/false pass as neither."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise _fail_usage(
+            f"{where}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _field(config: dict, name: str, kind, default=None, required=False,
+           item=None):
+    """The typed config field ``name``; a list field checks each entry
+    against ``item``."""
     if name not in config:
         if required:
             raise _fail_usage(f"config.{name}: required field is missing")
-        return EXPERIMENT_DEFAULTS.get(name, default) if default is None else default
-    value = config[name]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise _fail_usage(
-            f"config.{name}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
+        return default
+    value = _typed(config[name], f"config.{name}", kind)
+    if item is not None:
+        value = [_typed(x, f"config.{name}[{i}]", item) for i, x in enumerate(value)]
     return value
 
 
@@ -98,14 +103,13 @@ def _red_specs_from_config(config: dict, path: str) -> list[agents.RedPolicySpec
         kind = reds.get("kind")
         if not isinstance(kind, str):
             raise _fail_usage("config.reds.kind: required agent kind string")
-        alpha = reds.get("alpha", EXPERIMENT_DEFAULTS["alpha"])
-        count = reds.get("count")
-        seed = reds.get("seed")
-        if not isinstance(count, int) or not isinstance(seed, int):
-            raise _fail_usage("config.reds: species form needs integer count and seed")
+        alpha = _typed(reds.get("alpha", EXPERIMENT_DEFAULTS["alpha"]),
+                       "config.reds.alpha", float)
+        count = _typed(reds.get("count"), "config.reds.count", int)
+        seed = _typed(reds.get("seed"), "config.reds.seed", int)
         try:
-            return agents.species_members(kind, float(alpha), count, seed)
-        except ConfigError as exc:
+            return agents.species_members(kind, alpha, count, seed)
+        except (ConfigError, ValueError) as exc:
             raise _fail_usage(f"config.reds: {exc}")
     raise _fail_usage("config.reds: expected a list of agent ids or a species object")
 
@@ -169,8 +173,8 @@ def simulate(blue, red_id, topology, episodes, seed, out):
     if episodes < 0:
         raise _fail_usage("--episodes must be >= 0")
     try:
-        net, cm = graph_core.topology(topology)
-        blue_policy = agents.make_blue(blue)
+        graph_core.topology(topology)
+        agents.make_blue(blue)
         red_spec = agents.parse_red_id(red_id)
     except ConfigError as exc:
         raise _fail_usage(str(exc))
@@ -178,11 +182,11 @@ def simulate(blue, red_id, topology, episodes, seed, out):
     out_dir.mkdir(parents=True, exist_ok=True)
     rewards, durations, wins = [], [], 0
     for e in range(episodes):
-        traj = cyberenv.rollout(
-            net, blue_policy, agents.make_red(red_spec),
-            derive_seed(seed, "simulate", e), cm=cm,
-            episode_id=f"sim-{e}",
-        )
+        try:
+            traj = dataset.run_episode(topology, blue, red_spec, f"sim-{e}",
+                                       derive_seed(seed, "simulate", e))
+        except RuntimeError as exc:
+            raise _fail_data(str(exc))
         cyberenv.write_trajectory(traj, out_dir / f"episode_{e:04d}.jsonl")
         rewards.append(traj.total_blue_reward)
         durations.append(traj.final_step)
@@ -211,18 +215,19 @@ def simulate(blue, red_id, topology, episodes, seed, out):
 def tournament(config_path, out, jobs):
     """Run a full tournament from a JSON config and emit metric tables."""
     config = _load_config(config_path)
-    blues = _field(config, "blues", list, required=True)
-    networks = _field(config, "networks", list, required=True)
+    blues = _field(config, "blues", list, required=True, item=str)
+    networks = _field(config, "networks", list, required=True, item=str)
     episodes_per_cell = _field(config, "episodes_per_cell", int,
                                default=EXPERIMENT_DEFAULTS["episodes_per_cell"])
     seed = _field(config, "seed", int, required=True)
-    entry_count = _field(config, "entry_count", int,
-                         default=EXPERIMENT_DEFAULTS["entry_count"])
+    options = {}
+    if "entry_count" in config:
+        options["entry_count"] = _field(config, "entry_count", int)
     reds = _red_specs_from_config(config, config_path)
     try:
         table = evalkit.run_tournament(
             blues, reds, networks, episodes_per_cell, seed,
-            entry_count=entry_count, jobs=max(1, jobs),
+            jobs=max(1, jobs), **options,
         )
     except ConfigError as exc:
         raise _fail_usage(str(exc))
@@ -245,8 +250,8 @@ def tournament(config_path, out, jobs):
 def dataset_cmd(config_path, out, jobs):
     """Build the observer dataset (episodes + manifest) from a JSON config."""
     config = _load_config(config_path)
-    blues = _field(config, "blues", list, required=True)
-    networks = _field(config, "networks", list, required=True)
+    blues = _field(config, "blues", list, required=True, item=str)
+    networks = _field(config, "networks", list, required=True, item=str)
     seed = _field(config, "seed", int, required=True)
     holdout = _field(config, "holdout_reds", int, default=0)
     if holdout < 0:
@@ -258,17 +263,20 @@ def dataset_cmd(config_path, out, jobs):
                 f"config.reds[{i}]: dataset attackers must be pinned members "
                 "(give seed= and index=, or probs=)"
             )
+    defaults = dataset.DatasetConfig
     ds_config = dataset.DatasetConfig(
         blues=tuple(blues),
         reds=tuple(reds),
         networks=tuple(networks),
         master_seed=seed,
-        n_c=_field(config, "n_c", int),
-        n_p=_field(config, "n_p", int),
-        n_past=_field(config, "n_past", int),
-        past_k=_field(config, "past_k", int),
-        gammas=tuple(_field(config, "gammas", list)),
-        split_ratio=_field(config, "split_ratio", float),
+        n_c=_field(config, "n_c", int, default=defaults.n_c),
+        n_p=_field(config, "n_p", int, default=defaults.n_p),
+        n_past=_field(config, "n_past", int, default=defaults.n_past),
+        past_k=_field(config, "past_k", int, default=defaults.past_k),
+        gammas=tuple(_field(config, "gammas", list, default=defaults.gammas,
+                            item=float)),
+        split_ratio=_field(config, "split_ratio", float,
+                           default=defaults.split_ratio),
     )
     try:
         manifest = dataset.build_dataset(ds_config, out, jobs=max(1, jobs))
@@ -290,17 +298,9 @@ def dataset_cmd(config_path, out, jobs):
             kind, EXPERIMENT_DEFAULTS["alpha"], holdout,
             derive_seed(seed, "holdout"),
         )
-        test_config = dataset.DatasetConfig(
-            blues=ds_config.blues,
-            reds=tuple(holdout_specs),
-            networks=ds_config.networks,
+        test_config = dataclasses.replace(
+            ds_config, reds=tuple(holdout_specs),
             master_seed=derive_seed(seed, "holdout", "build"),
-            n_c=ds_config.n_c,
-            n_p=ds_config.n_p,
-            n_past=ds_config.n_past,
-            past_k=ds_config.past_k,
-            gammas=ds_config.gammas,
-            split_ratio=ds_config.split_ratio,
         )
         test_manifest = dataset.build_dataset(
             test_config, Path(out) / "test", jobs=max(1, jobs)
@@ -322,7 +322,7 @@ def dataset_cmd(config_path, out, jobs):
 @click.option("--gammas", default=None,
               help="Discount subset to score, comma-separated "
                    "(default: every discount in the manifest).")
-@click.option("--floor", type=float, default=EXPERIMENT_DEFAULTS["floor"],
+@click.option("--floor", type=float, default=evalkit.DEFAULT_FLOOR,
               show_default=True)
 @click.option("--kmeans-k", type=int, default=EXPERIMENT_DEFAULTS["kmeans_k"],
               show_default=True)

@@ -6,7 +6,9 @@ cap; one defender (blue) cleans, hardens, and isolates nodes to stop it.
 The game is zero-sum and fully deterministic given the episode seed: all
 stochasticity flows through the seeded generator created in ``reset``.
 
-Rules fixed by the environment (constants live in :class:`EnvConfig`):
+Rules fixed by the environment (their values are the module constants
+``VULN_LOW`` through ``MAX_STEPS`` below; only the number of entry nodes
+varies, per environment):
 
 * Node vulnerabilities are drawn uniformly per episode and set the success
   probability of ordinary attacks against that node.
@@ -77,6 +79,18 @@ BLUE_WIN = "blue_win"
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
+VULN_LOW = 0.2  # per-episode vulnerabilities are uniform on [VULN_LOW, VULN_HIGH)
+VULN_HIGH = 0.8
+HIDDEN_PROB = 0.5  # chance an ordinary successful attack stays hidden from blue
+ZERO_DAY_START = 1  # zero-day budget at reset
+ZERO_DAY_EVERY = 4  # the budget grows by one every this many steps
+REDUCE_VULN_FACTOR = 0.8  # hardening multiplies a vulnerability by this ...
+VULN_FLOOR = 0.05  # ... but never below this
+COST_COMPROMISED = 1.0  # blue's per-step cost for each compromised node
+COST_ISOLATED = 0.5  # blue's per-step cost for each isolated node
+RED_WIN_PENALTY = 100.0  # blue's one-off cost when red captures a high-value node
+MAX_STEPS = 500  # blue wins when the episode reaches this step
+
 
 @dataclass(frozen=True)
 class BlueAction:
@@ -90,27 +104,13 @@ class RedAction:
     target: int | None = None
 
 
-@dataclass(frozen=True)
-class EnvConfig:
-    """Game constants. Defaults are the values used by every shipped test."""
-
-    vuln_low: float = 0.2
-    vuln_high: float = 0.8
-    hidden_prob: float = 0.5
-    zero_day_start: int = 1
-    zero_day_every: int = 4
-    reduce_vuln_factor: float = 0.8
-    vuln_floor: float = 0.05
-    cost_compromised: float = 1.0
-    cost_isolated: float = 0.5
-    red_win_penalty: float = 100.0
-    max_steps: int = 500
-    entry_count: int = 1
-
-
 @dataclass
 class EpisodeState:
-    """Mutable per-episode state; written only by its owning environment."""
+    """Mutable per-episode state; written only by its owning environment.
+
+    ``is_entry`` and ``is_hvn`` are fixed for the episode and write-locked;
+    every observation shares them.
+    """
 
     vulnerability: np.ndarray
     initial_vulnerability: np.ndarray
@@ -121,6 +121,8 @@ class EpisodeState:
     step: int
     placement: HvnPlacement
     entries: tuple[int, ...]
+    is_entry: np.ndarray
+    is_hvn: np.ndarray
     rng: np.random.Generator
     red_locus: int
     done: bool = False
@@ -173,54 +175,55 @@ def active_adjacency(base_adjacency: np.ndarray, isolated: np.ndarray) -> np.nda
 
 
 def attackable_nodes(active_adj: np.ndarray, compromised: np.ndarray,
-                     isolated: np.ndarray, entries) -> np.ndarray:
+                     isolated: np.ndarray, is_entry: np.ndarray) -> np.ndarray:
     """Boolean mask of nodes red can currently attack.
 
     A node is attackable when it is not isolated, not yet compromised, and
-    either adjacent (through live edges) to a live compromised node or is a
-    non-isolated entry node (red's permanent way back in).
+    either adjacent (through live edges) to a live compromised node or is an
+    entry node (red's permanent way back in).
     """
     live = compromised & ~isolated
     reachable = (active_adj & live[None, :]).any(axis=1)
-    mask = ~isolated & ~compromised & reachable
-    for e in entries:
-        if not isolated[e] and not compromised[e]:
-            mask[e] = True
-    return mask
+    return ~isolated & ~compromised & (reachable | is_entry)
 
 
 class CyberEnv:
     """Owns one episode of the game; see the module docstring for rules."""
 
     def __init__(self, net: Network, cm: CostMatrix | None = None,
-                 config: EnvConfig | None = None):
+                 entry_count: int = 1):
         self.net = net
         self.cm = cm if cm is not None else all_pairs_shortest_paths(net)
-        self.config = config if config is not None else EnvConfig()
+        self.entry_count = entry_count
         self.state: EpisodeState | None = None
         self._adj_cache: np.ndarray | None = None
 
     def reset(self, seed: int) -> EpisodeState:
-        net, cfg = self.net, self.config
+        net = self.net
         n = net.node_count
         rng = np.random.default_rng(seed)
-        vuln = rng.uniform(cfg.vuln_low, cfg.vuln_high, size=n)
-        entries = entry_candidates(net, cfg.entry_count)
+        vuln = rng.uniform(VULN_LOW, VULN_HIGH, size=n)
+        entries = entry_candidates(net, self.entry_count)
         placement = place_high_value_nodes(net, derive_seed(seed, "hvn"),
                                            exclude=entries)
-        compromised = np.zeros(n, dtype=bool)
-        for e in entries:
-            compromised[e] = True
+        is_entry = np.zeros(n, dtype=bool)
+        is_entry[list(entries)] = True
+        is_hvn = np.zeros(n, dtype=bool)
+        is_hvn[list(placement.hvns)] = True
+        is_entry.setflags(write=False)
+        is_hvn.setflags(write=False)
         self.state = EpisodeState(
             vulnerability=vuln,
             initial_vulnerability=vuln.copy(),
-            compromised=compromised,
+            compromised=is_entry.copy(),
             hidden=np.zeros(n, dtype=bool),
             isolated=np.zeros(n, dtype=bool),
-            zero_day_budget=cfg.zero_day_start,
+            zero_day_budget=ZERO_DAY_START,
             step=0,
             placement=placement,
             entries=entries,
+            is_entry=is_entry,
+            is_hvn=is_hvn,
             rng=rng,
             red_locus=entries[0],
         )
@@ -241,48 +244,21 @@ class CyberEnv:
 
     def observe(self, observer: str) -> StateObservation:
         s = self._require_state()
-        n = self.net.node_count
-        is_entry = np.zeros(n, dtype=bool)
-        for e in s.entries:
-            is_entry[e] = True
-        is_hvn = np.zeros(n, dtype=bool)
-        for h in s.placement.hvns:
-            is_hvn[h] = True
-        adj = self.active_adjacency()
-        if observer == OBSERVER_FULL:
-            return StateObservation(
-                vulnerability=s.vulnerability.copy(),
-                compromised_visible=s.compromised & ~s.hidden,
-                compromised_hidden=s.compromised & s.hidden,
-                isolated=s.isolated.copy(),
-                is_entry=is_entry,
-                is_hvn=is_hvn,
-                active_adjacency=adj,
-                zero_day_budget=s.zero_day_budget,
-            )
-        if observer == OBSERVER_BLUE:
-            return StateObservation(
-                vulnerability=s.vulnerability.copy(),
-                compromised_visible=s.compromised & ~s.hidden,
-                compromised_hidden=None,
-                isolated=s.isolated.copy(),
-                is_entry=is_entry,
-                is_hvn=None,
-                active_adjacency=adj,
-                zero_day_budget=None,
-            )
-        if observer == OBSERVER_RED:
-            return StateObservation(
-                vulnerability=s.vulnerability.copy(),
-                compromised_visible=s.compromised.copy(),
-                compromised_hidden=None,
-                isolated=s.isolated.copy(),
-                is_entry=is_entry,
-                is_hvn=is_hvn,
-                active_adjacency=adj,
-                zero_day_budget=s.zero_day_budget,
-            )
-        raise ValueError(f"unknown observer {observer!r}")
+        if observer not in (OBSERVER_BLUE, OBSERVER_FULL, OBSERVER_RED):
+            raise ValueError(f"unknown observer {observer!r}")
+        blue = observer == OBSERVER_BLUE
+        return StateObservation(
+            vulnerability=s.vulnerability.copy(),
+            compromised_visible=(s.compromised.copy() if observer == OBSERVER_RED
+                                 else s.compromised & ~s.hidden),
+            compromised_hidden=(s.compromised & s.hidden
+                                if observer == OBSERVER_FULL else None),
+            isolated=s.isolated.copy(),
+            is_entry=s.is_entry,
+            is_hvn=None if blue else s.is_hvn,
+            active_adjacency=self.active_adjacency(),
+            zero_day_budget=None if blue else s.zero_day_budget,
+        )
 
     # -- dynamics --------------------------------------------------------
 
@@ -300,10 +276,8 @@ class CyberEnv:
             s.compromised[v] = False
             s.hidden[v] = False
         elif kind == BLUE_REDUCE_VULN:
-            s.vulnerability[v] = max(
-                self.config.vuln_floor,
-                s.vulnerability[v] * self.config.reduce_vuln_factor,
-            )
+            s.vulnerability[v] = max(VULN_FLOOR,
+                                     s.vulnerability[v] * REDUCE_VULN_FACTOR)
         elif kind == BLUE_RESTORE:
             s.compromised[v] = False
             s.hidden[v] = False
@@ -331,7 +305,7 @@ class CyberEnv:
         if kind == RED_DO_NOTHING:
             return ()
         adj = self.active_adjacency()
-        attackable = attackable_nodes(adj, s.compromised, s.isolated, s.entries)
+        attackable = attackable_nodes(adj, s.compromised, s.isolated, s.is_entry)
         hits: list[int] = []
         if kind == RED_RANDOM_MOVE:
             # Bookkeeping only: relocates the action locus, never the state.
@@ -363,23 +337,22 @@ class CyberEnv:
         s = self.state
         if rng.random() < s.vulnerability[v]:
             s.compromised[v] = True
-            s.hidden[v] = rng.random() < self.config.hidden_prob
+            s.hidden[v] = rng.random() < HIDDEN_PROB
             hits.append(v)
 
     def step(self, blue_action: BlueAction, red_action: RedAction) -> StepResult:
         s = self._require_state()
         if s.done:
             raise RuntimeError("step() called on a finished episode")
-        cfg = self.config
         self.apply_blue(blue_action)
         hits = self.apply_red(red_action)
         s.step += 1
-        if s.step % cfg.zero_day_every == 0:
+        if s.step % ZERO_DAY_EVERY == 0:
             s.zero_day_budget += 1
 
         reward = -(
-            cfg.cost_compromised * float(s.compromised.sum())
-            + cfg.cost_isolated * float(s.isolated.sum())
+            COST_COMPROMISED * float(s.compromised.sum())
+            + COST_ISOLATED * float(s.isolated.sum())
         )
         captured = [h for h in s.placement.hvns if s.compromised[h]]
         if captured:
@@ -387,8 +360,8 @@ class CyberEnv:
             s.outcome = RED_WIN
             target = min(captured)
             s.placement = s.placement.with_target(s.placement.hvns.index(target))
-            reward -= cfg.red_win_penalty
-        elif s.step >= cfg.max_steps:
+            reward -= RED_WIN_PENALTY
+        elif s.step >= MAX_STEPS:
             s.done = True
             s.outcome = BLUE_WIN
         return StepResult(
@@ -442,11 +415,11 @@ class EpisodeTrajectory:
 
 
 def rollout(net: Network, blue_policy, red_policy, seed: int,
-            cm: CostMatrix | None = None, config: EnvConfig | None = None,
+            cm: CostMatrix | None = None, entry_count: int = 1,
             episode_id: str | None = None) -> EpisodeTrajectory:
     """Play one full episode and record full-observability observations,
     both actions, and the nodes red newly compromised at every step."""
-    env = CyberEnv(net, cm=cm, config=config)
+    env = CyberEnv(net, cm=cm, entry_count=entry_count)
     state = env.reset(seed)
     ctx = EpisodeContext(net=net, cm=env.cm, hvns=state.placement.hvns,
                          entries=state.entries)

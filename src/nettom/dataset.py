@@ -27,7 +27,6 @@ import numpy as np
 from .agents import RedPolicySpec, make_blue, make_red
 from .cyberenv import (
     RED_WIN,
-    EnvConfig,
     EpisodeTrajectory,
     StateObservation,
     rollout,
@@ -149,14 +148,14 @@ def _episode_jobs(game: GameConfig, n_c: int, n_p: int):
 
 def run_episode(network: str, blue_id: str, red_spec: RedPolicySpec,
                 episode_id: str, seed: int,
-                config: EnvConfig | None = None) -> EpisodeTrajectory:
+                entry_count: int = 1) -> EpisodeTrajectory:
     """Play one seeded episode on a shipped topology; a failure names the
     episode, the matchup and the seed."""
     net, cm = topology(network)
     blue = make_blue(blue_id)
     red = make_red(red_spec)
     try:
-        return rollout(net, blue, red, seed, cm=cm, config=config,
+        return rollout(net, blue, red, seed, cm=cm, entry_count=entry_count,
                        episode_id=episode_id)
     except Exception as exc:
         raise RuntimeError(

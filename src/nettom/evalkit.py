@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyberenv import BLUE_WIN, EnvConfig
+from .cyberenv import BLUE_WIN
 from .dataset import DatasetManifest, ToMSample, gamma_key, map_jobs, run_episode
 from .errors import ConfigError, DataError
 from .graph_core import topology
@@ -69,9 +69,9 @@ class TournamentTable:
 
 
 def _tournament_episode(args) -> tuple[float, bool, int]:
-    network, blue_id, red_spec, seed, config = args
+    network, blue_id, red_spec, seed, entry_count = args
     traj = run_episode(network, blue_id, red_spec, f"{network}-{seed}", seed,
-                       config)
+                       entry_count)
     return traj.total_blue_reward, traj.outcome == BLUE_WIN, traj.final_step
 
 
@@ -90,7 +90,6 @@ def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
     if episodes_per_cell < 1:
         raise ConfigError("episodes_per_cell must be >= 1")
 
-    config = EnvConfig(entry_count=entry_count)
     tasks = []
     cell_keys = []
     for blue in blues:
@@ -101,7 +100,7 @@ def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
                     (network, blue, red,
                      derive_seed(seed, "tournament", blue, red.policy_id,
                                  network, e),
-                     config)
+                     entry_count)
                     for e in range(episodes_per_cell)
                 )
     results = map_jobs(_tournament_episode, tasks, jobs)
@@ -169,11 +168,18 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                sample_id, pred_sr = obj["sample_id"], obj["pred_sr"]
+                if not isinstance(sample_id, str):
+                    raise TypeError("sample_id must be a string, got "
+                                    f"{type(sample_id).__name__}")
+                if not isinstance(pred_sr, dict):
+                    raise TypeError("pred_sr must be an object, got "
+                                    f"{type(pred_sr).__name__}")
                 rec = PredictionRecord(
-                    sample_id=obj["sample_id"],
+                    sample_id=sample_id,
                     pred_hvn=tuple(float(x) for x in obj["pred_hvn"]),
                     pred_sr={k: tuple(float(x) for x in v)
-                             for k, v in obj["pred_sr"].items()},
+                             for k, v in pred_sr.items()},
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction: {exc}")

@@ -134,7 +134,7 @@ class TestRedTargetSelection:
         neighbors = list(net.neighbors[net.entry_node])
         pool = np.flatnonzero(ce.attackable_nodes(
             env.active_adjacency(), state.compromised, state.isolated,
-            state.entries))
+            state.is_entry))
         state.vulnerability[:] = 0.3
         state.vulnerability[pool[-1]] = 0.9
         state.vulnerability[pool[0]] = 0.5
@@ -150,7 +150,7 @@ class TestRedTargetSelection:
         env, state, ctx = _ctx_and_env(tree30)
         pool = np.flatnonzero(ce.attackable_nodes(
             env.active_adjacency(), state.compromised, state.isolated,
-            state.entries))
+            state.is_entry))
         degrees = env.active_adjacency()[pool].sum(axis=1)
         rng = np.random.default_rng(0)
         for kind, pick in (("target_connected", pool[int(np.argmax(degrees))]),

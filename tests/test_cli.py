@@ -144,6 +144,32 @@ class TestTournamentCommand:
         assert result.exit_code == 2
         assert "config.seed" in result.output
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"episodes_per_cell": True},
+         "config.episodes_per_cell: expected int, got bool"),
+        ({"entry_count": False}, "config.entry_count: expected int, got bool"),
+        ({"blues": [3]}, "config.blues[0]: expected str, got int"),
+        ({"networks": ["tree30", 3]}, "config.networks[1]: expected str, got int"),
+        ({"reds": {"kind": "hvt_pref_sp", "count": True, "seed": 5}},
+         "config.reds.count: expected int, got bool"),
+        ({"reds": {"kind": "hvt_pref_sp", "alpha": "abc", "count": 2, "seed": 5}},
+         "config.reds.alpha: expected float, got str"),
+        ({"reds": {"kind": "hvt_pref_sp", "alpha": -1, "count": 2, "seed": 5}},
+         "config.reds: alpha must be positive"),
+    ])
+    def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
+        config = {"schema_version": 1, "blues": ["blue.msn_d"],
+                  "reds": ["red.hvt_pref_sp:alpha=0.01,seed=1"],
+                  "networks": ["tree30"], "episodes_per_cell": 1, "seed": 3}
+        config.update(overrides)
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = runner.invoke(main, ["tournament", "--config", str(cfg),
+                                      "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "rep").exists()
+
 
 class TestDatasetCommand:
     def test_build_and_report(self, runner, tmp_path):
@@ -202,6 +228,24 @@ class TestDatasetCommand:
         result = runner.invoke(main, ["dataset", "--config", str(cfg),
                                       "--out", str(tmp_path / "data")])
         assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"holdout_reds": True}, "config.holdout_reds: expected int, got bool"),
+        ({"n_c": False}, "config.n_c: expected int, got bool"),
+        ({"split_ratio": True}, "config.split_ratio: expected float, got bool"),
+        ({"gammas": ["a"]}, "config.gammas[0]: expected float, got str"),
+        ({"blues": [3]}, "config.blues[0]: expected str, got int"),
+        ({"networks": [3]}, "config.networks[0]: expected str, got int"),
+    ])
+    def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
+        cfg = tmp_path / "d.json"
+        _write_dataset_config(
+            cfg, reds=["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"], **overrides)
+        result = runner.invoke(main, ["dataset", "--config", str(cfg),
+                                      "--out", str(tmp_path / "data")])
+        assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "data").exists()
 

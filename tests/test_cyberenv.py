@@ -53,7 +53,7 @@ class TestReset:
     def test_multi_entry_variant(self, tree30):
         # tournament-only config flag: several footholds on distinct branches
         net, cm = tree30
-        env = ce.CyberEnv(net, cm=cm, config=ce.EnvConfig(entry_count=3))
+        env = ce.CyberEnv(net, cm=cm, entry_count=3)
         state = env.reset(seed=1)
         assert len(state.entries) == 3
         assert all(state.compromised[e] for e in state.entries)
@@ -326,6 +326,11 @@ class TestObserve:
         assert (blue.compromised_visible == full.compromised_visible).all()
         assert (blue.isolated == full.isolated).all()
         assert (blue.is_entry == full.is_entry).all()
+        # the per-episode masks are built once in reset and shared read-only
+        assert blue.is_entry is full.is_entry is state.is_entry
+        assert full.is_hvn is state.is_hvn
+        assert not state.is_entry.flags.writeable
+        assert not state.is_hvn.flags.writeable
         assert (blue.active_adjacency == full.active_adjacency).all()
 
     def test_red_sees_own_hidden_compromises(self, tree30):

@@ -350,10 +350,15 @@ class TestPredictionIO:
         with pytest.raises(DataError, match="preds.jsonl:2: duplicate sample_id 's0'"):
             ek.read_predictions(path)
 
-    def test_rejects_malformed(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        '{"sample_id": "s0"}',
+        '{"sample_id": "s0", "pred_hvn": [1, 0, 0], "pred_sr": [[1, 0]]}',
+        '{"sample_id": ["s0"], "pred_hvn": [1, 0, 0], "pred_sr": {}}',
+    ], ids=["missing_keys", "pred_sr_list", "sample_id_list"])
+    def test_rejects_malformed(self, tmp_path, line):
         path = tmp_path / "preds.jsonl"
-        path.write_text('{"sample_id": "s0"}\n', encoding="utf-8")
-        with pytest.raises(DataError, match="malformed"):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="preds.jsonl:1: malformed"):
             ek.read_predictions(path)
 
     def test_score_report_files(self, tmp_path, tree30):

@@ -1,0 +1,131 @@
+"""Behaviour fingerprint: SHA-256 digests of seeded outputs.
+
+A refactor or speed-up that keeps every seeded output byte for byte leaves
+these digests unchanged; one that shifts a single RNG draw, a rule constant
+or an encoding detail does not. Sinkhorn values are pinned at 1e-12 instead
+of by digest, because vectorized ``exp``/``log`` may differ by an ulp from
+one CPU to another. A deliberate behaviour change re-records the values
+below from the assertion diff and says so in its change notes.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from nettom import agents as ag
+from nettom import dataset as ds
+from nettom import evalkit as ek
+from nettom import graph_core as gc
+from nettom import sinkhorn as sk
+from nettom import transport as tr
+from nettom.cli import main
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_digests(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): _sha(p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _combined(digests: dict[str, str]) -> str:
+    return _sha("".join(f"{k}={v}\n" for k, v in digests.items()).encode())
+
+
+def _pairs(net: gc.Network, cm: gc.CostMatrix):
+    """A sparse attack-path pair and a dense pair built without any
+    transcendental function, so their bytes are the same on every CPU."""
+    n = net.node_count
+    far = int(np.argmax(cm.dist[net.entry_node]))
+    path = gc.shortest_path(net, net.entry_node, far)
+    p = np.zeros(n)
+    p[path] = np.arange(1, len(path) + 1, dtype=float)
+    q = np.zeros(n)
+    leaves = sorted(net.leaf_set - {net.entry_node})
+    q[leaves[: 3]] = (0.5, 0.3, 0.2)
+    dense_p = np.arange(n) % 7 + 1.0
+    dense_q = (np.arange(n) * 5) % 11 + 1.0
+    return [(p / p.sum(), q), (dense_p / dense_p.sum(), dense_q / dense_q.sum())]
+
+
+def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
+    return tr.WeightingConfig(
+        features=(gc.entry_remoteness(net, cm), np.asarray(net.degree, dtype=float)),
+        coefficients=(-1.0, 1.0),
+        floor=0.1,
+    )
+
+
+EXPECTED_DATASET = "5106648a380fa2c8ab947d36d8033a5157468548e330f45e24c7d00d3cf10c69"
+EXPECTED_TOURNAMENT = {
+    1: "8820f0b41aaff760e18ae75fe7693807531b4d74123aa21d3a81ed433dd14db6",
+    3: "aded1ec7b652e934b4b576d09cf34be9e2fd4436ebe1983dd98003dba210849e",
+}
+EXPECTED_SIMULATE = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
+EXPECTED_METRIC = "102a7f732e08289517db938ab0acad83c7a5cab5b60de5ecf9ed601a09655cfd"
+EXPECTED_SINKHORN = {
+    "tree30": [0.522481981309285, -0.1212994193650917],
+    "forest72": [0.5034167483585317, -0.17845652167294263],
+    "optical54": [0.15723520531596125, -0.15791706802252672],
+}
+
+
+def test_dataset_build_fingerprint(tmp_path):
+    config = ds.DatasetConfig(
+        blues=("blue.msn_rnv_restore",),
+        reds=(ag.parse_red_id("red.hvt_pref:alpha=0.01,seed=5,index=0"),
+              ag.parse_red_id("red.random_smart:alpha=1,seed=5,index=1")),
+        networks=("tree30",),
+        master_seed=17,
+    )
+    ds.build_dataset(config, tmp_path, jobs=1)
+    digests = _tree_digests(tmp_path)
+    assert len(digests) == 2 * 27 + 1
+    assert _combined(digests) == EXPECTED_DATASET
+
+
+@pytest.mark.parametrize("entry_count", [1, 3])
+def test_tournament_fingerprint(tmp_path, entry_count):
+    table = ek.run_tournament(
+        ["blue.msn_s", "blue.random_smart"],
+        [ag.parse_red_id("red.random_simple:alpha=0.5"),
+         ag.parse_red_id("red.hvt_pref:alpha=0.01")],
+        ["tree30", "forest72"], 5, seed=23, entry_count=entry_count,
+    )
+    ek.write_tournament_reports(table, tmp_path)
+    assert _combined(_tree_digests(tmp_path)) == EXPECTED_TOURNAMENT[entry_count]
+
+
+def test_simulate_fingerprint(tmp_path):
+    result = CliRunner().invoke(main, [
+        "simulate", "--blue", "blue.msn_restore",
+        "--red", "red.hvt_simple:probs=0.1:0.3:0.2:0.2:0.1:0.1",
+        "--network", "optical54", "--episodes", "3", "--seed", "4",
+        "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 0, result.output
+    assert _combined(_tree_digests(tmp_path)) == EXPECTED_SIMULATE
+
+
+def test_metric_fingerprint():
+    lines = []
+    for name in gc.TOPOLOGIES:
+        net, cm = gc.topology(name)
+        for p, q in _pairs(net, cm):
+            lines.append(f"{name} ntd {tr.ntd(p, q, cm)!r}")
+            lines.append(f"{name} ntd_weighted "
+                         f"{tr.ntd_weighted(p, q, cm, _weighting(net, cm))!r}")
+    assert _sha("\n".join(lines).encode()) == EXPECTED_METRIC
+
+
+@pytest.mark.parametrize("name", ["tree30", "forest72", "optical54"])
+def test_sinkhorn_values(name):
+    net, cm = gc.topology(name)
+    params = sk.SinkhornParams(lam=0.05 * cm.diameter)
+    values = [sk.sinkhorn_plan(p, q, cm, params).value for p, q in _pairs(net, cm)]
+    assert values == pytest.approx(EXPECTED_SINKHORN[name], rel=0, abs=1e-12)
