@@ -15,6 +15,7 @@ of every episode (tournaments evaluate the species as a whole).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .cyberenv import (
 from .errors import ConfigError
 from .graph_core import shortest_path
 from .seeding import derive_seed
+from .transport import check_distribution
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,15 @@ def _dirichlet_rows(rng: np.random.Generator, alpha: float, count: int,
     return rows
 
 
+def _check_alpha(alpha: float) -> None:
+    """A species concentration must be a finite number above zero."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def sample_species(alpha: float, count: int, dim: int, seed: int) -> SpeciesSample:
     """Draw ``count`` i.i.d. members of the species, deterministically per seed."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -296,14 +303,14 @@ class RedPolicySpec:
             raise ConfigError(f"unknown red policy {self.kind!r}")
         if (self.params is None) == (self.alpha is None):
             raise ConfigError("specify exactly one of params or alpha")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         if self.params is not None:
-            arr = np.asarray(self.params, dtype=float)
-            if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-9:
-                raise ConfigError("params must be a probability vector")
-            if len(arr) != red_param_dim(self.kind):
-                raise ConfigError(
-                    f"{self.kind} expects {red_param_dim(self.kind)} parameters"
-                )
+            try:
+                check_distribution(self.params, red_param_dim(self.kind),
+                                   f"{self.kind} params")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @property
     def policy_id(self) -> str:
@@ -588,21 +595,34 @@ def parse_red_id(name: str) -> RedPolicySpec:
             )
         kv[key] = value.strip()
     if "probs" in kv:
-        params = tuple(float(x) for x in kv["probs"].split(":"))
+        params = tuple(
+            _id_number(name, "probs", x, float) for x in kv["probs"].split(":")
+        )
         return RedPolicySpec(kind=kind, params=params, label=name)
     if "alpha" not in kv:
         raise ConfigError(f"red policy {name!r} needs alpha=... or probs=...")
-    alpha = float(kv["alpha"])
+    alpha = _id_number(name, "alpha", kv["alpha"], float)
     if "index" in kv:
         if "seed" not in kv:
             raise ConfigError(f"{name!r}: index=... requires seed=...")
-        index = int(kv["index"])
-        seed = int(kv["seed"])
+        index = _id_number(name, "index", kv["index"], int)
+        seed = _id_number(name, "seed", kv["seed"], int)
+        if index < 0:
+            raise ConfigError(f"{name!r}: index must be >= 0, got {index}")
         sample = sample_species(
             alpha, index + 1, red_param_dim(kind), derive_seed(seed, "species", kind)
         )
         return RedPolicySpec(kind=kind, params=sample.members[index], label=name)
     return RedPolicySpec(kind=kind, alpha=alpha, label=name)
+
+
+def _id_number(name: str, key: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(
+            f"{name!r}: {key}={text!r} is not a valid {kind.__name__}"
+        ) from None
 
 
 def species_members(kind: str, alpha: float, count: int, seed: int

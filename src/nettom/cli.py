@@ -129,7 +129,8 @@ def _read_distribution(path: str, n: int, name: str) -> np.ndarray:
 def _load_net(path: str) -> graph_core.Network:
     try:
         return graph_core.load_network(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
         raise _fail_data(f"cannot load network {path}: {exc}")
 
 
@@ -264,20 +265,23 @@ def dataset_cmd(config_path, out, jobs):
                 "(give seed= and index=, or probs=)"
             )
     defaults = dataset.DatasetConfig
-    ds_config = dataset.DatasetConfig(
-        blues=tuple(blues),
-        reds=tuple(reds),
-        networks=tuple(networks),
-        master_seed=seed,
-        n_c=_field(config, "n_c", int, default=defaults.n_c),
-        n_p=_field(config, "n_p", int, default=defaults.n_p),
-        n_past=_field(config, "n_past", int, default=defaults.n_past),
-        past_k=_field(config, "past_k", int, default=defaults.past_k),
-        gammas=tuple(_field(config, "gammas", list, default=defaults.gammas,
-                            item=float)),
-        split_ratio=_field(config, "split_ratio", float,
-                           default=defaults.split_ratio),
-    )
+    try:
+        ds_config = dataset.DatasetConfig(
+            blues=tuple(blues),
+            reds=tuple(reds),
+            networks=tuple(networks),
+            master_seed=seed,
+            n_c=_field(config, "n_c", int, default=defaults.n_c),
+            n_p=_field(config, "n_p", int, default=defaults.n_p),
+            n_past=_field(config, "n_past", int, default=defaults.n_past),
+            past_k=_field(config, "past_k", int, default=defaults.past_k),
+            gammas=tuple(_field(config, "gammas", list,
+                                default=defaults.gammas, item=float)),
+            split_ratio=_field(config, "split_ratio", float,
+                               default=defaults.split_ratio),
+        )
+    except ConfigError as exc:
+        raise _fail_usage(f"config.{exc}")
     try:
         manifest = dataset.build_dataset(ds_config, out, jobs=max(1, jobs))
     except (ConfigError, ValueError) as exc:
@@ -343,7 +347,7 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
                           "numbers")
     try:
         manifest = dataset.read_manifest(manifest_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, DataError) as exc:
         raise _fail_data(f"cannot load manifest {manifest_path}: {exc}")
     try:
         preds = evalkit.read_predictions(pred_path)

@@ -30,9 +30,9 @@ from .cyberenv import (
     EpisodeTrajectory,
     StateObservation,
     rollout,
-    trajectory_to_jsonl,
+    write_trajectory,
 )
-from .errors import ConfigError, SampleExclusionError
+from .errors import ConfigError, DataError, SampleExclusionError
 from .graph_core import topology
 from .seeding import derive_seed, rng_for
 
@@ -108,6 +108,25 @@ class DatasetConfig:
     gammas: tuple[float, ...] = DEFAULT_GAMMAS
     split_ratio: float = 0.75
 
+    def __post_init__(self):
+        """Reject sizes and discounts the build could only fail on late;
+        each message starts with the field it names."""
+        if self.n_c < 1:
+            raise ConfigError(f"n_c: must be >= 1, got {self.n_c}")
+        if not 1 <= self.n_past <= self.n_p:
+            raise ConfigError(
+                f"n_past: must lie in [1, n_p={self.n_p}], got {self.n_past}"
+            )
+        if self.past_k < 1:
+            raise ConfigError(f"past_k: must be >= 1, got {self.past_k}")
+        for g in self.gammas:
+            if not 0.0 < g < 1.0:
+                raise ConfigError(f"gammas: {g!r} must lie strictly between 0 and 1")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ConfigError(
+                f"split_ratio: {self.split_ratio!r} must lie strictly between 0 and 1"
+            )
+
 
 def build_game_set(blues, reds, networks, master_seed: int = 0) -> list[GameConfig]:
     """Full Cartesian product of defenders x attackers x topologies, in
@@ -166,20 +185,14 @@ def run_episode(network: str, blue_id: str, red_spec: RedPolicySpec,
 
 def map_jobs(fn, tasks, jobs: int) -> list:
     """``fn`` applied to every task, results in task order; ``jobs > 1``
-    spreads the calls over that many worker processes."""
+    spreads the calls over that many worker processes, in chunks of up to
+    four tasks (fewer when there are too few tasks to give every worker
+    a full chunk)."""
     if jobs <= 1:
         return [fn(task) for task in tasks]
+    chunksize = max(1, min(4, len(tasks) // jobs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=4))
-
-
-def _write_episode(task) -> EpisodeTrajectory:
-    episodes_dir, network, blue_id, red_spec, episode_id, seed = task
-    traj = run_episode(network, blue_id, red_spec, episode_id, seed)
-    (episodes_dir / f"{episode_id}.jsonl").write_text(
-        trajectory_to_jsonl(traj), encoding="utf-8"
-    )
-    return traj
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def subsample_indices(final_step: int, k: int) -> tuple[int, ...]:
@@ -321,6 +334,23 @@ def split_by_agent(red_labels, ratio: float, seed: int) -> dict[str, str]:
     return assignment
 
 
+def _build_game(task) -> tuple[list[ToMSample], list[dict]]:
+    """Play and write one game's episodes, then label its samples; only the
+    samples and exclusions leave the worker."""
+    game, config, episodes_dir = task
+    played = []
+    for episode_id, seed in _episode_jobs(game, config.n_c, config.n_p):
+        traj = run_episode(game.network, game.blue, game.red, episode_id, seed)
+        write_trajectory(traj, episodes_dir / f"{episode_id}.jsonl")
+        played.append(traj)
+    # _episode_jobs lays each current out just before its pool of n_p.
+    stride = config.n_p + 1
+    currents = played[::stride]
+    pools = [played[i + 1:i + stride] for i in range(0, len(played), stride)]
+    return assemble_samples(currents, pools, config.n_past, config.past_k,
+                            config.gammas, config.master_seed, game)
+
+
 def build_dataset(config: DatasetConfig, out_dir: str | Path,
                   jobs: int = 1) -> DatasetManifest:
     """Run the full pipeline: episodes, samples, split, files on disk."""
@@ -331,27 +361,11 @@ def build_dataset(config: DatasetConfig, out_dir: str | Path,
     games = build_game_set(
         config.blues, config.reds, config.networks, config.master_seed
     )
-    tasks = [
-        (episodes_dir, game.network, game.blue, game.red, episode_id, seed)
-        for game in games
-        for episode_id, seed in _episode_jobs(game, config.n_c, config.n_p)
-    ]
-    trajs = {t.episode_id: t for t in map_jobs(_write_episode, tasks, jobs)}
-
-    all_samples: list[ToMSample] = []
-    all_excluded: list[dict] = []
-    for game in games:
-        currents = [trajs[f"{game.game_id}-c{c}"] for c in range(config.n_c)]
-        pools = [
-            [trajs[f"{game.game_id}-c{c}-p{j}"] for j in range(config.n_p)]
-            for c in range(config.n_c)
-        ]
-        samples, excluded = assemble_samples(
-            currents, pools, config.n_past, config.past_k,
-            config.gammas, config.master_seed, game,
-        )
-        all_samples.extend(samples)
-        all_excluded.extend(excluded)
+    results = map_jobs(
+        _build_game, [(game, config, episodes_dir) for game in games], jobs
+    )
+    all_samples = [s for samples, _ in results for s in samples]
+    all_excluded = [e for _, excluded in results for e in excluded]
 
     red_split = split_by_agent(
         [g.red.policy_id for g in games], config.split_ratio, config.master_seed
@@ -444,8 +458,17 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> DatasetManifest:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise DataError("manifest must be a JSON object")
     if obj.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema {obj.get('schema_version')!r}")
+    try:
+        return _manifest_from_json(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed manifest: {exc!r}") from None
+
+
+def _manifest_from_json(obj: dict) -> DatasetManifest:
     samples = [
         ToMSample(
             sample_id=s["sample_id"],
@@ -471,7 +494,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],
         networks=obj["networks"],
-        gammas=tuple(obj["gammas"]),
+        gammas=tuple(float(g) for g in obj["gammas"]),
         n_c=obj["n_c"],
         n_p=obj["n_p"],
         n_past=obj["n_past"],

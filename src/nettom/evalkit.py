@@ -22,7 +22,7 @@ import numpy as np
 from .cyberenv import BLUE_WIN
 from .dataset import DatasetManifest, ToMSample, gamma_key, map_jobs, run_episode
 from .errors import ConfigError, DataError
-from .graph_core import topology
+from .graph_core import entry_candidates, topology
 from .seeding import derive_seed
 from .transport import WeightingConfig, check_distribution, ntd_weighted
 
@@ -89,6 +89,12 @@ def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
         raise ConfigError("tournament needs non-empty blue, red and network sets")
     if episodes_per_cell < 1:
         raise ConfigError("episodes_per_cell must be >= 1")
+    for network in networks:
+        net, _ = topology(network)
+        try:
+            entry_candidates(net, entry_count)
+        except ValueError as exc:
+            raise ConfigError(f"entry_count={entry_count}: {exc}") from None
 
     tasks = []
     cell_keys = []
@@ -344,13 +350,16 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
                     f"{key} absent from the manifest"
                 )
         net, cm = topology(sample.network)
+        for node in (sample.entry, sample.truth_hvn):
+            if not (isinstance(node, int) and 0 <= node < net.node_count):
+                raise DataError(f"sample {sample.sample_id}: node {node!r} is "
+                                f"not on {sample.network}")
         remoteness = _sample_remoteness(sample)
         for key in gamma_keys:
             if key not in record.pred_sr:
                 raise DataError(
                     f"sample {sample.sample_id}: prediction missing gamma {key}"
                 )
-            truth = np.asarray(sample.truth_sr[key], dtype=float)
             pred = np.asarray(record.pred_sr[key], dtype=float)
             # Predictions are validated to 1e-6 on read; bring stragglers up
             # to the metric's tighter tolerance without disturbing vectors
@@ -358,7 +367,14 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
             total = pred.sum()
             if abs(total - 1.0) > 1e-9:
                 pred = pred / total
-            pred = check_distribution(pred, net.node_count, "pred_sr")
+            try:
+                truth = check_distribution(sample.truth_sr.get(key, ()),
+                                           net.node_count, "truth_sr")
+                pred = check_distribution(pred, net.node_count, "pred_sr")
+            except ValueError as exc:
+                raise DataError(
+                    f"sample {sample.sample_id} gamma {key}: {exc}"
+                ) from None
             for coef in coefficients:
                 config = WeightingConfig(
                     features=(remoteness,), coefficients=(float(coef),),

@@ -346,6 +346,36 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="malformed"):
             ag.parse_red_id("red.hvt_pref_sp:alpha")
 
+    @pytest.mark.parametrize("red_id, message", [
+        ("red.hvt_pref_sp:alpha=abc", "alpha='abc' is not a valid float"),
+        ("red.hvt_pref_sp:alpha=0.01,seed=x,index=0",
+         "seed='x' is not a valid int"),
+        ("red.hvt_pref_sp:alpha=0.01,seed=5,index=x",
+         "index='x' is not a valid int"),
+        ("red.target_vulnerable:probs=a:1:0:0:0:0", "probs='a' is not a valid float"),
+        ("red.hvt_pref_sp:alpha=0.01,seed=5,index=-1", "index must be >= 0"),
+        ("red.hvt_pref_sp:alpha=-1", "alpha must be positive and finite"),
+        ("red.hvt_pref_sp:alpha=nan", "alpha must be positive and finite"),
+        ("red.hvt_pref_sp:alpha=inf", "alpha must be positive and finite"),
+        ("red.hvt_pref_sp:alpha=-1,seed=5,index=0",
+         "alpha must be positive and finite"),
+        ("red.target_vulnerable:probs=nan:0:0:0:0:1", "non-finite"),
+        ("red.target_vulnerable:probs=0.5:0:0:0:0:0", "sums to"),
+        ("red.hvt_pref_sp:probs=1:0", "expected (3,)"),
+    ])
+    def test_bad_argument_values_rejected(self, red_id, message):
+        with pytest.raises(ConfigError) as info:
+            ag.parse_red_id(red_id)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": -1.0}, {"alpha": float("nan")}, {"alpha": float("inf")},
+        {"params": (float("nan"), 0.0, 0.0, 0.0, 0.0, 1.0)},
+    ])
+    def test_spec_rejects_bad_values(self, kwargs):
+        with pytest.raises(ConfigError):
+            ag.RedPolicySpec(kind="target_vulnerable", **kwargs)
+
     def test_unknown_argument_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown agent argument 'bogus'"):
             ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,bogus=3")

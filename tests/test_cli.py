@@ -114,6 +114,22 @@ class TestSimulateCommand:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("red_id", [
+        "red.hvt_pref_sp:alpha=abc",
+        "red.hvt_pref_sp:alpha=0.01,seed=5,index=-1",
+        "red.hvt_pref_sp:alpha=nan",
+        "red.target_vulnerable:probs=nan:0:0:0:0:1",
+    ])
+    def test_bad_red_id_exits_2(self, runner, tmp_path, red_id):
+        result = runner.invoke(main, [
+            "simulate", "--blue", "blue.sleep", "--red", red_id,
+            "--network", "tree30", "--episodes", "1", "--seed", "1",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        assert not (tmp_path / "sim").exists()
+
 
 class TestTournamentCommand:
     def test_small_tournament(self, runner, tmp_path):
@@ -156,6 +172,13 @@ class TestTournamentCommand:
          "config.reds.alpha: expected float, got str"),
         ({"reds": {"kind": "hvt_pref_sp", "alpha": -1, "count": 2, "seed": 5}},
          "config.reds: alpha must be positive"),
+        ({"reds": ["red.hvt_pref_sp:alpha=0.01,seed=x,index=0"]},
+         "config.reds[0]: 'red.hvt_pref_sp:alpha=0.01,seed=x,index=0': "
+         "seed='x' is not a valid int"),
+        ({"reds": ["red.hvt_pref_sp:alpha=inf"]},
+         "config.reds[0]: alpha must be positive and finite"),
+        ({"entry_count": 0}, "entry_count=0: count must be >= 1"),
+        ({"entry_count": 9}, "entry_count=9: cannot pick 9 entry nodes on tree30"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         config = {"schema_version": 1, "blues": ["blue.msn_d"],
@@ -238,6 +261,11 @@ class TestDatasetCommand:
         ({"gammas": ["a"]}, "config.gammas[0]: expected float, got str"),
         ({"blues": [3]}, "config.blues[0]: expected str, got int"),
         ({"networks": [3]}, "config.networks[0]: expected str, got int"),
+        ({"n_c": 0}, "config.n_c: must be >= 1, got 0"),
+        ({"n_past": 3}, "config.n_past: must lie in [1, n_p=2], got 3"),
+        ({"past_k": 0}, "config.past_k: must be >= 1, got 0"),
+        ({"gammas": [0.5, 1.5]}, "config.gammas: 1.5 must lie strictly between"),
+        ({"split_ratio": 1.0}, "config.split_ratio: 1.0 must lie strictly between"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
@@ -344,6 +372,33 @@ class TestScoreCommand:
         assert f"preds.jsonl:{len(lines) + 1}: duplicate sample_id" in result.output
 
 
+    @pytest.mark.parametrize("shape", [
+        "top_level_list", "sample_not_object", "gammas_string",
+        "truth_sr_wrong_length", "entry_off_network",
+    ])
+    def test_malformed_manifest_exit_1(self, runner, tmp_path, shape):
+        manifest_path = self._built(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        obj = json.loads(manifest_path.read_text(encoding="utf-8"))
+        first = obj["samples"][0]
+        if shape == "top_level_list":
+            obj = [obj]
+        elif shape == "sample_not_object":
+            obj["samples"] = [1]
+        elif shape == "gammas_string":
+            obj["gammas"] = "x"
+        elif shape == "truth_sr_wrong_length":
+            first["truth_sr"]["0.5"] = [1.0]
+        else:
+            first["entry"] = 999
+        manifest_path.write_text(json.dumps(obj), encoding="utf-8")
+        result = self._score(runner, tmp_path, preds, manifest_path)
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert len(result.output.strip().splitlines()) == 1
+
+
 class TestNtdCommands:
     @pytest.fixture
     def files(self, tmp_path):
@@ -396,3 +451,22 @@ class TestNtdCommands:
                                       "--q", str(q_path),
                                       "--network", str(net_path)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("payload", [
+        [[0, 1], [1, 2]],
+        {"edges": [["0", "1"], ["1", "2"]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3},
+        {"edges": [[0, 1.5], [1, 2]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3},
+    ], ids=["list", "string_endpoints", "float_endpoint"])
+    @pytest.mark.parametrize("command", ["score", "sinkhorn"])
+    def test_malformed_network_exits_1(self, runner, files, tmp_path, payload,
+                                       command):
+        _, p_path, q_path = files
+        bad = tmp_path / "bad_net.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        result = runner.invoke(main, ["ntd", command, "--p", str(p_path),
+                                      "--q", str(q_path), "--network", str(bad)])
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert "cannot load network" in result.output

@@ -208,6 +208,28 @@ class TestAssembly:
             assert s.t in (0, 1)
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("overrides, field", [
+        ({"n_c": 0}, "n_c"),
+        ({"n_past": 0}, "n_past"),
+        ({"n_past": 9}, "n_past"),
+        ({"past_k": 0}, "past_k"),
+        ({"gammas": (0.5, 1.0)}, "gammas"),
+        ({"gammas": (float("nan"),)}, "gammas"),
+        ({"split_ratio": 0.0}, "split_ratio"),
+        ({"split_ratio": 1.0}, "split_ratio"),
+    ])
+    def test_out_of_range_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ds.DatasetConfig(blues=("blue.sleep",), reds=tuple(_members(1)),
+                             networks=("tree30",), master_seed=0, **overrides)
+
+    def test_smallest_sizes_accepted(self):
+        ds.DatasetConfig(blues=("blue.sleep",), reds=tuple(_members(1)),
+                         networks=("tree30",), master_seed=0,
+                         n_c=1, n_p=1, n_past=1, past_k=1)
+
+
 class TestSplit:
     def test_thousand_agents_split_750_250(self):
         labels = [f"red.hvt_pref_sp:alpha=0.01,seed=5,index={i}"
@@ -253,6 +275,33 @@ class TestBuildPipeline:
         assert [s.sample_id for s in loaded.samples] \
             == [s.sample_id for s in manifest.samples]
         assert loaded.split == manifest.split
+
+    def test_workers_return_no_trajectories(self, tmp_path, monkeypatch):
+        calls = []
+        real_map_jobs = ds.map_jobs
+
+        def spy(fn, tasks, jobs):
+            results = real_map_jobs(fn, tasks, jobs)
+            calls.append((len(tasks), results))
+            return results
+
+        monkeypatch.setattr(ds, "map_jobs", spy)
+        config = ds.DatasetConfig(
+            blues=("blue.msn_d",), reds=tuple(_members(2)),
+            networks=("tree30",), master_seed=22,
+            n_c=1, n_p=2, n_past=1, past_k=3, gammas=(0.5,),
+        )
+        ds.build_dataset(config, tmp_path / "d")
+        assert [n for n, _ in calls] == [2]  # one map over the two games
+
+        def trajectories(value):
+            if isinstance(value, ce.EpisodeTrajectory):
+                return 1
+            if isinstance(value, (list, tuple)):
+                return sum(trajectories(v) for v in value)
+            return 0
+
+        assert trajectories(calls[0][1]) == 0
 
     def test_parallel_build_matches_serial(self, tmp_path):
         config = ds.DatasetConfig(
