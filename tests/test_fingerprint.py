@@ -53,6 +53,17 @@ def _pairs(net: gc.Network, cm: gc.CostMatrix):
     return [(p / p.sum(), q), (dense_p / dense_p.sum(), dense_q / dense_q.sum())]
 
 
+def _cyclic120() -> tuple[gc.Network, gc.CostMatrix]:
+    """A fixed 120-node graph with cycles: a 100-node ring, 34 chords and
+    20 pendant leaves (node 100, a leaf, is the entry)."""
+    edges = {(i, (i + 1) % 100) for i in range(100)}
+    edges |= {(i, (i * 37 + 11) % 100) for i in range(0, 100, 3)
+              if (i * 37 + 11) % 100 != i}
+    edges |= {(5 * k, 100 + k) for k in range(20)}
+    net = gc.Network.from_edges(edges, entry_node=100, name="cyclic120")
+    return net, gc.all_pairs_shortest_paths(net)
+
+
 def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
     return tr.WeightingConfig(
         features=(gc.entry_remoteness(net, cm), np.asarray(net.degree, dtype=float)),
@@ -68,6 +79,7 @@ EXPECTED_TOURNAMENT = {
 }
 EXPECTED_SIMULATE = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "102a7f732e08289517db938ab0acad83c7a5cab5b60de5ecf9ed601a09655cfd"
+EXPECTED_PLANS = "55e3ffa8719a8de96fd3a5479f76433b58c4328abbd2e3e129a9bd1927bf040a"
 EXPECTED_SINKHORN = {
     "tree30": [0.522481981309285, -0.1212994193650917],
     "forest72": [0.5034167483585317, -0.17845652167294263],
@@ -121,6 +133,19 @@ def test_metric_fingerprint():
             lines.append(f"{name} ntd_weighted "
                          f"{tr.ntd_weighted(p, q, cm, _weighting(net, cm))!r}")
     assert _sha("\n".join(lines).encode()) == EXPECTED_METRIC
+
+
+def test_plan_fingerprint():
+    """Exact plans, not only costs: ``nettom ntd score --plan`` prints them."""
+    graphs = [(name, *gc.topology(name)) for name in gc.TOPOLOGIES]
+    graphs.append(("cyclic120", *_cyclic120()))
+    digest = hashlib.sha256()
+    for name, net, cm in graphs:
+        for p, q in _pairs(net, cm):
+            result = tr.wasserstein(p, q, cm)
+            digest.update(f"{name} {result.cost!r}\n".encode())
+            digest.update(result.plan.tobytes())
+    assert digest.hexdigest() == EXPECTED_PLANS
 
 
 @pytest.mark.parametrize("name", ["tree30", "forest72", "optical54"])

@@ -94,6 +94,34 @@ class TestWasserstein:
             )
             assert cost == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
+    def test_bland_rule_from_first_pivot(self, monkeypatch):
+        # the anti-cycling fallback normally never fires on these sizes;
+        # forcing it must reach the same optimum as Dantzig pivoting
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(30):
+            n = int(rng.integers(5, 25))
+            _, cm = _random_net(rng, n)
+            small = int(rng.integers(2, 5))
+            cases.append((cm, dyadic_distribution(rng, n, support=small),
+                          dyadic_distribution(rng, n, support=small), True))
+        for _ in range(10):
+            n = int(rng.integers(20, 60))
+            _, cm = _random_net(rng, n)
+            cases.append((cm, dyadic_distribution(rng, n),
+                          dyadic_distribution(rng, n), False))
+        default = [tp.wasserstein(p, q, cm).cost for cm, p, q, _ in cases]
+        monkeypatch.setattr(tp, "_BLAND_AFTER_FACTOR", 0)
+        for (cm, p, q, tiny), expected in zip(cases, default):
+            cost = tp.wasserstein(p, q, cm).cost
+            assert cost == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            if tiny:
+                ref = brute_force_transport_cost(
+                    p[p > 0], q[q > 0],
+                    cm.dist[np.ix_(p > 0, q > 0)].astype(float),
+                )
+                assert cost == pytest.approx(ref, rel=1e-7, abs=1e-12)
+
 
 class TestNtd:
     def test_zero_iff_equal(self, tree30):
