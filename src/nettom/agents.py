@@ -47,6 +47,10 @@ from .graph_core import shortest_path
 from .seeding import derive_seed
 from .transport import check_distribution
 
+#: Largest number of members one species draw may produce. Members are drawn
+#: in sequence, so pinning member ``index`` draws ``index + 1`` of them.
+MAX_SPECIES_MEMBERS = 100_000
+
 
 @dataclass(frozen=True)
 class SpeciesSample:
@@ -86,8 +90,9 @@ def _check_alpha(alpha: float) -> None:
 def sample_species(alpha: float, count: int, dim: int, seed: int) -> SpeciesSample:
     """Draw ``count`` i.i.d. members of the species, deterministically per seed."""
     _check_alpha(alpha)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_SPECIES_MEMBERS:
+        raise ConfigError(
+            f"count must lie in [1, {MAX_SPECIES_MEMBERS}], got {count}")
     rng = np.random.default_rng(seed)
     rows = _dirichlet_rows(rng, alpha, count, dim)
     return SpeciesSample(
@@ -607,8 +612,9 @@ def parse_red_id(name: str) -> RedPolicySpec:
             raise ConfigError(f"{name!r}: index=... requires seed=...")
         index = _id_number(name, "index", kv["index"], int)
         seed = _id_number(name, "seed", kv["seed"], int)
-        if index < 0:
-            raise ConfigError(f"{name!r}: index must be >= 0, got {index}")
+        if not 0 <= index < MAX_SPECIES_MEMBERS:
+            raise ConfigError(f"{name!r}: index must be >= 0 and below "
+                              f"{MAX_SPECIES_MEMBERS}, got {index}")
         sample = sample_species(
             alpha, index + 1, red_param_dim(kind), derive_seed(seed, "species", kind)
         )

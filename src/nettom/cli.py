@@ -87,7 +87,7 @@ def _field(config: dict, name: str, kind, default=None, required=False,
     return value
 
 
-def _red_specs_from_config(config: dict, path: str) -> list[agents.RedPolicySpec]:
+def _red_specs_from_config(config: dict) -> list[agents.RedPolicySpec]:
     reds = config.get("reds")
     if isinstance(reds, list):
         out = []
@@ -224,7 +224,7 @@ def tournament(config_path, out, jobs):
     options = {}
     if "entry_count" in config:
         options["entry_count"] = _field(config, "entry_count", int)
-    reds = _red_specs_from_config(config, config_path)
+    reds = _red_specs_from_config(config)
     try:
         table = evalkit.run_tournament(
             blues, reds, networks, episodes_per_cell, seed,
@@ -255,9 +255,10 @@ def dataset_cmd(config_path, out, jobs):
     networks = _field(config, "networks", list, required=True, item=str)
     seed = _field(config, "seed", int, required=True)
     holdout = _field(config, "holdout_reds", int, default=0)
-    if holdout < 0:
-        raise _fail_usage("config.holdout_reds: must be >= 0")
-    reds = _red_specs_from_config(config, config_path)
+    if not 0 <= holdout <= agents.MAX_SPECIES_MEMBERS:
+        raise _fail_usage("config.holdout_reds: must be >= 0 and at most "
+                          f"{agents.MAX_SPECIES_MEMBERS}")
+    reds = _red_specs_from_config(config)
     for i, spec in enumerate(reds):
         if spec.params is None:
             raise _fail_usage(
@@ -358,22 +359,23 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
         raise _fail_data(str(exc))
 
     hedging = None
-    if kmeans_k >= 1:
+    stratum = [
+        s for s in manifest.samples
+        if kmeans_network is None or s.network == kmeans_network
+    ]
+    nets = sorted({s.network for s in stratum})
+    if kmeans_k >= 1 and len(nets) > 1:
+        # Vectors over different topologies share no node space to cluster in.
+        click.echo(f"hedging pass skipped: samples span {', '.join(nets)}; "
+                   "choose one with --kmeans-network", err=True)
+    elif kmeans_k >= 1:
         key = kmeans_gamma or dataset.gamma_key(max(manifest.gammas))
-        stratum = [
-            s for s in manifest.samples
-            if kmeans_network is None or s.network == kmeans_network
-        ]
         vectors = [preds[s.sample_id].pred_sr.get(key) for s in stratum]
         vectors = [v for v in vectors if v is not None]
         if len(vectors) >= kmeans_k:
-            nets = {s.network for s in stratum}
-            branch_of = None
-            if len(nets) == 1:
-                branch_of = graph_core.topology(nets.pop())[0].branch_of
             hedging = evalkit.hedging_clusters(
                 np.asarray(vectors, dtype=float), kmeans_k, seed,
-                branch_of=branch_of,
+                branch_of=graph_core.topology(nets[0])[0].branch_of,
             )
     paths = evalkit.write_score_reports(out, hvt=hvt, sr=sr, hedging=hedging)
     click.echo(f"weighted_f1={hvt.weighted_f1:.4f}")
@@ -412,6 +414,8 @@ def ntd_score(p_path, q_path, net_path, with_plan):
         "cost": result.cost,
         "ntd": result.cost / cm.diameter,
         "diameter": cm.diameter,
+        "pivots": result.pivots,
+        "bland": result.bland,
     }
     if with_plan:
         payload["plan"] = [[float(x) for x in row] for row in result.plan]

@@ -409,10 +409,6 @@ class EpisodeTrajectory:
     total_blue_reward: float
     steps: list[TrajectoryStep] = field(default_factory=list)
 
-    @property
-    def red_won(self) -> bool:
-        return self.outcome == RED_WIN
-
 
 def rollout(net: Network, blue_policy, red_policy, seed: int,
             cm: CostMatrix | None = None, entry_count: int = 1,

@@ -209,17 +209,15 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
     return records
 
 
-def _match(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
-           sample_filter=None) -> list[tuple[ToMSample, PredictionRecord]]:
-    samples = [s for s in manifest.samples
-               if sample_filter is None or sample_filter(s)]
-    missing = [s.sample_id for s in samples if s.sample_id not in preds]
+def _match(preds: dict[str, PredictionRecord], manifest: DatasetManifest
+           ) -> list[tuple[ToMSample, PredictionRecord]]:
+    missing = [s.sample_id for s in manifest.samples if s.sample_id not in preds]
     if missing:
         shown = ", ".join(missing[:10])
         raise DataError(
             f"{len(missing)} sample ids missing from predictions: {shown}"
         )
-    return [(s, preds[s.sample_id]) for s in samples]
+    return [(s, preds[s.sample_id]) for s in manifest.samples]
 
 
 @dataclass
@@ -268,8 +266,8 @@ def weighted_f1(y_true, y_pred) -> float:
 
 
 def score_hvt(preds: dict[str, PredictionRecord],
-              manifest: DatasetManifest, sample_filter=None) -> HvtScore:
-    pairs = _match(preds, manifest, sample_filter)
+              manifest: DatasetManifest) -> HvtScore:
+    pairs = _match(preds, manifest)
     if not pairs:
         raise DataError("no samples to score")
     y_true = [s.truth_hvn for s, _ in pairs]
@@ -329,7 +327,7 @@ def _sample_remoteness(sample: ToMSample) -> np.ndarray:
 
 def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
              coefficients=DEFAULT_COEFFICIENTS, floor: float = DEFAULT_FLOOR,
-             gammas=None, sample_filter=None) -> SrScores:
+             gammas=None) -> SrScores:
     """Transport-distance scores per sample, discount, and weighting.
 
     The weighting feature is node remoteness (hop distance to the nearer of
@@ -337,7 +335,7 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
     vector constant, which the weight combiner maps to all-ones, so the
     neutral column equals the unweighted metric exactly.
     """
-    pairs = _match(preds, manifest, sample_filter)
+    pairs = _match(preds, manifest)
     gamma_keys = ([gamma_key(g) for g in gammas] if gammas is not None
                   else [gamma_key(g) for g in manifest.gammas])
     known = {gamma_key(g) for g in manifest.gammas}
@@ -403,13 +401,11 @@ class WeightingGap:
 
 def max_weighting_gap(preds: dict[str, PredictionRecord],
                       manifest: DatasetManifest, gamma: float | str,
-                      floor: float = DEFAULT_FLOOR,
-                      sample_filter=None) -> WeightingGap:
+                      floor: float = DEFAULT_FLOOR) -> WeightingGap:
     """The sample whose score moves most when the remoteness coefficient
     flips from -1 to +1; ships both vectors for plotting."""
     key = gamma if isinstance(gamma, str) else gamma_key(gamma)
-    scores = score_sr(preds, manifest, coefficients=(-1.0, 1.0), floor=floor,
-                      gammas=None, sample_filter=sample_filter)
+    scores = score_sr(preds, manifest, coefficients=(-1.0, 1.0), floor=floor)
     by_sample: dict[str, dict[float, float]] = {}
     for row in scores.rows:
         if row.gamma == key:

@@ -141,8 +141,8 @@ def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
             converged = True
             break
 
-    M = logK + phi[:, None] + psi[None, :]
-    plan = np.exp(M)
+    # max_iters >= 1 and every pass ends with a check, so M and plan hold
+    # the final potentials' values.
     cost_term = float((plan * cm.dist).sum())
     entropy = -float((plan * M).sum())  # log(plan) == M, safe at underflow
     value = (cost_term - lam * entropy) / cm.diameter

@@ -19,7 +19,7 @@ float rounding on integer hop costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,10 +28,16 @@ SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """An optimal transport plan and its cost."""
+    """An optimal transport plan, its cost and the simplex work behind it.
+
+    pivots counts basis exchanges; bland tells whether the anti-cycling
+    Bland rule had replaced Dantzig pivoting by the end of the solve.
+    """
 
     plan: np.ndarray
     cost: float
+    pivots: int
+    bland: bool
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,15 @@ def _transport_simplex(p: np.ndarray, q: np.ndarray, C: np.ndarray):
     Primal network simplex on the bipartite transportation graph with a
     spanning-tree basis: Dantzig (most negative reduced cost) pivoting with
     a switch to Bland's rule as an anti-cycling safeguard. Rows are nodes
-    0..m-1, columns are nodes m..m+n-1; the basis tree is stored as parent
-    pointers with per-node flow on the arc to the parent.
+    0..m-1, columns are nodes m..m+n-1. The tree is rooted at node 0, its
+    own parent; any other node x hangs from cell (min(x, parent[x]),
+    max(x, parent[x]) - m) with flow pflow[x].
+
+    pot[:m] are the row potentials and pot[m:] the negated column
+    potentials, so a reduced cost is C[i, j] - pot[i] + pot[m + j] and a
+    moved subtree shifts all its potentials by one signed amount. Hop costs
+    are integers, so every potential is an exact integer and this sign
+    convention changes no float. Returns (plan, cost, pivots, bland).
     """
     m, n = len(p), len(q)
     N = m + n
@@ -149,160 +162,101 @@ def _transport_simplex(p: np.ndarray, q: np.ndarray, C: np.ndarray):
     # basis_mask holds +inf on basis cells so masked reduced costs never
     # select an arc that is already in the tree.
     basis_mask = np.zeros((m, n), dtype=float)
-    adj: list[list[int]] = [[] for _ in range(N)]
-    arc_flow = {}
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(N)]
     for (i, j), f in zip(arcs, flows):
         basis_mask[i, j] = np.inf
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-        arc_flow[(i, j)] = f
+        adj[i].append((m + j, f))
+        adj[m + j].append((i, f))
 
-    parent = np.full(N, -1, dtype=np.int64)
-    depth = np.zeros(N, dtype=np.int64)
+    parent = np.zeros(N, dtype=np.int64)
     pflow = np.zeros(N, dtype=float)
-    children: list[list[int]] = [[] for _ in range(N)]
-    u = np.zeros(m, dtype=float)
-    v = np.zeros(n, dtype=float)
-
+    pot = np.zeros(N, dtype=float)
     stack = [0]
-    seen = np.zeros(N, dtype=bool)
-    seen[0] = True
     while stack:
         x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
+        for y, f in adj[x]:
+            if y != parent[x]:
                 parent[y] = x
-                depth[y] = depth[x] + 1
-                children[x].append(y)
-                cell = (x, y - m) if x < m else (y, x - m)
-                pflow[y] = arc_flow[cell]
-                if y < m:
-                    u[y] = C[y, x - m] - v[x - m]
-                else:
-                    v[y - m] = C[x, y - m] - u[x]
+                pflow[y] = f
+                c = C[min(x, y), max(x, y) - m]
+                pot[y] = pot[x] + (c if y < m else -c)
                 stack.append(y)
 
     tol = 1e-10 * max(1.0, float(np.abs(C).max()))
     bland_after = _BLAND_AFTER_FACTOR * N
+    nodes = np.arange(N)
     pivots = 0
     rc = np.empty_like(C)
     while True:
+        np.subtract(C, pot[:m, None], out=rc)
+        rc += pot[None, m:]
+        rc += basis_mask
+        bland = pivots >= bland_after
+        k = int((rc.ravel() < -tol).argmax() if bland else rc.argmin())
+        if rc.flat[k] >= -tol:
+            break
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("transportation simplex failed to terminate")
-        np.subtract(C, u[:, None], out=rc)
-        rc -= v[None, :]
-        rc += basis_mask
-        if pivots <= bland_after:
-            k = int(rc.argmin())
-            if rc.flat[k] >= -tol:
-                break
-        else:
-            cand = np.flatnonzero(rc.ravel() < -tol)
-            if cand.size == 0:
-                break
-            k = int(cand[0])
         ei, ej = divmod(k, n)
-        d_enter = float(C[ei, ej] - u[ei] - v[ej])
+        d_enter = float(rc.flat[k])
 
-        # Cycle: climb both entering endpoints to their lowest common ancestor.
-        a_node, b_node = ei, m + ej
-        pa = [a_node]
-        pb = [b_node]
-        x, y = a_node, b_node
-        while depth[x] > depth[y]:
-            x = parent[x]
-            pa.append(x)
-        while depth[y] > depth[x]:
-            y = parent[y]
-            pb.append(y)
-        while x != y:
-            x = parent[x]
-            pa.append(x)
-            y = parent[y]
-            pb.append(y)
-        # Node sequence around the cycle: a, b, ..up b-side.., LCA, ..down a-side.., a.
-        seq = [a_node] + pb + pa[-2::-1]
+        # Cycle: pa climbs from the row endpoint to the root, pb from the
+        # column endpoint until it meets pa at the lowest common ancestor,
+        # and pa is cut there.
+        up = parent.tolist()
+        pa = [ei]
+        while pa[-1]:
+            pa.append(up[pa[-1]])
+        height = {x: t for t, x in enumerate(pa)}
+        pb = [m + ej]
+        while pb[-1] not in height:
+            pb.append(up[pb[-1]])
+        pa = pa[: height[pb[-1]] + 1]
 
-        # Pair t joins seq[t-1] and seq[t]; pair 1 is the entering arc and
-        # alternation puts -theta on even pair positions.
-        theta = np.inf
-        leave = -1
-        for t in range(2, len(seq)):
-            if t % 2 == 0:
-                x0, x1 = seq[t - 1], seq[t]
-                child = x0 if parent[x0] == x1 else x1
-                f = pflow[child]
-                if f < theta:  # ties keep the first arc met, for determinism
-                    theta = f
-                    leave = child
-        for t in range(2, len(seq)):
-            x0, x1 = seq[t - 1], seq[t]
-            child = x0 if parent[x0] == x1 else x1
-            pflow[child] += theta if t % 2 == 1 else -theta
+        # Tree arcs around the cycle, named by their child node, starting
+        # after the entering arc at the column end: alternate arcs lose and
+        # gain theta, and ties keep the first arc met, for determinism.
+        cycle = np.array(pb[:-1] + pa[-2::-1])
+        s = 2 * int(pflow[cycle[0::2]].argmin())
+        leave = int(cycle[s])
+        theta = pflow[leave]
+        pflow[cycle[0::2]] -= theta
+        pflow[cycle[1::2]] += theta
 
-        old_parent = int(parent[leave])
-        if leave < m:
-            leave_cell = (leave, old_parent - m)
-        else:
-            leave_cell = (old_parent, leave - m)
-
-        # Which entering endpoint sits in the detached subtree?
-        a_side = leave in pa[:-1]
-        if a_side:
-            chain = pa[: pa.index(leave) + 1]
-            e_out = b_node
-        else:
-            chain = pb[: pb.index(leave) + 1]
-            e_out = a_node
-        e_in = chain[0]
-
-        children[old_parent].remove(leave)
-        basis_mask[leave_cell] = 0.0
+        basis_mask[min(leave, up[leave]), max(leave, up[leave]) - m] = 0.0
         basis_mask[ei, ej] = np.inf
 
-        # Re-root the detached subtree at e_in and hang it under e_out.
-        saved = [pflow[c] for c in chain[:-1]]
-        parent[e_in] = e_out
-        children[e_out].append(e_in)
-        pflow[e_in] = theta
-        for idx in range(len(chain) - 1):
-            c, nxt = chain[idx], chain[idx + 1]
-            parent[nxt] = c
-            children[c].append(nxt)
-            children[nxt].remove(c)
-            pflow[nxt] = saved[idx]
+        # The subtree under the leaving arc moves across the entering arc:
+        # mark it by pointer doubling and shift its potentials.
+        in_sub = nodes == leave
+        jump = parent
+        for _ in range(N.bit_length()):
+            in_sub |= in_sub[jump]
+            jump = jump[jump]
+        a_side = s >= len(pb) - 1
+        pot[in_sub] += d_enter if a_side else -d_enter
 
-        # Refresh depths and shift potentials across the moved component.
+        # Re-root the moved subtree at its entering endpoint: reverse the
+        # chain from that endpoint up to the leaving node and hang it from
+        # the other endpoint.
         if a_side:
-            du, dv = d_enter, -d_enter
+            chain, e_out = cycle[s:][::-1], m + ej
         else:
-            du, dv = -d_enter, d_enter
-        stack = [e_in]
-        while stack:
-            x = stack.pop()
-            depth[x] = depth[parent[x]] + 1
-            if x < m:
-                u[x] += du
-            else:
-                v[x - m] += dv
-            stack.extend(children[x])
+            chain, e_out = cycle[: s + 1], ei
+        pflow[chain[1:]] = pflow[chain[:-1]]
+        parent[chain[1:]] = chain[:-1]
+        parent[chain[0]] = e_out
+        pflow[chain[0]] = theta
 
+    child, par = nodes[1:], parent[1:]
     X = np.zeros((m, n), dtype=float)
-    for node in range(N):
-        par = parent[node]
-        if par < 0:
-            continue
-        if node < m:
-            X[node, par - m] = pflow[node]
-        else:
-            X[par, node - m] = pflow[node]
+    X[np.minimum(child, par), np.maximum(child, par) - m] = pflow[1:]
     if X.min() < -1e-9:
         raise RuntimeError("simplex produced a negative flow")
     np.maximum(X, 0.0, out=X)
     cost = float((X * C).sum())
-    return X, cost
+    return X, cost, pivots, bland
 
 
 def wasserstein(P: np.ndarray, Q: np.ndarray, cm) -> TransportPlan:
@@ -318,18 +272,18 @@ def wasserstein(P: np.ndarray, Q: np.ndarray, cm) -> TransportPlan:
     P = check_distribution(P, n, "P")
     Q = check_distribution(Q, n, "Q")
     if np.array_equal(P, Q):
-        return TransportPlan(plan=np.diag(P), cost=0.0)
+        return TransportPlan(plan=np.diag(P), cost=0.0, pivots=0, bland=False)
     if Q.tobytes() < P.tobytes():
         flipped = wasserstein(Q, P, cm)
-        return TransportPlan(plan=flipped.plan.T.copy(), cost=flipped.cost)
+        return replace(flipped, plan=flipped.plan.T.copy())
 
     rows = np.flatnonzero(P > 0)
     cols = np.flatnonzero(Q > 0)
     sub = cm.dist[np.ix_(rows, cols)].astype(float)
-    x_sub, cost = _transport_simplex(P[rows], Q[cols], sub)
+    x_sub, cost, pivots, bland = _transport_simplex(P[rows], Q[cols], sub)
     plan = np.zeros((n, n), dtype=float)
     plan[np.ix_(rows, cols)] = x_sub
-    return TransportPlan(plan=plan, cost=cost)
+    return TransportPlan(plan=plan, cost=cost, pivots=pivots, bland=bland)
 
 
 def ntd(P: np.ndarray, Q: np.ndarray, cm) -> float:

@@ -362,6 +362,8 @@ class TestRegistry:
         ("red.target_vulnerable:probs=nan:0:0:0:0:1", "non-finite"),
         ("red.target_vulnerable:probs=0.5:0:0:0:0:0", "sums to"),
         ("red.hvt_pref_sp:probs=1:0", "expected (3,)"),
+        ("red.hvt_pref_sp:alpha=0.01,seed=5,index=100000",
+         "index must be >= 0 and below 100000"),
     ])
     def test_bad_argument_values_rejected(self, red_id, message):
         with pytest.raises(ConfigError) as info:

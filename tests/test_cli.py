@@ -242,6 +242,7 @@ class TestDatasetCommand:
     @pytest.mark.parametrize("value, message", [
         ("abc", "config.holdout_reds: expected int"),
         (-2, "config.holdout_reds: must be >= 0"),
+        (100_001, "config.holdout_reds: must be >= 0 and at most 100000"),
     ])
     def test_bad_holdout_reds_exit_2(self, runner, tmp_path, value, message):
         cfg = tmp_path / "d.json"
@@ -266,11 +267,14 @@ class TestDatasetCommand:
         ({"past_k": 0}, "config.past_k: must be >= 1, got 0"),
         ({"gammas": [0.5, 1.5]}, "config.gammas: 1.5 must lie strictly between"),
         ({"split_ratio": 1.0}, "config.split_ratio: 1.0 must lie strictly between"),
+        ({"reds": {"kind": "hvt_pref_sp", "count": 100_001, "seed": 5}},
+         "config.reds: count must lie in [1, 100000], got 100001"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
         _write_dataset_config(
-            cfg, reds=["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"], **overrides)
+            cfg, **{"reds": ["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"],
+                    **overrides})
         result = runner.invoke(main, ["dataset", "--config", str(cfg),
                                       "--out", str(tmp_path / "data")])
         assert result.exit_code == 2, result.output
@@ -371,6 +375,30 @@ class TestScoreCommand:
         assert result.exit_code == 1
         assert f"preds.jsonl:{len(lines) + 1}: duplicate sample_id" in result.output
 
+    def test_hedging_needs_one_topology(self, runner, tmp_path):
+        cfg = tmp_path / "d.json"
+        _write_dataset_config(
+            cfg, reds=[f"red.hvt_pref_sp:alpha=0.01,seed=5,index={i}"
+                       for i in range(2)], networks=["tree30", "tree50"])
+        result = runner.invoke(main, ["dataset", "--config", str(cfg),
+                                      "--out", str(tmp_path / "data")])
+        assert result.exit_code == 0, result.output
+        manifest_path = tmp_path / "data" / "manifest.json"
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        result = self._score(runner, tmp_path, preds, manifest_path)
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+        assert "--kmeans-network" in result.stderr
+        assert (tmp_path / "rep" / "sr_stats.csv").exists()
+        assert not (tmp_path / "rep" / "hedging_histogram.csv").exists()
+        result = runner.invoke(main, [
+            "score", "--predictions", str(preds), "--manifest",
+            str(manifest_path), "--kmeans-network", "tree30",
+            "--out", str(tmp_path / "rep30"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "rep30" / "hedging_histogram.csv").exists()
 
     @pytest.mark.parametrize("shape", [
         "top_level_list", "sample_not_object", "gammas_string",
@@ -421,6 +449,8 @@ class TestNtdCommands:
         payload = json.loads(result.output)
         assert payload["cost"] == 2.0
         assert payload["ntd"] == 1.0
+        assert payload["pivots"] == 0
+        assert payload["bland"] is False
 
     def test_plan_flag(self, runner, files):
         net_path, p_path, q_path = files

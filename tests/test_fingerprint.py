@@ -54,11 +54,11 @@ def _pairs(net: gc.Network, cm: gc.CostMatrix):
 
 
 def _cyclic120() -> tuple[gc.Network, gc.CostMatrix]:
-    """A fixed 120-node graph with cycles: a 100-node ring, 34 chords and
+    """A fixed 120-node graph with cycles: a 100-node ring, 33 chords and
     20 pendant leaves (node 100, a leaf, is the entry)."""
-    edges = {(i, (i + 1) % 100) for i in range(100)}
-    edges |= {(i, (i * 37 + 11) % 100) for i in range(0, 100, 3)
-              if (i * 37 + 11) % 100 != i}
+    ring = [(i, (i + 1) % 100) for i in range(100)]
+    chords = [(i, (i * 37 + 11) % 100) for i in range(0, 100, 3)]
+    edges = {(min(e), max(e)) for e in ring + chords if e[0] != e[1]}
     edges |= {(5 * k, 100 + k) for k in range(20)}
     net = gc.Network.from_edges(edges, entry_node=100, name="cyclic120")
     return net, gc.all_pairs_shortest_paths(net)

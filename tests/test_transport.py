@@ -110,11 +110,15 @@ class TestWasserstein:
             _, cm = _random_net(rng, n)
             cases.append((cm, dyadic_distribution(rng, n),
                           dyadic_distribution(rng, n), False))
-        default = [tp.wasserstein(p, q, cm).cost for cm, p, q, _ in cases]
+        default = [tp.wasserstein(p, q, cm) for cm, p, q, _ in cases]
+        assert not any(r.bland for r in default)
+        assert sum(r.pivots for r in default) > 0
         monkeypatch.setattr(tp, "_BLAND_AFTER_FACTOR", 0)
         for (cm, p, q, tiny), expected in zip(cases, default):
-            cost = tp.wasserstein(p, q, cm).cost
-            assert cost == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            result = tp.wasserstein(p, q, cm)
+            assert result.bland
+            cost = result.cost
+            assert cost == pytest.approx(expected.cost, rel=1e-12, abs=1e-12)
             if tiny:
                 ref = brute_force_transport_cost(
                     p[p > 0], q[q > 0],
