@@ -15,6 +15,7 @@ of every episode (tournaments evaluate the species as a whole).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from .cyberenv import (
     RedAction,
     StateObservation,
     attackable_nodes,
+    node_attackable,
 )
 from .errors import ConfigError
 from .graph_core import shortest_path
@@ -115,15 +117,25 @@ class _Policy:
         raise NotImplementedError
 
 
-def _nearest_threat(obs: StateObservation, ctx: EpisodeContext):
-    """The visible compromised node closest to any high-value node, with its
-    hop distance; None when blue sees no compromise. Ties break low id."""
-    visible = np.flatnonzero(obs.compromised_visible)
-    if visible.size == 0:
-        return None
-    dists = ctx.cm.dist[np.ix_(visible, list(ctx.hvns))].min(axis=1)
-    k = int(np.argmin(dists))
-    return int(visible[k]), int(dists[k])
+class _ThreatAware(_Policy):
+    """A defender that watches how close visible compromises are to the
+    high-value nodes; their distances are fixed for the episode."""
+
+    def begin_episode(self, ctx, rng):
+        super().begin_episode(ctx, rng)
+        # Hop distance from every node to its nearest high-value node.
+        self._hvn_dist = ctx.cm.dist[:, list(ctx.hvns)].min(axis=1)
+
+    def _nearest_threat(self, obs: StateObservation):
+        """The visible compromised node closest to any high-value node, with
+        its hop distance; None when blue sees no compromise. Ties break low
+        id."""
+        visible = np.flatnonzero(obs.compromised_visible)
+        if visible.size == 0:
+            return None
+        dists = self._hvn_dist[visible]
+        k = int(np.argmin(dists))
+        return int(visible[k]), int(dists[k])
 
 
 def _defence_probability(dist_to_hvn: int, diameter: int) -> float:
@@ -209,7 +221,7 @@ class BlueIsolate(_Policy):
         return BlueAction(BLUE_SCAN)
 
 
-class BlueMsnD(_Policy):
+class BlueMsnD(_ThreatAware):
     """Deterministic perimeter defence: clean the visible compromise nearest
     a high-value node when it is within three hops, otherwise scan."""
 
@@ -217,13 +229,13 @@ class BlueMsnD(_Policy):
     reach = 3
 
     def act(self, obs, rng):
-        threat = _nearest_threat(obs, self._ctx)
+        threat = self._nearest_threat(obs)
         if threat is not None and threat[1] <= self.reach:
             return BlueAction(BLUE_MAKE_SAFE, threat[0])
         return BlueAction(BLUE_SCAN)
 
 
-class BlueMsnS(_Policy):
+class BlueMsnS(_ThreatAware):
     """Stochastic cleaner; the cleaning probability rises as the nearest
     visible compromise approaches a high-value node."""
 
@@ -231,7 +243,7 @@ class BlueMsnS(_Policy):
     defensive_kind = BLUE_MAKE_SAFE
 
     def act(self, obs, rng):
-        threat = _nearest_threat(obs, self._ctx)
+        threat = self._nearest_threat(obs)
         if threat is not None:
             p = _defence_probability(threat[1], self._ctx.cm.diameter)
             if rng.random() < p:
@@ -337,6 +349,12 @@ def _attackable(obs: StateObservation) -> np.ndarray:
     )
 
 
+def _node_attackable(obs: StateObservation, ctx: EpisodeContext, v: int) -> bool:
+    """``_attackable(obs)[v]`` without building the whole mask."""
+    return node_attackable(ctx.net.neighbors, v, obs.compromised_visible,
+                           obs.isolated, obs.is_entry)
+
+
 def _move_targets(obs: StateObservation) -> np.ndarray:
     """Nodes a random move may relocate to: live neighbours of a live
     compromised node."""
@@ -361,6 +379,12 @@ class _RedBase(_Policy):
         else:
             dim = red_param_dim(self.spec.kind)
             self._params = _dirichlet_rows(rng, self.spec.alpha, 1, dim)[0]
+        # The inverse cdf that ``Generator.choice(p=params)`` builds on every
+        # call, built once: ``bisect_right(cdf, rng.random())`` consumes the
+        # same draw and returns the same index.
+        cdf = self._params.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
 
 class RedRandomSimple(_RedBase):
@@ -369,7 +393,7 @@ class RedRandomSimple(_RedBase):
     turn on a zero-day it does not have."""
 
     def act(self, obs, rng):
-        kind = RED_PROB_ORDER[rng.choice(len(RED_PROB_ORDER), p=self._params)]
+        kind = RED_PROB_ORDER[bisect.bisect_right(self._cdf, rng.random())]
         return self._emit(kind, obs, rng)
 
     def _emit(self, kind, obs, rng):
@@ -436,10 +460,9 @@ class RedHvtSimple(RedRandomSimple):
     available, ordinary attack otherwise."""
 
     def act(self, obs, rng):
-        reachable = _attackable(obs) & obs.is_hvn
-        hits = np.flatnonzero(reachable)
-        if hits.size:
-            return RedAction(_strike_kind(obs), int(hits[0]))
+        for h in sorted(self._ctx.hvns):
+            if _node_attackable(obs, self._ctx, h):
+                return RedAction(_strike_kind(obs), h)
         return super().act(obs, rng)
 
 
@@ -483,16 +506,15 @@ class RedHvtPreferenceSP(_RedBase):
         return RedAction(RED_DO_NOTHING)
 
     def _path_step(self, obs):
-        attackable = _attackable(obs)
-        nxt = self._next_on_path(obs, attackable)
+        nxt = self._next_on_path(obs)
         if nxt is None:
             self._replan(obs)
-            nxt = self._next_on_path(obs, attackable)
+            nxt = self._next_on_path(obs)
         if nxt is None:
             return RedAction(RED_DO_NOTHING)
         return RedAction(_strike_kind(obs), nxt)
 
-    def _next_on_path(self, obs, attackable):
+    def _next_on_path(self, obs):
         path = self._path
         if path is None:
             return None
@@ -503,7 +525,7 @@ class RedHvtPreferenceSP(_RedBase):
         if last == len(path) - 1:
             return None  # target already taken
         nxt = path[last + 1]
-        return nxt if attackable[nxt] else None
+        return nxt if _node_attackable(obs, self._ctx, nxt) else None
 
     def _replan(self, obs):
         """Re-route around isolated nodes from the best surviving foothold."""

@@ -370,12 +370,22 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
                    "choose one with --kmeans-network", err=True)
     elif kmeans_k >= 1:
         key = kmeans_gamma or dataset.gamma_key(max(manifest.gammas))
-        vectors = [preds[s.sample_id].pred_sr.get(key) for s in stratum]
-        vectors = [v for v in vectors if v is not None]
+        net = graph_core.topology(nets[0])[0]
+        vectors = []
+        for s in stratum:
+            vec = preds[s.sample_id].pred_sr.get(key)
+            if vec is None:
+                continue
+            # Only the scored discounts were length-checked by score_sr.
+            if len(vec) != net.node_count:
+                raise _fail_data(
+                    f"sample {s.sample_id}: pred_sr[{key}] has {len(vec)} "
+                    f"entries, expected {net.node_count} for {nets[0]}")
+            vectors.append(vec)
         if len(vectors) >= kmeans_k:
             hedging = evalkit.hedging_clusters(
                 np.asarray(vectors, dtype=float), kmeans_k, seed,
-                branch_of=graph_core.topology(nets[0])[0].branch_of,
+                branch_of=net.branch_of,
             )
     paths = evalkit.write_score_reports(out, hvt=hvt, sr=sr, hedging=hedging)
     click.echo(f"weighted_f1={hvt.weighted_f1:.4f}")

@@ -187,6 +187,19 @@ def attackable_nodes(active_adj: np.ndarray, compromised: np.ndarray,
     return ~isolated & ~compromised & (reachable | is_entry)
 
 
+def node_attackable(neighbors: tuple[tuple[int, ...], ...], v: int,
+                    compromised: np.ndarray, isolated: np.ndarray,
+                    is_entry: np.ndarray) -> bool:
+    """``attackable_nodes(...)[v]`` for the single node ``v``, read from its
+    base-topology ``neighbors``: an edge to a non-isolated neighbour is live
+    exactly when ``v`` itself is not isolated."""
+    if isolated[v] or compromised[v]:
+        return False
+    if is_entry[v]:
+        return True
+    return any(compromised[u] and not isolated[u] for u in neighbors[v])
+
+
 class CyberEnv:
     """Owns one episode of the game; see the module docstring for rules."""
 
@@ -304,34 +317,42 @@ class CyberEnv:
                 raise ValueError(f"red action {kind} needs a valid node, got {v!r}")
         if kind == RED_DO_NOTHING:
             return ()
-        adj = self.active_adjacency()
-        attackable = attackable_nodes(adj, s.compromised, s.isolated, s.is_entry)
         hits: list[int] = []
         if kind == RED_RANDOM_MOVE:
             # Bookkeeping only: relocates the action locus, never the state.
-            if adj[s.red_locus, v]:
+            if self.active_adjacency()[s.red_locus, v]:
                 s.red_locus = v
         elif kind == RED_BASIC_ATTACK:
-            if attackable[v]:
+            if self._can_attack(v):
                 self._roll_attack(v, rng, hits)
         elif kind == RED_ZERO_DAY:
-            if s.zero_day_budget > 0 and attackable[v]:
+            if s.zero_day_budget > 0 and self._can_attack(v):
                 s.zero_day_budget -= 1
                 s.compromised[v] = True
                 s.hidden[v] = True
                 hits.append(v)
         elif kind == RED_SPREAD:
-            for t in np.flatnonzero(attackable):
+            for t in np.flatnonzero(self._attackable_mask()):
                 self._roll_attack(int(t), rng, hits)
         elif kind == RED_INTRUDE:
             live = s.compromised & ~s.isolated
             if live.any():
                 targets = np.flatnonzero(~s.isolated & ~s.compromised)
             else:
-                targets = np.flatnonzero(attackable)
+                targets = np.flatnonzero(self._attackable_mask())
             for t in targets:
                 self._roll_attack(int(t), rng, hits)
         return tuple(hits)
+
+    def _can_attack(self, v: int) -> bool:
+        s = self.state
+        return node_attackable(self.net.neighbors, v, s.compromised,
+                               s.isolated, s.is_entry)
+
+    def _attackable_mask(self) -> np.ndarray:
+        s = self.state
+        return attackable_nodes(self.active_adjacency(), s.compromised,
+                                s.isolated, s.is_entry)
 
     def _roll_attack(self, v: int, rng: np.random.Generator, hits: list[int]) -> None:
         s = self.state
@@ -393,7 +414,8 @@ class EpisodeTrajectory:
     """Full-observability record of one episode.
 
     ``steps`` holds final_step + 1 entries: one per acted step plus a
-    terminal entry carrying the final state with no actions.
+    terminal entry carrying the final state with no actions. It is empty
+    when the episode was played with ``rollout(..., record=False)``.
     """
 
     episode_id: str
@@ -412,9 +434,15 @@ class EpisodeTrajectory:
 
 def rollout(net: Network, blue_policy, red_policy, seed: int,
             cm: CostMatrix | None = None, entry_count: int = 1,
-            episode_id: str | None = None) -> EpisodeTrajectory:
+            episode_id: str | None = None,
+            record: bool = True) -> EpisodeTrajectory:
     """Play one full episode and record full-observability observations,
-    both actions, and the nodes red newly compromised at every step."""
+    both actions, and the nodes red newly compromised at every step.
+
+    With ``record=False`` the episode plays out identically (the same draws,
+    outcome, final step and total reward) but no per-step record is kept:
+    the returned trajectory's ``steps`` is empty.
+    """
     env = CyberEnv(net, cm=cm, entry_count=entry_count)
     state = env.reset(seed)
     ctx = EpisodeContext(net=net, cm=env.cm, hvns=state.placement.hvns,
@@ -428,7 +456,7 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
     total_reward = 0.0
     while not state.done:
         t = state.step
-        obs_full = env.observe(OBSERVER_FULL)
+        obs_full = env.observe(OBSERVER_FULL) if record else None
         blue_action = blue_policy.act(env.observe(OBSERVER_BLUE), blue_rng)
         red_action = red_policy.act(env.observe(OBSERVER_RED), red_rng)
         try:
@@ -439,14 +467,16 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
                 f"(blue={blue_policy.policy_id}, red={red_policy.policy_id}): {exc}"
             ) from exc
         total_reward += result.blue_reward
+        if record:
+            steps.append(TrajectoryStep(
+                t=t, obs=obs_full, blue_action=blue_action,
+                red_action=red_action, red_hits=result.red_hits,
+            ))
+    if record:
         steps.append(TrajectoryStep(
-            t=t, obs=obs_full, blue_action=blue_action,
-            red_action=red_action, red_hits=result.red_hits,
+            t=state.step, obs=env.observe(OBSERVER_FULL),
+            blue_action=None, red_action=None, red_hits=(),
         ))
-    steps.append(TrajectoryStep(
-        t=state.step, obs=env.observe(OBSERVER_FULL),
-        blue_action=None, red_action=None, red_hits=(),
-    ))
 
     target = state.placement.target_node if state.outcome == RED_WIN else None
     return EpisodeTrajectory(

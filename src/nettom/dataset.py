@@ -166,16 +166,16 @@ def _episode_jobs(game: GameConfig, n_c: int, n_p: int):
 
 
 def run_episode(network: str, blue_id: str, red_spec: RedPolicySpec,
-                episode_id: str, seed: int,
-                entry_count: int = 1) -> EpisodeTrajectory:
+                episode_id: str, seed: int, entry_count: int = 1,
+                record: bool = True) -> EpisodeTrajectory:
     """Play one seeded episode on a shipped topology; a failure names the
-    episode, the matchup and the seed."""
+    episode, the matchup and the seed. ``record`` is passed to ``rollout``."""
     net, cm = topology(network)
     blue = make_blue(blue_id)
     red = make_red(red_spec)
     try:
         return rollout(net, blue, red, seed, cm=cm, entry_count=entry_count,
-                       episode_id=episode_id)
+                       episode_id=episode_id, record=record)
     except Exception as exc:
         raise RuntimeError(
             f"episode {episode_id} on {network} "

@@ -70,8 +70,9 @@ class TournamentTable:
 
 def _tournament_episode(args) -> tuple[float, bool, int]:
     network, blue_id, red_spec, seed, entry_count = args
+    # A tournament reads only the reward, the outcome and the duration.
     traj = run_episode(network, blue_id, red_spec, f"{network}-{seed}", seed,
-                       entry_count)
+                       entry_count, record=False)
     return traj.total_blue_reward, traj.outcome == BLUE_WIN, traj.final_step
 
 

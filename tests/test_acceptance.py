@@ -318,6 +318,11 @@ def test_criterion_11_tournament_directional_reproduction():
             rates = [c.win_rate for c in averaged if c.blue == blue]
             blue_rates[blue] = float(np.mean(rates))
         top_blue = max(sorted(blue_rates), key=lambda b: blue_rates[b])
+        runner_up = max((b for b in sorted(blue_rates) if b != top_blue),
+                        key=lambda b: blue_rates[b])
+        lead = blue_rates[top_blue] - blue_rates[runner_up]
+        print(f"criterion 11 margin: {top_blue} ({blue_rates[top_blue]:.4f}) "
+              f"leads {runner_up} ({blue_rates[runner_up]:.4f}) by {lead:+.4f}")
         assert top_blue == "blue.isolate", blue_rates
 
         red_rates = {}
@@ -326,8 +331,15 @@ def test_criterion_11_tournament_directional_reproduction():
                      if c.red == red.policy_id and c.blue != "blue.isolate"]
             red_rates[red.policy_id] = float(np.mean(rates))
         hardest_red = min(sorted(red_rates), key=lambda r: red_rates[r])
+        next_red = min((r for r in sorted(red_rates) if r != hardest_red),
+                       key=lambda r: red_rates[r])
+        gap = red_rates[next_red] - red_rates[hardest_red]
+        print(f"criterion 11 margin: {hardest_red} ({red_rates[hardest_red]:.4f}) "
+              f"holds blue below {next_red} ({red_rates[next_red]:.4f}) "
+              f"by {gap:+.4f}")
         assert hardest_red == "red.hvt_pref_sp:alpha=0.01", red_rates
         elapsed = time.perf_counter() - start
+        print(f"criterion 11 wall time: {elapsed:.1f} s")
         assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
 

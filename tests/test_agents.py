@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -393,3 +395,64 @@ class TestRegistry:
         # labels resolve back to the identical parameter vectors
         for member in members:
             assert ag.parse_red_id(member.policy_id).params == member.params
+
+
+class TestFastPaths:
+    """Per-episode precomputations checked against the per-step originals."""
+
+    DRAWS = 200_000
+
+    @staticmethod
+    def _vectors():
+        rng = np.random.default_rng(0)
+        sparse = ag._dirichlet_rows(rng, 0.01, 5000, 6)
+        zeros = (sparse == 0).any(axis=1)
+        flat = ag._dirichlet_rows(rng, 1.0, 4, 6)
+        fixed = np.array([
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+            [0.1, 0.2, 0.3, 0.1, 0.2, 0.1],
+        ])
+        return np.vstack([sparse[zeros][:4], sparse[~zeros][:4], flat, fixed])
+
+    def test_cdf_draw_matches_generator_choice(self, tree30):
+        env, state, ctx = _ctx_and_env(tree30)
+        vectors = self._vectors()
+        assert (vectors[:4] == 0).any(axis=1).all()  # exact zeros covered
+        per_vector = self.DRAWS // len(vectors)
+        for k, vec in enumerate(vectors):
+            policy = ag.make_red(ag.RedPolicySpec(
+                kind="random_simple", params=tuple(float(x) for x in vec)))
+            policy.begin_episode(ctx, np.random.default_rng(k))
+            fast = np.random.default_rng(100 + k)
+            slow = np.random.default_rng(100 + k)
+            got = [bisect.bisect_right(policy._cdf, fast.random())
+                   for _ in range(per_vector)]
+            want = [int(slow.choice(6, p=vec)) for _ in range(per_vector)]
+            assert got == want, vec
+            assert fast.random() == slow.random()  # same stream position
+
+    @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
+    def test_nearest_threat_matches_gather(self, network):
+        net, cm = gc.topology(network)
+        env = ce.CyberEnv(net, cm=cm)
+        rng = np.random.default_rng(7)
+        policy = ag.make_blue("blue.msn_d")
+        for trial in range(600):
+            if trial % 50 == 0:
+                state = env.reset(seed=trial)
+                ctx = ce.EpisodeContext(net, cm, state.placement.hvns,
+                                        state.entries)
+                policy.begin_episode(ctx, rng)
+            state.compromised[:] = rng.random(net.node_count) < rng.random() * 0.3
+            state.hidden[:] = state.compromised & (rng.random(net.node_count) < 0.4)
+            obs = env.observe(ce.OBSERVER_BLUE)
+            visible = np.flatnonzero(obs.compromised_visible)
+            if visible.size == 0:
+                want = None
+            else:
+                dists = cm.dist[np.ix_(visible, list(ctx.hvns))].min(axis=1)
+                k = int(np.argmin(dists))
+                want = (int(visible[k]), int(dists[k]))
+            assert policy._nearest_threat(obs) == want

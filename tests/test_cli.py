@@ -400,6 +400,27 @@ class TestScoreCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "rep30" / "hedging_histogram.csv").exists()
 
+    def test_wrong_length_hedging_vector_exit_1(self, runner, tmp_path):
+        # Only 0.5 is scored; the hedging pass reads the largest discount.
+        manifest_path = self._built(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        lines = preds.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["pred_sr"]["0.95"] = [0.5, 0.5]
+        lines[0] = json.dumps(first)
+        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "score", "--predictions", str(preds), "--manifest",
+            str(manifest_path), "--gammas", "0.5", "--kmeans-k", "2",
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert len(result.output.strip().splitlines()) == 1
+        assert f"sample {first['sample_id']}: pred_sr[0.95] has 2 entries" \
+            in result.output
+
     @pytest.mark.parametrize("shape", [
         "top_level_list", "sample_not_object", "gammas_string",
         "truth_sr_wrong_length", "entry_off_network",

@@ -3,6 +3,7 @@ import pytest
 
 from nettom import agents as ag
 from nettom import cyberenv as ce
+from nettom import graph_core as gc
 
 
 def _env(tree30):
@@ -342,6 +343,42 @@ class TestObserve:
         assert red.compromised_visible[8]
         assert red.zero_day_budget == state.zero_day_budget
 
+    @pytest.mark.parametrize("observer", [ce.OBSERVER_BLUE, ce.OBSERVER_RED,
+                                          ce.OBSERVER_FULL])
+    def test_writes_to_an_observation_leave_the_state_alone(self, tree30,
+                                                            observer):
+        env = _env(tree30)
+        state = env.reset(seed=6)
+        state.compromised[[3, 8]] = True
+        state.hidden[8] = True
+        state.isolated[5] = True
+        env._adj_cache = None  # isolation was edited directly
+        before = {k: v.copy() for k, v in vars(state).items()
+                  if isinstance(v, np.ndarray)}
+        budget = state.zero_day_budget
+        expected = env.observe(observer)
+        obs = env.observe(observer)
+        written = 0
+        for name, arr in vars(obs).items():
+            if not isinstance(arr, np.ndarray):
+                continue
+            if arr.flags.writeable:
+                arr[...] = ~arr if arr.dtype == bool else 0.123
+                written += 1
+            else:
+                with pytest.raises(ValueError):
+                    arr[...] = arr
+        assert written >= 2
+        for name, arr in before.items():
+            assert (getattr(state, name) == arr).all(), name
+        assert state.zero_day_budget == budget
+        again = env.observe(observer)
+        for name, arr in vars(expected).items():
+            if isinstance(arr, np.ndarray):
+                assert (getattr(again, name) == arr).all(), name
+            else:
+                assert getattr(again, name) == arr, name
+
     def test_unknown_observer(self, tree30):
         env = _env(tree30)
         env.reset(seed=6)
@@ -397,6 +434,25 @@ class TestRollout:
             # sleep blue never cleans, so diffs are exactly red's hits
             assert newly == set(prev.red_hits)
 
+    @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
+    def test_unrecorded_rollout_plays_the_same_game(self, network):
+        net, cm = gc.topology(network)
+        for b, blue_id in enumerate(sorted(ag.BLUE_REGISTRY)):
+            for r, red_kind in enumerate(sorted(ag.RED_REGISTRY)):
+                red = ag.parse_red_id(f"red.{red_kind}:alpha=0.01")
+                seed = 3000 + 10 * b + r
+                full, lean = (
+                    ce.rollout(net, ag.make_blue(f"blue.{blue_id}"),
+                               ag.make_red(red), seed=seed, cm=cm, record=rec)
+                    for rec in (True, False))
+                key = (blue_id, red_kind)
+                assert lean.steps == [], key
+                assert len(full.steps) == full.final_step + 1, key
+                assert lean.total_blue_reward == full.total_blue_reward, key
+                assert lean.outcome == full.outcome, key
+                assert lean.final_step == full.final_step, key
+                assert lean.target_node == full.target_node, key
+
     def test_round_trip_file(self, tree30, tmp_path):
         net, cm = tree30
         traj = ce.rollout(net, ag.make_blue("blue.msn_d"), _sp_red(), seed=11,
@@ -412,6 +468,24 @@ class TestRollout:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
+    def test_node_attackable_matches_mask(self, network):
+        net, cm = gc.topology(network)
+        env = ce.CyberEnv(net, cm=cm, entry_count=2)
+        rng = np.random.default_rng(5)
+        n = net.node_count
+        for trial in range(300):
+            state = env.reset(seed=trial) if trial % 50 == 0 else env.state
+            state.compromised[:] = rng.random(n) < rng.random() * 0.5
+            state.isolated[:] = rng.random(n) < rng.random() * 0.3
+            env._adj_cache = None  # isolation was edited directly
+            mask = ce.attackable_nodes(env.active_adjacency(), state.compromised,
+                                       state.isolated, state.is_entry)
+            for v in range(n):
+                assert ce.node_attackable(
+                    net.neighbors, v, state.compromised, state.isolated,
+                    state.is_entry) == mask[v], (trial, v)
+
     def test_fuzzed_episodes(self, tree30):
         net, cm = tree30
         blues = ["blue.sleep", "blue.random", "blue.random_smart", "blue.msn_s"]
