@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -21,16 +22,23 @@ from . import agents, cyberenv, dataset, evalkit, graph_core, sinkhorn, transpor
 from .errors import ConfigError, DataError
 from .seeding import derive_seed
 
-#: Experiment defaults that no library module defines. Dataset sizes and
-#: discounts default to ``dataset.DatasetConfig``, the scoring floor to
-#: ``evalkit.DEFAULT_FLOOR`` and the entry count to ``evalkit.run_tournament``.
-EXPERIMENT_DEFAULTS = {
-    "alpha": 0.01,
-    "episodes_per_cell": 100,
-    "kmeans_k": 4,
-}
-
 CONFIG_SCHEMA_VERSION = 1
+
+#: Marks a config key that has no default.
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One config key: its JSON type (an int also passes as a float; JSON
+    true/false pass as neither), the type of each item of a list, its
+    default, the inclusive bounds the CLI owns, and a converter that checks
+    the value further and returns what the command passes on."""
+
+    kind: type | tuple[type, ...]
+    default: object = REQUIRED
+    item: type | None = None
+    bounds: tuple[int, int] | None = None
+    convert: Callable | None = None
 
 
 def _fail_usage(message: str) -> "click.UsageError":
@@ -45,73 +53,111 @@ def _fail_data(message: str) -> "click.ClickException":
     return err
 
 
-def _load_config(path: str) -> dict:
+def _read_keys(obj, table: dict[str, Key], where: str) -> dict:
+    """The checked value of every key of ``table`` read from ``obj`` (the
+    default for an absent key, a tuple for a list); a key that ``table``
+    does not name is an error."""
+    if not isinstance(obj, dict):
+        raise _fail_usage(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = [name for name in obj if name not in table]
+    if unknown:
+        raise _fail_usage(
+            f"unknown key {', '.join(f'{where}.{name}' for name in unknown)} "
+            f"(known: {', '.join(table)})"
+        )
+
+    def typed(value, at: str, kind):
+        if kind is float and type(value) is int:
+            return float(value)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+            raise _fail_usage(f"{at}: expected {' or '.join(names)}, "
+                              f"got {type(value).__name__}")
+        return value
+
+    out = {}
+    for name, key in table.items():
+        at = f"{where}.{name}"
+        if name not in obj:
+            if key.default is REQUIRED:
+                raise _fail_usage(f"{at}: required field is missing")
+            out[name] = key.default
+            continue
+        value = typed(obj[name], at, key.kind)
+        if isinstance(value, list):
+            value = tuple(typed(x, f"{at}[{i}]", key.item) for i, x in enumerate(value))
+        if key.bounds is not None:
+            lo, hi = key.bounds
+            if not lo <= value <= hi:
+                rule = f"{lo}" if lo == hi else f">= {lo} and at most {hi}"
+                raise _fail_usage(f"{at}: must be {rule}, got {value}")
+        out[name] = key.convert(value, at) if key.convert else value
+    return out
+
+
+SPECIES_KEYS = {
+    "kind": Key(str),
+    "alpha": Key(float, 0.01),
+    "count": Key(int),
+    "seed": Key(int),
+}
+
+
+def _red_specs(reds, where: str) -> tuple[agents.RedPolicySpec, ...]:
+    """Attacker specs from a list of agent ids or a species object."""
+    if isinstance(reds, dict):
+        species = _read_keys(reds, SPECIES_KEYS, where)
+        try:
+            return tuple(agents.species_members(**species))
+        except (ConfigError, ValueError) as exc:
+            raise _fail_usage(f"{where}: {exc}")
+    specs = []
+    for i, red_id in enumerate(reds):
+        try:
+            specs.append(agents.parse_red_id(red_id))
+        except ConfigError as exc:
+            raise _fail_usage(f"{where}[{i}]: {exc}")
+    return tuple(specs)
+
+
+_CONFIG_KEYS = {
+    "schema_version": Key(int, CONFIG_SCHEMA_VERSION,
+                          bounds=(CONFIG_SCHEMA_VERSION, CONFIG_SCHEMA_VERSION)),
+    "blues": Key(list, item=str),
+    "networks": Key(list, item=str),
+    "seed": Key(int),
+    "reds": Key((list, dict), item=str, convert=_red_specs),
+}
+
+TOURNAMENT_KEYS = {
+    **_CONFIG_KEYS,
+    "episodes_per_cell": Key(int, 100),
+    "entry_count": Key(int, evalkit.DEFAULT_ENTRY_COUNT),
+}
+
+_DATASET_DEFAULTS = dataset.DatasetConfig
+
+DATASET_KEYS = {
+    **_CONFIG_KEYS,
+    "holdout_reds": Key(int, 0, bounds=(0, agents.MAX_SPECIES_MEMBERS)),
+    "n_c": Key(int, _DATASET_DEFAULTS.n_c),
+    "n_p": Key(int, _DATASET_DEFAULTS.n_p),
+    "n_past": Key(int, _DATASET_DEFAULTS.n_past),
+    "past_k": Key(int, _DATASET_DEFAULTS.past_k),
+    "gammas": Key(list, _DATASET_DEFAULTS.gammas, item=float),
+    "split_ratio": Key(float, _DATASET_DEFAULTS.split_ratio),
+}
+
+
+def _load_config(path: str, table: dict[str, Key]) -> dict:
+    """The checked config at ``path``, less its schema version."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise _fail_usage(f"cannot read config {path}: {exc}")
-    if not isinstance(obj, dict):
-        raise _fail_usage(f"config {path}: top level must be an object")
-    version = obj.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise _fail_usage(
-            f"config {path}: schema_version: expected {CONFIG_SCHEMA_VERSION}, "
-            f"got {version!r}"
-        )
-    return obj
-
-
-def _typed(value, where: str, kind):
-    """``value`` if it is a ``kind``; an int passes as a float, and JSON
-    true/false pass as neither."""
-    if kind is float and type(value) is int:
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise _fail_usage(
-            f"{where}: expected {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _field(config: dict, name: str, kind, default=None, required=False,
-           item=None):
-    """The typed config field ``name``; a list field checks each entry
-    against ``item``."""
-    if name not in config:
-        if required:
-            raise _fail_usage(f"config.{name}: required field is missing")
-        return default
-    value = _typed(config[name], f"config.{name}", kind)
-    if item is not None:
-        value = [_typed(x, f"config.{name}[{i}]", item) for i, x in enumerate(value)]
-    return value
-
-
-def _red_specs_from_config(config: dict) -> list[agents.RedPolicySpec]:
-    reds = config.get("reds")
-    if isinstance(reds, list):
-        out = []
-        for i, item in enumerate(reds):
-            if not isinstance(item, str):
-                raise _fail_usage(f"config.reds[{i}]: expected an agent id string")
-            try:
-                out.append(agents.parse_red_id(item))
-            except ConfigError as exc:
-                raise _fail_usage(f"config.reds[{i}]: {exc}")
-        return out
-    if isinstance(reds, dict):
-        kind = reds.get("kind")
-        if not isinstance(kind, str):
-            raise _fail_usage("config.reds.kind: required agent kind string")
-        alpha = _typed(reds.get("alpha", EXPERIMENT_DEFAULTS["alpha"]),
-                       "config.reds.alpha", float)
-        count = _typed(reds.get("count"), "config.reds.count", int)
-        seed = _typed(reds.get("seed"), "config.reds.seed", int)
-        try:
-            return agents.species_members(kind, alpha, count, seed)
-        except (ConfigError, ValueError) as exc:
-            raise _fail_usage(f"config.reds: {exc}")
-    raise _fail_usage("config.reds: expected a list of agent ids or a species object")
+    config = _read_keys(obj, table, "config")
+    del config["schema_version"]
+    return config
 
 
 def _read_distribution(path: str, n: int, name: str) -> np.ndarray:
@@ -215,21 +261,9 @@ def simulate(blue, red_id, topology, episodes, seed, out):
 @click.option("--jobs", envvar="NETTOM_JOBS", type=int, default=1, show_default=True)
 def tournament(config_path, out, jobs):
     """Run a full tournament from a JSON config and emit metric tables."""
-    config = _load_config(config_path)
-    blues = _field(config, "blues", list, required=True, item=str)
-    networks = _field(config, "networks", list, required=True, item=str)
-    episodes_per_cell = _field(config, "episodes_per_cell", int,
-                               default=EXPERIMENT_DEFAULTS["episodes_per_cell"])
-    seed = _field(config, "seed", int, required=True)
-    options = {}
-    if "entry_count" in config:
-        options["entry_count"] = _field(config, "entry_count", int)
-    reds = _red_specs_from_config(config)
+    config = _load_config(config_path, TOURNAMENT_KEYS)
     try:
-        table = evalkit.run_tournament(
-            blues, reds, networks, episodes_per_cell, seed,
-            jobs=max(1, jobs), **options,
-        )
+        table = evalkit.run_tournament(**config, jobs=max(1, jobs))
     except ConfigError as exc:
         raise _fail_usage(str(exc))
     except (DataError, RuntimeError, ValueError) as exc:
@@ -250,39 +284,14 @@ def tournament(config_path, out, jobs):
 @click.option("--jobs", envvar="NETTOM_JOBS", type=int, default=1, show_default=True)
 def dataset_cmd(config_path, out, jobs):
     """Build the observer dataset (episodes + manifest) from a JSON config."""
-    config = _load_config(config_path)
-    blues = _field(config, "blues", list, required=True, item=str)
-    networks = _field(config, "networks", list, required=True, item=str)
-    seed = _field(config, "seed", int, required=True)
-    holdout = _field(config, "holdout_reds", int, default=0)
-    if not 0 <= holdout <= agents.MAX_SPECIES_MEMBERS:
-        raise _fail_usage("config.holdout_reds: must be >= 0 and at most "
-                          f"{agents.MAX_SPECIES_MEMBERS}")
-    reds = _red_specs_from_config(config)
-    for i, spec in enumerate(reds):
-        if spec.params is None:
-            raise _fail_usage(
-                f"config.reds[{i}]: dataset attackers must be pinned members "
-                "(give seed= and index=, or probs=)"
-            )
-    defaults = dataset.DatasetConfig
+    config = _load_config(config_path, DATASET_KEYS)
+    holdout = config.pop("holdout_reds")
     try:
-        ds_config = dataset.DatasetConfig(
-            blues=tuple(blues),
-            reds=tuple(reds),
-            networks=tuple(networks),
-            master_seed=seed,
-            n_c=_field(config, "n_c", int, default=defaults.n_c),
-            n_p=_field(config, "n_p", int, default=defaults.n_p),
-            n_past=_field(config, "n_past", int, default=defaults.n_past),
-            past_k=_field(config, "past_k", int, default=defaults.past_k),
-            gammas=tuple(_field(config, "gammas", list,
-                                default=defaults.gammas, item=float)),
-            split_ratio=_field(config, "split_ratio", float,
-                               default=defaults.split_ratio),
-        )
+        ds_config = dataset.DatasetConfig(master_seed=config.pop("seed"), **config)
     except ConfigError as exc:
         raise _fail_usage(f"config.{exc}")
+    if holdout and len({spec.kind for spec in ds_config.reds}) != 1:
+        raise _fail_usage("config.holdout_reds needs a single red kind")
     try:
         manifest = dataset.build_dataset(ds_config, out, jobs=max(1, jobs))
     except (ConfigError, ValueError) as exc:
@@ -295,17 +304,13 @@ def dataset_cmd(config_path, out, jobs):
         f"excluded={len(manifest.excluded)} past_pools_disjoint={disjoint}"
     )
     if holdout:
-        red_kinds = {spec.kind for spec in reds}
-        if len(red_kinds) != 1:
-            raise _fail_usage("config.holdout_reds needs a single red kind")
-        kind = red_kinds.pop()
         holdout_specs = agents.species_members(
-            kind, EXPERIMENT_DEFAULTS["alpha"], holdout,
-            derive_seed(seed, "holdout"),
+            ds_config.reds[0].kind, SPECIES_KEYS["alpha"].default, holdout,
+            derive_seed(ds_config.master_seed, "holdout"),
         )
         test_config = dataclasses.replace(
             ds_config, reds=tuple(holdout_specs),
-            master_seed=derive_seed(seed, "holdout", "build"),
+            master_seed=derive_seed(ds_config.master_seed, "holdout", "build"),
         )
         test_manifest = dataset.build_dataset(
             test_config, Path(out) / "test", jobs=max(1, jobs)
@@ -329,8 +334,7 @@ def dataset_cmd(config_path, out, jobs):
                    "(default: every discount in the manifest).")
 @click.option("--floor", type=float, default=evalkit.DEFAULT_FLOOR,
               show_default=True)
-@click.option("--kmeans-k", type=int, default=EXPERIMENT_DEFAULTS["kmeans_k"],
-              show_default=True)
+@click.option("--kmeans-k", type=int, default=4, show_default=True)
 @click.option("--kmeans-gamma", default=None,
               help="Discount stratum for the hedging pass (default: largest).")
 @click.option("--kmeans-network", default=None,
@@ -347,9 +351,23 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
         raise _fail_usage("--coefficients/--gammas: expected comma-separated "
                           "numbers")
     try:
+        # WeightingConfig owns these rules; its messages start with the field.
+        transport.WeightingConfig(features=(np.zeros(1),) * len(coeffs),
+                                  coefficients=coeffs, floor=floor)
+    except ValueError as exc:
+        raise _fail_usage(f"--{exc}")
+    try:
         manifest = dataset.read_manifest(manifest_path)
     except (OSError, ValueError, DataError) as exc:
         raise _fail_data(f"cannot load manifest {manifest_path}: {exc}")
+    sample_networks = sorted({s.network for s in manifest.samples})
+    if kmeans_network is not None and kmeans_network not in sample_networks:
+        raise _fail_usage(f"--kmeans-network: no sample on {kmeans_network!r}; "
+                          f"samples span {', '.join(sample_networks)}")
+    gamma_keys = [dataset.gamma_key(g) for g in manifest.gammas]
+    if kmeans_gamma is not None and kmeans_gamma not in gamma_keys:
+        raise _fail_usage(f"--kmeans-gamma: {kmeans_gamma!r} is not a discount "
+                          f"of the manifest ({', '.join(gamma_keys)})")
     try:
         preds = evalkit.read_predictions(pred_path)
         hvt = evalkit.score_hvt(preds, manifest)
@@ -359,11 +377,7 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
         raise _fail_data(str(exc))
 
     hedging = None
-    stratum = [
-        s for s in manifest.samples
-        if kmeans_network is None or s.network == kmeans_network
-    ]
-    nets = sorted({s.network for s in stratum})
+    nets = sample_networks if kmeans_network is None else [kmeans_network]
     if kmeans_k >= 1 and len(nets) > 1:
         # Vectors over different topologies share no node space to cluster in.
         click.echo(f"hedging pass skipped: samples span {', '.join(nets)}; "
@@ -372,9 +386,9 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
         key = kmeans_gamma or dataset.gamma_key(max(manifest.gammas))
         net = graph_core.topology(nets[0])[0]
         vectors = []
-        for s in stratum:
+        for s in manifest.samples:
             vec = preds[s.sample_id].pred_sr.get(key)
-            if vec is None:
+            if vec is None or s.network != nets[0]:
                 continue
             # Only the scored discounts were length-checked by score_sr.
             if len(vec) != net.node_count:

@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import RedPolicySpec, make_blue, make_red
-from .cyberenv import (
-    RED_WIN,
-    EpisodeTrajectory,
-    StateObservation,
-    rollout,
-    write_trajectory,
-)
+from .cyberenv import RED_WIN, EpisodeTrajectory, rollout, write_trajectory
 from .errors import ConfigError, DataError, SampleExclusionError
 from .graph_core import topology
 from .seeding import derive_seed, rng_for
@@ -111,6 +105,10 @@ class DatasetConfig:
     def __post_init__(self):
         """Reject sizes and discounts the build could only fail on late;
         each message starts with the field it names."""
+        for i, spec in enumerate(self.reds):
+            if spec.params is None:
+                raise ConfigError(f"reds[{i}]: dataset attackers must be pinned "
+                                  "members (give seed= and index=, or probs=)")
         if self.n_c < 1:
             raise ConfigError(f"n_c: must be >= 1, got {self.n_c}")
         if not 1 <= self.n_past <= self.n_p:
@@ -205,13 +203,6 @@ def subsample_indices(final_step: int, k: int) -> tuple[int, ...]:
     if final_step + 1 <= k:
         return tuple(range(final_step + 1))
     return tuple(int(round(i * final_step / (k - 1))) for i in range(k))
-
-
-def subsample_past(traj: EpisodeTrajectory, k: int) -> list[StateObservation]:
-    """The k evenly spaced state observations of a past trajectory."""
-    if not traj.steps:
-        raise ValueError("cannot subsample an empty trajectory")
-    return [traj.steps[i].obs for i in subsample_indices(traj.final_step, k)]
 
 
 def pick_current_step(traj: EpisodeTrajectory, rng: np.random.Generator) -> int:

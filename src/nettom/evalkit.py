@@ -28,6 +28,7 @@ from .transport import WeightingConfig, check_distribution, ntd_weighted
 
 DEFAULT_COEFFICIENTS = (-1.0, 0.0, 1.0)
 DEFAULT_FLOOR = 0.1
+DEFAULT_ENTRY_COUNT = 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,8 @@ def _tournament_episode(args) -> tuple[float, bool, int]:
 
 
 def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
-                   entry_count: int = 1, jobs: int = 1) -> TournamentTable:
+                   entry_count: int = DEFAULT_ENTRY_COUNT, jobs: int = 1
+                   ) -> TournamentTable:
     """Evaluate every joint policy profile over seeded episodes.
 
     Attacker specs naming only a species draw a fresh member per episode,
@@ -165,9 +167,20 @@ class PredictionRecord:
     pred_sr: dict[str, tuple[float, ...]]
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _vector(value, label: str) -> tuple[float, ...]:
+    """A JSON list of numbers (not booleans) as a tuple of floats."""
+    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise TypeError(f"{label} must be a list of numbers")
+    return tuple(map(float, value))
+
+
 def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
     """Parse a predictions file: one JSON object per line with keys
-    sample_id, pred_hvn, and pred_sr (a map from discount to vector)."""
+    sample_id, pred_hvn (a list of numbers), and pred_sr (a map from
+    discount to a list of numbers)."""
     records = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,8 +197,8 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
                                     f"{type(pred_sr).__name__}")
                 rec = PredictionRecord(
                     sample_id=sample_id,
-                    pred_hvn=tuple(float(x) for x in obj["pred_hvn"]),
-                    pred_sr={k: tuple(float(x) for x in v)
+                    pred_hvn=_vector(obj["pred_hvn"], "pred_hvn"),
+                    pred_sr={k: _vector(v, f"pred_sr[{k}]")
                              for k, v in pred_sr.items()},
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -319,11 +332,8 @@ class SrScores:
 
 
 def _sample_remoteness(sample: ToMSample) -> np.ndarray:
-    net, cm = topology(sample.network)
-    placement_dist = np.minimum(
-        cm.dist[sample.entry], cm.dist[sample.truth_hvn]
-    ).astype(float)
-    return placement_dist
+    _, cm = topology(sample.network)
+    return np.minimum(cm.dist[sample.entry], cm.dist[sample.truth_hvn]).astype(float)
 
 
 def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
@@ -388,46 +398,6 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
                     value=float(value),
                 ))
     return SrScores(rows=rows)
-
-
-@dataclass(frozen=True)
-class WeightingGap:
-    sample_id: str
-    gap: float
-    value_positive: float
-    value_negative: float
-    pred_sr: tuple[float, ...]
-    truth_sr: tuple[float, ...]
-
-
-def max_weighting_gap(preds: dict[str, PredictionRecord],
-                      manifest: DatasetManifest, gamma: float | str,
-                      floor: float = DEFAULT_FLOOR) -> WeightingGap:
-    """The sample whose score moves most when the remoteness coefficient
-    flips from -1 to +1; ships both vectors for plotting."""
-    key = gamma if isinstance(gamma, str) else gamma_key(gamma)
-    scores = score_sr(preds, manifest, coefficients=(-1.0, 1.0), floor=floor)
-    by_sample: dict[str, dict[float, float]] = {}
-    for row in scores.rows:
-        if row.gamma == key:
-            by_sample.setdefault(row.sample_id, {})[row.coefficient] = row.value
-    if not by_sample:
-        raise DataError(f"no samples in the stratum for gamma {key}")
-    best_id, best_gap = None, -1.0
-    for sid, vals in sorted(by_sample.items()):
-        gap = abs(vals[1.0] - vals[-1.0])
-        if gap > best_gap:
-            best_id, best_gap = sid, gap
-    sample = next(s for s in manifest.samples if s.sample_id == best_id)
-    record = preds[best_id]
-    return WeightingGap(
-        sample_id=best_id,
-        gap=best_gap,
-        value_positive=by_sample[best_id][1.0],
-        value_negative=by_sample[best_id][-1.0],
-        pred_sr=record.pred_sr[key],
-        truth_sr=sample.truth_sr[key],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -362,12 +362,6 @@ def entry_candidates(net: Network, count: int) -> tuple[int, ...]:
     return tuple(picks)
 
 
-def node_remoteness(net: Network, cm: CostMatrix, placement: HvnPlacement) -> np.ndarray:
-    """Per-node distance to the nearer of the entry and the targeted HVN."""
-    target = placement.target_node
-    return np.minimum(cm.dist[net.entry_node], cm.dist[target]).astype(float)
-
-
 def entry_remoteness(net: Network, cm: CostMatrix) -> np.ndarray:
     """Per-node distance to the entry node only (the single-anchor variant)."""
     return cm.dist[net.entry_node].astype(float)

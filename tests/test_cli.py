@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ from click.testing import CliRunner
 
 from nettom import dataset as ds
 from nettom import graph_core as gc
-from nettom.cli import main
+from nettom.cli import (DATASET_KEYS, SPECIES_KEYS, TOURNAMENT_KEYS, _read_keys,
+                        main)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -179,6 +184,9 @@ class TestTournamentCommand:
          "config.reds[0]: alpha must be positive and finite"),
         ({"entry_count": 0}, "entry_count=0: count must be >= 1"),
         ({"entry_count": 9}, "entry_count=9: cannot pick 9 entry nodes on tree30"),
+        ({"schema_version": 2}, "config.schema_version: must be 1, got 2"),
+        ({"reds": {"kind": "hvt_pref_sp", "seed": 5}},
+         "config.reds.count: required field is missing"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         config = {"schema_version": 1, "blues": ["blue.msn_d"],
@@ -269,6 +277,10 @@ class TestDatasetCommand:
         ({"split_ratio": 1.0}, "config.split_ratio: 1.0 must lie strictly between"),
         ({"reds": {"kind": "hvt_pref_sp", "count": 100_001, "seed": 5}},
          "config.reds: count must lie in [1, 100000], got 100001"),
+        ({"holdout_reds": 1,
+          "reds": ["red.hvt_pref_sp:alpha=0.01,seed=5,index=0",
+                   "red.target_vulnerable:probs=0:1:0:0:0:0"]},
+         "config.holdout_reds needs a single red kind"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
@@ -280,6 +292,97 @@ class TestDatasetCommand:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "data").exists()
+
+
+def _base_config(table_name):
+    """The command and a valid config that reads ``table_name``'s keys;
+    ``species`` is a tournament whose reds are a species object."""
+    common = {"schema_version": 1, "blues": ["blue.msn_d"],
+              "networks": ["tree30"], "seed": 3}
+    if table_name == "dataset":
+        return "dataset", {**common,
+                           "reds": ["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"]}
+    config = {**common, "reds": ["red.hvt_pref_sp:alpha=0.01,seed=1"],
+              "episodes_per_cell": 1}
+    if table_name == "species":
+        config["reds"] = {"kind": "hvt_pref_sp", "count": 2, "seed": 5}
+    return "tournament", config
+
+
+_TABLES = {"tournament": TOURNAMENT_KEYS, "dataset": DATASET_KEYS,
+           "species": SPECIES_KEYS}
+_WRONG = {int: 1.0, float: "0.5", str: 3, list: "x", (list, dict): 3}
+
+
+def _wrong_type_cases():
+    for table_name, table in _TABLES.items():
+        for name, key in table.items():
+            values = [True, _WRONG[key.kind]]
+            if key.item is not None:
+                values.append([True])
+            for value in values:
+                yield pytest.param(table_name, name, value,
+                                   id=f"{table_name}-{name}-{json.dumps(value)}")
+
+
+def _run_config(runner, tmp_path, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    return runner.invoke(main, [command, "--config", str(cfg),
+                                "--out", str(tmp_path / "out")])
+
+
+class TestConfigSchema:
+    """Cases generated from the key tables: every key, every table."""
+
+    @pytest.mark.parametrize("table_name, name, value", _wrong_type_cases())
+    def test_wrong_type_exits_2_naming_key(self, runner, tmp_path, table_name,
+                                           name, value):
+        command, config = _base_config(table_name)
+        species = table_name == "species"
+        (config["reds"] if species else config)[name] = value
+        result = _run_config(runner, tmp_path, command, config)
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        where = "config.reds" if species else "config"
+        assert f"{where}.{name}" in result.output
+        assert "expected" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table_name, extra, message", [
+        ("tournament", {"episode_per_cell": 1, "entry_cuont": 3},
+         "unknown key config.episode_per_cell, config.entry_cuont (known: "),
+        ("dataset", {"n_pats": 3}, "unknown key config.n_pats (known: "),
+        ("species", {"alpah": 0.5}, "unknown key config.reds.alpah (known: "),
+    ])
+    def test_unknown_keys_exit_2_naming_them(self, runner, tmp_path, table_name,
+                                             extra, message):
+        command, config = _base_config(table_name)
+        (config["reds"] if table_name == "species" else config).update(extra)
+        result = _run_config(runner, tmp_path, command, config)
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("obj", [[], "x", 3])
+    def test_non_object_exits_2(self, runner, tmp_path, obj):
+        result = _run_config(runner, tmp_path, "tournament", obj)
+        assert result.exit_code == 2, result.output
+        assert "config: expected an object" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("heading, table", [
+        ("Tournament config:", TOURNAMENT_KEYS),
+        ("Dataset config", DATASET_KEYS),
+    ])
+    def test_readme_config_blocks_pass_the_reader(self, heading, table):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(re.escape(heading) + r".*?```json\n(.*?)```", text,
+                          re.DOTALL).group(1)
+        config = _read_keys(json.loads(block), table, "config")
+        assert set(config) == set(table)
+        assert config["reds"] and config["networks"] and config["blues"]
 
 
 class TestScoreCommand:
@@ -420,6 +523,45 @@ class TestScoreCommand:
         assert len(result.output.strip().splitlines()) == 1
         assert f"sample {first['sample_id']}: pred_sr[0.95] has 2 entries" \
             in result.output
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--floor", "2"), ("--floor", "nan"), ("--floor", "-0.1"),
+        ("--coefficients", "2"), ("--coefficients", "-1,0,1.5"),
+        ("--coefficients", "nan"),
+    ])
+    def test_out_of_range_weighting_flag_exit_2(self, runner, tmp_path, flag,
+                                                value):
+        # Neither file exists: the flag is checked before either is read.
+        result = runner.invoke(main, [
+            "score", "--predictions", str(tmp_path / "none.jsonl"),
+            "--manifest", str(tmp_path / "none.json"), flag, value,
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        assert f"Error: {flag} must lie in" in result.output
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("flag, value, listed", [
+        ("--kmeans-network", "tree90", "samples span tree30"),
+        ("--kmeans-network", "ring9", "samples span tree30"),
+        ("--kmeans-gamma", "0.7", "of the manifest (0.5, 0.95)"),
+        ("--kmeans-gamma", "0.950", "of the manifest (0.5, 0.95)"),
+    ])
+    def test_hedging_flag_matching_nothing_exit_2(self, runner, tmp_path, flag,
+                                                  value, listed):
+        manifest_path = self._built(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        result = runner.invoke(main, [
+            "score", "--predictions", str(preds), "--manifest",
+            str(manifest_path), flag, value, "--out", str(tmp_path / "rep"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        assert f"Error: {flag}: " in result.output
+        assert listed in result.output
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("shape", [
         "top_level_list", "sample_not_object", "gammas_string",

@@ -76,19 +76,6 @@ class TestSubsampling:
     def test_rounding(self):
         assert ds.subsample_indices(10, 4) == (0, 3, 7, 10)
 
-    def test_observations_extracted(self, tree30):
-        net, cm = tree30
-        traj = ce.rollout(net, ag.make_blue("blue.sleep"),
-                          ag.make_red(_members(1)[0]), seed=4, cm=cm)
-        obs = ds.subsample_past(traj, 5)
-        assert len(obs) == min(5, traj.final_step + 1)
-
-    def test_empty_trajectory_rejected(self):
-        traj = _fake_traj(0, {})
-        traj.steps.clear()
-        with pytest.raises(ValueError, match="empty"):
-            ds.subsample_past(traj, 5)
-
 
 class TestCurrentStep:
     def test_uniform_over_first_two_steps(self):
@@ -218,11 +205,14 @@ class TestConfigRanges:
         ({"gammas": (float("nan"),)}, "gammas"),
         ({"split_ratio": 0.0}, "split_ratio"),
         ({"split_ratio": 1.0}, "split_ratio"),
+        ({"reds": (ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,seed=5"),)},
+         r"reds\[0\]"),
     ])
     def test_out_of_range_rejected(self, overrides, field):
+        config = {"blues": ("blue.sleep",), "reds": tuple(_members(1)),
+                  "networks": ("tree30",), "master_seed": 0}
         with pytest.raises(ConfigError, match=f"^{field}: "):
-            ds.DatasetConfig(blues=("blue.sleep",), reds=tuple(_members(1)),
-                             networks=("tree30",), master_seed=0, **overrides)
+            ds.DatasetConfig(**{**config, **overrides})
 
     def test_smallest_sizes_accepted(self):
         ds.DatasetConfig(blues=("blue.sleep",), reds=tuple(_members(1)),

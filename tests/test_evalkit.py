@@ -215,50 +215,16 @@ class TestSrScoring:
             assert set(st) >= {"mean", "median", "q25", "q75"}
 
 
-class TestWeightingGap:
-    def test_single_sample_stratum(self, tree30):
+class TestSampleRemoteness:
+    def test_endpoints_are_zero(self, tree30):
         net, cm = tree30
-        entry = net.entry_node
-        leaves = sorted(net.leaf_set - {entry})
+        leaves = sorted(net.leaf_set - {net.entry_node})
         hvns = (leaves[0], leaves[1], leaves[2])
-        truth = _path_sr(net, cm, entry, hvns[0])
-        pred = _path_sr(net, cm, entry, hvns[2])
-        samples = [_sample("s0", hvns[0], hvns, {"0.5": tuple(truth)}, entry)]
-        preds = {"s0": _record("s0", (1.0, 0.0, 0.0), {"0.5": tuple(pred)})}
-        gap = ek.max_weighting_gap(preds, _synthetic_manifest(samples), 0.5)
-        assert gap.sample_id == "s0"
-        assert gap.gap == abs(gap.value_positive - gap.value_negative)
-
-    def test_picks_widest_gap_and_matches_scores(self, tree30):
-        net, cm = tree30
-        entry = net.entry_node
-        leaves = sorted(net.leaf_set - {entry})
-        hvns = (leaves[0], leaves[1], leaves[2])
-        truth = _path_sr(net, cm, entry, hvns[0])
-        good_pred = tuple(truth)
-        far_pred = tuple(_path_sr(net, cm, entry, max(
-            leaves, key=lambda l: cm.dist[entry, l])))
-        samples = [
-            _sample("near", hvns[0], hvns, {"0.5": tuple(truth)}, entry),
-            _sample("wild", hvns[0], hvns, {"0.5": tuple(truth)}, entry),
-        ]
-        preds = {
-            "near": _record("near", (1.0, 0.0, 0.0), {"0.5": good_pred}),
-            "wild": _record("wild", (1.0, 0.0, 0.0), {"0.5": far_pred}),
-        }
-        manifest = _synthetic_manifest(samples)
-        gap = ek.max_weighting_gap(preds, manifest, 0.5)
-        assert gap.sample_id == "wild"
-        rows = {(r.sample_id, r.coefficient): r.value
-                for r in ek.score_sr(preds, manifest,
-                                     coefficients=(-1.0, 1.0)).rows}
-        assert gap.gap == pytest.approx(
-            abs(rows[("wild", 1.0)] - rows[("wild", -1.0)]), abs=1e-15)
-
-    def test_empty_stratum_rejected(self, tree30):
-        net, cm = tree30
-        with pytest.raises(DataError, match="stratum|no samples"):
-            ek.max_weighting_gap({}, _synthetic_manifest([]), 0.5)
+        sample = _sample("s0", hvns[1], hvns, {}, net.entry_node)
+        r = ek._sample_remoteness(sample)
+        assert r[net.entry_node] == 0
+        assert r[hvns[1]] == 0
+        assert (r == np.minimum(cm.dist[net.entry_node], cm.dist[hvns[1]])).all()
 
 
 class TestHedging:
@@ -354,7 +320,15 @@ class TestPredictionIO:
         '{"sample_id": "s0"}',
         '{"sample_id": "s0", "pred_hvn": [1, 0, 0], "pred_sr": [[1, 0]]}',
         '{"sample_id": ["s0"], "pred_hvn": [1, 0, 0], "pred_sr": {}}',
-    ], ids=["missing_keys", "pred_sr_list", "sample_id_list"])
+        '{"sample_id": "s0", "pred_hvn": "1", "pred_sr": {}}',
+        '{"sample_id": "s0", "pred_hvn": [1, 0, 0], "pred_sr": {"0.5": "1"}}',
+        '{"sample_id": "s0", "pred_hvn": [true, false, false], "pred_sr": {}}',
+        '{"sample_id": "s0", "pred_hvn": [1, 0, 0], "pred_sr": {"0.5": [false, true]}}',
+        '{"sample_id": "s0", "pred_hvn": {"0": 1}, "pred_sr": {}}',
+        '{"sample_id": "s0", "pred_hvn": [1, "0", 0], "pred_sr": {}}',
+    ], ids=["missing_keys", "pred_sr_list", "sample_id_list", "pred_hvn_string",
+            "pred_sr_string", "pred_hvn_bools", "pred_sr_bools", "pred_hvn_object",
+            "string_entry"])
     def test_rejects_malformed(self, tmp_path, line):
         path = tmp_path / "preds.jsonl"
         path.write_text(line + "\n", encoding="utf-8")

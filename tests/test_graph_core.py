@@ -148,29 +148,14 @@ class TestPlacement:
             assert net.entry_node not in placement.hvns
             assert all(h in net.leaf_set for h in placement.hvns)
 
-
-class TestRemoteness:
-    def test_endpoints_are_zero(self, tree30):
-        net, cm = tree30
-        placement = gc.place_high_value_nodes(net, 3).with_target(1)
-        r = gc.node_remoteness(net, cm, placement)
-        assert r[net.entry_node] == 0
-        assert r[placement.target_node] == 0
-
-    def test_path_graph_hand_case(self):
-        # 0(entry) - 1 - 2 - 3(target): min of the two anchor distances
-        net = gc.Network.from_edges([(0, 1), (1, 2), (2, 3)], entry_node=0)
-        cm = gc.all_pairs_shortest_paths(net)
-        placement = gc.HvnPlacement(hvns=(3, 1, 2)).with_target(0)
-        r = gc.node_remoteness(net, cm, placement)
-        assert r.tolist() == [0.0, 1.0, 1.0, 0.0]
-
     def test_requires_target(self, tree30):
-        net, cm = tree30
+        net, _ = tree30
         placement = gc.place_high_value_nodes(net, 3)
         with pytest.raises(ValueError, match="target_index"):
-            gc.node_remoteness(net, cm, placement)
+            placement.target_node
 
+
+class TestRemoteness:
     def test_entry_variant(self, tree30):
         net, cm = tree30
         r = gc.entry_remoteness(net, cm)
