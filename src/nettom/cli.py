@@ -350,6 +350,11 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
     except ValueError:
         raise _fail_usage("--coefficients/--gammas: expected comma-separated "
                           "numbers")
+    for flag, values in (("--coefficients", coeffs),
+                         ("--gammas", gamma_set or ())):
+        repeated = [v for v in values if values.count(v) > 1]
+        if repeated:
+            raise _fail_usage(f"{flag}: {repeated[0]:g} is repeated")
     try:
         # WeightingConfig owns these rules; its messages start with the field.
         transport.WeightingConfig(features=(np.zeros(1),) * len(coeffs),
@@ -368,6 +373,11 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
     if kmeans_gamma is not None and kmeans_gamma not in gamma_keys:
         raise _fail_usage(f"--kmeans-gamma: {kmeans_gamma!r} is not a discount "
                           f"of the manifest ({', '.join(gamma_keys)})")
+    unknown = [k for k in map(dataset.gamma_key, gamma_set or ())
+               if k not in gamma_keys]
+    if unknown:
+        raise _fail_usage(f"--gammas: {unknown[0]} is not a discount of the "
+                          f"manifest ({', '.join(gamma_keys)})")
     try:
         preds = evalkit.read_predictions(pred_path)
         hvt = evalkit.score_hvt(preds, manifest)
@@ -401,6 +411,9 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
                 np.asarray(vectors, dtype=float), kmeans_k, seed,
                 branch_of=net.branch_of,
             )
+        else:
+            click.echo(f"hedging pass skipped: {len(vectors)} vectors for "
+                       f"{kmeans_k} clusters", err=True)
     paths = evalkit.write_score_reports(out, hvt=hvt, sr=sr, hedging=hedging)
     click.echo(f"weighted_f1={hvt.weighted_f1:.4f}")
     for st in sr.stats():

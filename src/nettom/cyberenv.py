@@ -77,7 +77,7 @@ OBSERVER_RED = "red"
 RED_WIN = "red_win"
 BLUE_WIN = "blue_win"
 
-TRAJECTORY_SCHEMA_VERSION = 1
+TRAJECTORY_SCHEMA_VERSION = 2
 
 VULN_LOW = 0.2  # per-episode vulnerabilities are uniform on [VULN_LOW, VULN_HIGH)
 VULN_HIGH = 0.8
@@ -200,6 +200,14 @@ def node_attackable(neighbors: tuple[tuple[int, ...], ...], v: int,
     return any(compromised[u] and not isolated[u] for u in neighbors[v])
 
 
+def _mask(nodes: tuple[int, ...], n: int) -> np.ndarray:
+    """A write-locked boolean mask of ``nodes``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(nodes)] = True
+    mask.setflags(write=False)
+    return mask
+
+
 class CyberEnv:
     """Owns one episode of the game; see the module docstring for rules."""
 
@@ -219,12 +227,7 @@ class CyberEnv:
         entries = entry_candidates(net, self.entry_count)
         placement = place_high_value_nodes(net, derive_seed(seed, "hvn"),
                                            exclude=entries)
-        is_entry = np.zeros(n, dtype=bool)
-        is_entry[list(entries)] = True
-        is_hvn = np.zeros(n, dtype=bool)
-        is_hvn[list(placement.hvns)] = True
-        is_entry.setflags(write=False)
-        is_hvn.setflags(write=False)
+        is_entry, is_hvn = _mask(entries, n), _mask(placement.hvns, n)
         self.state = EpisodeState(
             vulnerability=vuln,
             initial_vulnerability=vuln.copy(),
@@ -495,35 +498,10 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
     )
 
 
-def _obs_to_json(obs: StateObservation) -> dict:
-    adj = obs.active_adjacency
-    edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(adj)))]
-    return {
-        "vulnerability": [float(x) for x in obs.vulnerability],
-        "compromised": [int(x) for x in obs.compromised_visible],
-        "hidden": [int(x) for x in obs.compromised_hidden],
-        "isolated": [int(x) for x in obs.isolated],
-        "is_entry": [int(x) for x in obs.is_entry],
-        "is_hvn": [int(x) for x in obs.is_hvn],
-        "edges": edges,
-    }
-
-
-def _obs_from_json(obj: dict) -> StateObservation:
-    n = len(obj["vulnerability"])
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in obj["edges"]:
-        adj[i, j] = adj[j, i] = True
-    return StateObservation(
-        vulnerability=np.asarray(obj["vulnerability"], dtype=float),
-        compromised_visible=np.asarray(obj["compromised"], dtype=bool),
-        compromised_hidden=np.asarray(obj["hidden"], dtype=bool),
-        isolated=np.asarray(obj["isolated"], dtype=bool),
-        is_entry=np.asarray(obj["is_entry"], dtype=bool),
-        is_hvn=np.asarray(obj["is_hvn"], dtype=bool),
-        active_adjacency=adj,
-        zero_day_budget=None,
-    )
+# Per-node flags of a step line, packed one bit each in this order.
+_FLAG_FIELDS = ("compromised_visible", "compromised_hidden", "isolated")
+_FLAG_LIMIT = 1 << len(_FLAG_FIELDS)
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _action_to_json(action, hits: tuple[int, ...] | None = None) -> dict | None:
@@ -536,6 +514,20 @@ def _action_to_json(action, hits: tuple[int, ...] | None = None) -> dict | None:
 
 
 def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
+    """Encode a recorded episode as JSONL.
+
+    The header holds the episode's facts and its static data once: the
+    node count and the base edge list (step 0's live edges; nothing is
+    isolated at reset). Each step line holds ``t``, both actions, red's
+    hits and ``changed``: a ``[node, vulnerability, flags]`` triple for
+    every node whose vulnerability or flags differ from the previous step
+    (step 0 is diffed against zeros). ``flags`` packs compromised-visible
+    (1), compromised-hidden (2) and isolated (4).
+    """
+    steps = traj.steps
+    if not steps:
+        raise ValueError(f"episode {traj.episode_id}: no recorded steps to encode")
+    first = steps[0].obs
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
         "episode_id": traj.episode_id,
@@ -547,17 +539,30 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
         "hvns": list(traj.hvns),
         "entries": list(traj.entries),
         "total_blue_reward": traj.total_blue_reward,
+        "node_count": int(first.vulnerability.size),
+        "edges": np.argwhere(np.triu(first.active_adjacency)).tolist(),
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for step in traj.steps:
-        rec = {
+    vuln = np.stack([s.obs.vulnerability for s in steps])
+    flags = np.zeros(vuln.shape, dtype=np.uint8)
+    for bit, name in enumerate(_FLAG_FIELDS):
+        bits = np.stack([getattr(s.obs, name) for s in steps]).astype(np.uint8)
+        flags |= bits << bit
+    prev_vuln = np.zeros_like(vuln)
+    prev_vuln[1:] = vuln[:-1]
+    prev_flags = np.zeros_like(flags)
+    prev_flags[1:] = flags[:-1]
+    rows, nodes = np.nonzero((vuln != prev_vuln) | (flags != prev_flags))
+    changed = [list(c) for c in zip(nodes.tolist(), vuln[rows, nodes].tolist(),
+                                    flags[rows, nodes].tolist())]
+    bounds = np.searchsorted(rows, np.arange(len(steps) + 1)).tolist()
+    lines = [_encode(header)]
+    for k, step in enumerate(steps):
+        lines.append(_encode({
             "t": step.t,
-            "obs": _obs_to_json(step.obs),
             "blue_action": _action_to_json(step.blue_action),
-            "red_action": _action_to_json(step.red_action, step.red_hits)
-            if step.red_action is not None else None,
-        }
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            "red_action": _action_to_json(step.red_action, step.red_hits),
+            "changed": changed[bounds[k]:bounds[k + 1]],
+        }))
     return "\n".join(lines) + "\n"
 
 
@@ -565,36 +570,141 @@ def write_trajectory(traj: EpisodeTrajectory, path: str | Path) -> None:
     Path(path).write_text(trajectory_to_jsonl(traj), encoding="utf-8")
 
 
+def _json_object(path, lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}:{lineno}: not a JSON object")
+    return obj
+
+
+def _line_error(path, lineno: int, exc: Exception) -> ValueError:
+    why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{path}:{lineno}: {why}")
+
+
+def _node(v, n: int) -> int:
+    if type(v) is not int or not 0 <= v < n:
+        raise ValueError(f"node {v!r} outside [0, {n})")
+    return v
+
+
+def _int(v, what: str) -> int:
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
+    if obj is None:
+        return None
+    if obj["kind"] not in kinds:
+        raise ValueError(f"unknown action kind {obj['kind']!r}")
+    target = obj["target"]
+    return cls(obj["kind"], None if target is None else _node(target, n))
+
+
 def read_trajectory(path: str | Path) -> EpisodeTrajectory:
+    """Decode a file written by ``trajectory_to_jsonl`` into the trajectory
+    that was encoded, observation arrays bit for bit. As in ``CyberEnv``,
+    ``is_entry``, ``is_hvn`` and each live-edge matrix are write-locked and
+    shared between steps. Malformed content raises ``ValueError`` naming
+    the file and line."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported trajectory schema {header.get('schema_version')!r}"
-            )
-        steps = []
-        for line in fh:
-            rec = json.loads(line)
-            blue = rec["blue_action"]
+        lines = fh.readlines()
+    header = _json_object(path, 1, lines[0] if lines else "")
+    version = header.get("schema_version")
+    if version != TRAJECTORY_SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported trajectory schema {version!r}")
+    try:
+        n = _int(header["node_count"], "node_count")
+        base = np.zeros((n, n), dtype=bool)
+        for i, j in header["edges"]:
+            base[_node(i, n), _node(j, n)] = True
+        base |= base.T
+        traj = EpisodeTrajectory(
+            episode_id=header["episode_id"],
+            network=header["network"],
+            seed=header["seed"],
+            blue_id=header["agents"]["blue"],
+            red_id=header["agents"]["red"],
+            outcome=header["outcome"]["winner"],
+            target_node=header["outcome"]["target"],
+            final_step=_int(header["final_step"], "final_step"),
+            hvns=tuple(_node(v, n) for v in header["hvns"]),
+            entries=tuple(_node(v, n) for v in header["entries"]),
+            total_blue_reward=header["total_blue_reward"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _line_error(path, 1, exc) from None
+    if len(lines) - 1 != traj.final_step + 1:
+        raise ValueError(f"{path}: {len(lines) - 1} step lines, expected "
+                         f"final_step + 1 = {traj.final_step + 1}")
+
+    records, counts, nodes, vulns, flags = [], [], [], [], []
+    for lineno, line in enumerate(lines[1:], 2):
+        rec = _json_object(path, lineno, line)
+        try:
+            changed = rec["changed"]
+            for v, x, f in changed:
+                nodes.append(_node(v, n))
+                if type(x) is not float:
+                    raise ValueError(f"vulnerability {x!r} is not a float")
+                vulns.append(x)
+                if type(f) is not int or not 0 <= f < _FLAG_LIMIT:
+                    raise ValueError(f"flags {f!r} is not an integer in "
+                                     f"[0, {_FLAG_LIMIT})")
+                flags.append(f)
+            counts.append(len(changed))
             red = rec["red_action"]
-            steps.append(TrajectoryStep(
-                t=rec["t"],
-                obs=_obs_from_json(rec["obs"]),
-                blue_action=BlueAction(blue["kind"], blue["target"]) if blue else None,
-                red_action=RedAction(red["kind"], red["target"]) if red else None,
-                red_hits=tuple(red["hits"]) if red else (),
+            records.append((
+                _int(rec["t"], "t"),
+                _action_from_json(BlueAction, BLUE_ACTION_KINDS, rec["blue_action"], n),
+                _action_from_json(RedAction, RED_ACTION_KINDS, red, n),
+                tuple(_node(v, n) for v in red["hits"]) if red is not None else (),
             ))
-    return EpisodeTrajectory(
-        episode_id=header["episode_id"],
-        network=header["network"],
-        seed=header["seed"],
-        blue_id=header["agents"]["blue"],
-        red_id=header["agents"]["red"],
-        outcome=header["outcome"]["winner"],
-        target_node=header["outcome"]["target"],
-        final_step=header["final_step"],
-        hvns=tuple(header["hvns"]),
-        entries=tuple(header["entries"]),
-        total_blue_reward=header["total_blue_reward"],
-        steps=steps,
-    )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _line_error(path, lineno, exc) from None
+
+    # Scatter the changes into per-step rows, then carry each node's value
+    # forward from the last step that changed it.
+    rows = np.repeat(np.arange(len(records)), counts)
+    cols = np.asarray(nodes, dtype=np.intp)
+    vuln = np.zeros((len(records), n))
+    vuln[rows, cols] = vulns
+    packed = np.zeros((len(records), n), dtype=np.uint8)
+    packed[rows, cols] = flags
+    last = np.zeros((len(records), n), dtype=np.intp)
+    last[rows, cols] = rows
+    np.maximum.accumulate(last, axis=0, out=last)
+    vuln = vuln[last, np.arange(n)]
+    packed = packed[last, np.arange(n)]
+    visible, hidden, isolated = ((packed & (1 << bit)) != 0
+                                 for bit in range(len(_FLAG_FIELDS)))
+    isolation_changed = np.ones(len(records), dtype=bool)
+    isolation_changed[1:] = (isolated[1:] != isolated[:-1]).any(axis=1)
+
+    is_entry, is_hvn = _mask(traj.entries, n), _mask(traj.hvns, n)
+    for k, (t, blue_action, red_action, hits) in enumerate(records):
+        if isolation_changed[k]:
+            adj = active_adjacency(base, isolated[k])
+            adj.setflags(write=False)
+        traj.steps.append(TrajectoryStep(
+            t=t,
+            obs=StateObservation(
+                vulnerability=vuln[k],
+                compromised_visible=visible[k],
+                compromised_hidden=hidden[k],
+                isolated=isolated[k],
+                is_entry=is_entry,
+                is_hvn=is_hvn,
+                active_adjacency=adj,
+                zero_day_budget=None,
+            ),
+            blue_action=blue_action,
+            red_action=red_action,
+            red_hits=hits,
+        ))
+    return traj

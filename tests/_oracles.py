@@ -3,12 +3,14 @@
 These deliberately use different algorithms from the production code:
 exhaustive vertex enumeration instead of the simplex, Floyd-Warshall
 instead of per-node BFS, and central finite differences instead of dual
-potentials.
+potentials. ``trajectory_to_jsonl_v1`` is the trajectory encoder of schema
+1, which wrote every step's full observation.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -126,3 +128,53 @@ def dyadic_distribution(rng: np.random.Generator, n: int,
     counts = rng.multinomial(trials, np.ones(len(idx)) / len(idx))
     x[idx] = counts / trials
     return x
+
+
+def _obs_to_json_v1(obs) -> dict:
+    adj = obs.active_adjacency
+    edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(adj)))]
+    return {
+        "vulnerability": [float(x) for x in obs.vulnerability],
+        "compromised": [int(x) for x in obs.compromised_visible],
+        "hidden": [int(x) for x in obs.compromised_hidden],
+        "isolated": [int(x) for x in obs.isolated],
+        "is_entry": [int(x) for x in obs.is_entry],
+        "is_hvn": [int(x) for x in obs.is_hvn],
+        "edges": edges,
+    }
+
+
+def _action_to_json_v1(action, hits=None):
+    if action is None:
+        return None
+    out = {"kind": action.kind, "target": action.target}
+    if hits is not None:
+        out["hits"] = list(hits)
+    return out
+
+
+def trajectory_to_jsonl_v1(traj) -> str:
+    """An episode as schema-1 JSONL: the header, then every step's full
+    observation (all six per-node vectors and the live-edge list)."""
+    header = {
+        "schema_version": 1,
+        "episode_id": traj.episode_id,
+        "network": traj.network,
+        "seed": traj.seed,
+        "agents": {"blue": traj.blue_id, "red": traj.red_id},
+        "outcome": {"winner": traj.outcome, "target": traj.target_node},
+        "final_step": traj.final_step,
+        "hvns": list(traj.hvns),
+        "entries": list(traj.entries),
+        "total_blue_reward": traj.total_blue_reward,
+    }
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    for step in traj.steps:
+        rec = {
+            "t": step.t,
+            "obs": _obs_to_json_v1(step.obs),
+            "blue_action": _action_to_json_v1(step.blue_action),
+            "red_action": _action_to_json_v1(step.red_action, step.red_hits),
+        }
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"

@@ -542,11 +542,46 @@ class TestScoreCommand:
         assert f"Error: {flag} must lie in" in result.output
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--coefficients", "0,0"), ("--coefficients", "-1,0,-1.0"),
+        ("--gammas", "0.5,0.50"),
+    ])
+    def test_repeated_values_exit_2(self, runner, tmp_path, flag, value):
+        # Neither file exists: the flag is checked before either is read.
+        result = runner.invoke(main, [
+            "score", "--predictions", str(tmp_path / "none.jsonl"),
+            "--manifest", str(tmp_path / "none.json"), flag, value,
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        assert f"Error: {flag}: " in result.output
+        assert "is repeated" in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_hedging_k_above_vector_count_is_reported(self, runner, tmp_path):
+        manifest_path = self._built(runner, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(manifest_path, preds)
+        n = len(json.loads(manifest_path.read_text(encoding="utf-8"))["samples"])
+        result = runner.invoke(main, [
+            "score", "--predictions", str(preds), "--manifest",
+            str(manifest_path), "--kmeans-k", str(n + 1),
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert (f"hedging pass skipped: {n} vectors for {n + 1} clusters"
+                in result.stderr)
+        assert (tmp_path / "rep" / "sr_stats.csv").exists()
+        assert not (tmp_path / "rep" / "hedging_histogram.csv").exists()
+
     @pytest.mark.parametrize("flag, value, listed", [
         ("--kmeans-network", "tree90", "samples span tree30"),
         ("--kmeans-network", "ring9", "samples span tree30"),
         ("--kmeans-gamma", "0.7", "of the manifest (0.5, 0.95)"),
         ("--kmeans-gamma", "0.950", "of the manifest (0.5, 0.95)"),
+        ("--gammas", "0.7", "0.7 is not a discount of the manifest (0.5, 0.95)"),
+        ("--gammas", "0.5,0.9", "0.9 is not a discount of the manifest (0.5, 0.95)"),
     ])
     def test_hedging_flag_matching_nothing_exit_2(self, runner, tmp_path, flag,
                                                   value, listed):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -453,18 +456,141 @@ class TestRollout:
                 assert lean.final_step == full.final_step, key
                 assert lean.target_node == full.target_node, key
 
-    def test_round_trip_file(self, tree30, tmp_path):
+    @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
+    def test_round_trip_file(self, network, tmp_path):
+        """Every header field, action and hit, and every observation array
+        by dtype and bits, over every blue (isolate, restore, hardening and
+        scan change every kind of flag) against every red."""
+        net, cm = gc.topology(network)
+        path = tmp_path / "ep.jsonl"
+        for b, blue_id in enumerate(sorted(ag.BLUE_REGISTRY)):
+            for r, red_kind in enumerate(sorted(ag.RED_REGISTRY)):
+                red = ag.parse_red_id(f"red.{red_kind}:alpha=0.5")
+                traj = ce.rollout(net, ag.make_blue(f"blue.{blue_id}"),
+                                  ag.make_red(red), seed=5000 + 10 * b + r,
+                                  cm=cm, episode_id=f"ep-{b}-{r}")
+                ce.write_trajectory(traj, path)
+                loaded = ce.read_trajectory(path)
+                key = (blue_id, red_kind)
+                for name, value in vars(traj).items():
+                    if name != "steps":
+                        assert getattr(loaded, name) == value, (key, name)
+                assert len(loaded.steps) == len(traj.steps), key
+                for want, got in zip(traj.steps, loaded.steps):
+                    where = (key, want.t)
+                    assert (got.t, got.blue_action, got.red_action, got.red_hits) \
+                        == (want.t, want.blue_action, want.red_action,
+                            want.red_hits), where
+                    assert got.obs.zero_day_budget is None, where
+                    for name, arr in vars(want.obs).items():
+                        if not isinstance(arr, np.ndarray):
+                            continue
+                        back = getattr(got.obs, name)
+                        assert back.dtype == arr.dtype, (where, name)
+                        assert back.shape == arr.shape, (where, name)
+                        assert back.tobytes() == arr.tobytes(), (where, name)
+                    assert not got.obs.active_adjacency.flags.writeable, where
+
+def _set(line: int, path: tuple, value):
+    def edit(lines):
+        obj = lines[line - 1]
+        for k in path[:-1]:
+            obj = obj[k]
+        obj[path[-1]] = value
+    return edit
+
+
+def _delete(line: int, key: str):
+    return lambda lines: lines[line - 1].pop(key)
+
+
+def _replace(line: int, value):
+    def edit(lines):
+        lines[line - 1] = value
+    return edit
+
+
+# (edit of the decoded lines, line it names, message fragment); line 2 is
+# step 0, which lists every node of tree30.
+MALFORMED_TRAJECTORIES = {
+    "header_missing_key": (_delete(1, "node_count"), 1, "missing key 'node_count'"),
+    "header_not_object": (_replace(1, [2]), 1, "not a JSON object"),
+    "edge_outside": (_set(1, ("edges", 0, 1), 30), 1, "node 30 outside [0, 30)"),
+    "hvn_negative": (_set(1, ("hvns", 0), -1), 1, "node -1 outside [0, 30)"),
+    "final_step_float": (_set(1, ("final_step",), 3.0), 1, "final_step must be an integer"),
+    "step_missing_changed": (_delete(3, "changed"), 3, "missing key 'changed'"),
+    "step_missing_t": (_delete(2, "t"), 2, "missing key 't'"),
+    "step_not_object": (_replace(3, [1, 0.5, 0]), 3, "not a JSON object"),
+    "step_not_json": (_replace(4, "{"), 4, "not JSON"),
+    "node_outside": (_set(2, ("changed", 0, 0), 30), 2, "node 30 outside [0, 30)"),
+    "node_negative": (_set(2, ("changed", 0, 0), -1), 2, "node -1 outside [0, 30)"),
+    "node_float": (_set(2, ("changed", 0, 0), 1.0), 2, "node 1.0 outside [0, 30)"),
+    "flag_float": (_set(2, ("changed", 0, 2), 1.5), 2, "flags 1.5 is not an integer"),
+    "flag_bool": (_set(2, ("changed", 0, 2), True), 2, "flags True is not an integer"),
+    "flag_too_big": (_set(2, ("changed", 0, 2), 8), 2, "flags 8 is not an integer in [0, 8)"),
+    "vulnerability_string": (_set(2, ("changed", 0, 1), "0.5"), 2, "is not a float"),
+    "change_not_triple": (_set(2, ("changed", 0), [0, 0.5]), 2, "not enough values"),
+    "action_not_object": (_set(3, ("blue_action",), 7), 3, "not subscriptable"),
+    "hit_outside": (_set(3, ("red_action", "hits"), [-1]), 3, "node -1 outside [0, 30)"),
+    "target_outside": (_set(3, ("blue_action", "target"), 30), 3,
+                       "node 30 outside [0, 30)"),
+    "unknown_kind": (_set(3, ("red_action", "kind"), "fly"), 3,
+                     "unknown action kind 'fly'"),
+}
+
+
+class TestTrajectoryFile:
+    @pytest.fixture(scope="class")
+    def lines(self, tree30):
         net, cm = tree30
         traj = ce.rollout(net, ag.make_blue("blue.msn_d"), _sp_red(), seed=11,
                           cm=cm)
+        return ce.trajectory_to_jsonl(traj).splitlines()
+
+    def _write(self, tmp_path, lines):
         path = tmp_path / "ep.jsonl"
-        ce.write_trajectory(traj, path)
-        loaded = ce.read_trajectory(path)
-        assert loaded.outcome == traj.outcome
-        assert loaded.final_step == traj.final_step
-        assert loaded.hvns == traj.hvns
-        assert len(loaded.steps) == len(traj.steps)
-        assert loaded.steps[3].red_hits == traj.steps[3].red_hits
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRAJECTORIES))
+    def test_malformed_names_file_and_line(self, lines, tmp_path, case):
+        edit, line, fragment = MALFORMED_TRAJECTORIES[case]
+        decoded = [json.loads(x) for x in lines]
+        edit(decoded)
+        path = self._write(tmp_path, [x if isinstance(x, str) else json.dumps(x)
+                                      for x in decoded])
+        with pytest.raises(ValueError) as info:
+            ce.read_trajectory(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:{line}: "), message
+        assert fragment in message and "\n" not in message
+
+    def test_truncated_file_rejected(self, lines, tmp_path):
+        path = self._write(tmp_path, lines[:-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {len(lines) - 2} step lines, expected final_step + 1")):
+            ce.read_trajectory(path)
+
+    @pytest.mark.parametrize("version", [1, None, "2"])
+    def test_other_schema_rejected(self, lines, tmp_path, version):
+        header = json.loads(lines[0])
+        header["schema_version"] = version
+        path = self._write(tmp_path, [json.dumps(header)] + lines[1:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: unsupported trajectory schema {version!r}")):
+            ce.read_trajectory(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = self._write(tmp_path, [])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: not JSON")):
+            ce.read_trajectory(path)
+
+    def test_unrecorded_trajectory_not_encoded(self, tree30):
+        net, cm = tree30
+        traj = ce.rollout(net, ag.make_blue("blue.msn_d"), _sp_red(), seed=11,
+                          cm=cm, record=False)
+        with pytest.raises(ValueError, match="no recorded steps"):
+            ce.trajectory_to_jsonl(traj)
 
 
 class TestInvariants:

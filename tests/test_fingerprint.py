@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from _oracles import trajectory_to_jsonl_v1
 from nettom import agents as ag
+from nettom import cyberenv as ce
 from nettom import dataset as ds
 from nettom import evalkit as ek
 from nettom import graph_core as gc
@@ -72,12 +74,15 @@ def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
     )
 
 
-EXPECTED_DATASET = "5106648a380fa2c8ab947d36d8033a5157468548e330f45e24c7d00d3cf10c69"
+EXPECTED_DATASET = "6b902e547e8e428f32fea0aea9fba03a7c8846950700c2028316c8207144774e"
 EXPECTED_TOURNAMENT = {
     1: "8820f0b41aaff760e18ae75fe7693807531b4d74123aa21d3a81ed433dd14db6",
     3: "aded1ec7b652e934b4b576d09cf34be9e2fd4436ebe1983dd98003dba210849e",
 }
-EXPECTED_SIMULATE = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
+EXPECTED_SIMULATE = "5de75f775ea8613c9fec18609c54e5bae472b4f58814e885c65ffbb601de7897"
+# The dataset and simulate trees as trajectory schema 1 wrote them.
+EXPECTED_DATASET_V1 = "5106648a380fa2c8ab947d36d8033a5157468548e330f45e24c7d00d3cf10c69"
+EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "102a7f732e08289517db938ab0acad83c7a5cab5b60de5ecf9ed601a09655cfd"
 EXPECTED_PLANS = "55e3ffa8719a8de96fd3a5479f76433b58c4328abbd2e3e129a9bd1927bf040a"
 EXPECTED_SINKHORN = {
@@ -87,7 +92,7 @@ EXPECTED_SINKHORN = {
 }
 
 
-def test_dataset_build_fingerprint(tmp_path):
+def _build(out: Path) -> None:
     config = ds.DatasetConfig(
         blues=("blue.msn_rnv_restore",),
         reds=(ag.parse_red_id("red.hvt_pref:alpha=0.01,seed=5,index=0"),
@@ -95,10 +100,39 @@ def test_dataset_build_fingerprint(tmp_path):
         networks=("tree30",),
         master_seed=17,
     )
-    ds.build_dataset(config, tmp_path, jobs=1)
+    ds.build_dataset(config, out, jobs=1)
+
+
+def _simulate(out: Path) -> None:
+    result = CliRunner().invoke(main, [
+        "simulate", "--blue", "blue.msn_restore",
+        "--red", "red.hvt_simple:probs=0.1:0.3:0.2:0.2:0.1:0.1",
+        "--network", "optical54", "--episodes", "3", "--seed", "4",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+
+
+def test_dataset_build_fingerprint(tmp_path):
+    _build(tmp_path)
     digests = _tree_digests(tmp_path)
     assert len(digests) == 2 * 27 + 1
     assert _combined(digests) == EXPECTED_DATASET
+
+
+@pytest.mark.parametrize("run, expected", [(_build, EXPECTED_DATASET_V1),
+                                           (_simulate, EXPECTED_SIMULATE_V1)],
+                         ids=["dataset", "simulate"])
+def test_episodes_read_back_as_schema_1(tmp_path, run, expected):
+    """Episode files decoded and re-encoded in schema 1 reproduce the
+    digests schema 1 wrote, so the schema-2 files lose nothing."""
+    run(tmp_path)
+    digests = _tree_digests(tmp_path)
+    for rel in digests:
+        if rel.endswith(".jsonl"):
+            traj = ce.read_trajectory(tmp_path / rel)
+            digests[rel] = _sha(trajectory_to_jsonl_v1(traj).encode())
+    assert _combined(digests) == expected
 
 
 @pytest.mark.parametrize("entry_count", [1, 3])
@@ -114,13 +148,7 @@ def test_tournament_fingerprint(tmp_path, entry_count):
 
 
 def test_simulate_fingerprint(tmp_path):
-    result = CliRunner().invoke(main, [
-        "simulate", "--blue", "blue.msn_restore",
-        "--red", "red.hvt_simple:probs=0.1:0.3:0.2:0.2:0.1:0.1",
-        "--network", "optical54", "--episodes", "3", "--seed", "4",
-        "--out", str(tmp_path),
-    ])
-    assert result.exit_code == 0, result.output
+    _simulate(tmp_path)
     assert _combined(_tree_digests(tmp_path)) == EXPECTED_SIMULATE
 
 
