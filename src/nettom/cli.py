@@ -187,7 +187,9 @@ def main():
 
 @main.command()
 @click.option("--topology", required=True, help="Topology id, e.g. tree30.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Has no effect: every topology is a fixed template, so "
+                   "all seeds write the same file.")
 @click.option("--out", envvar="NETTOM_OUTPUT_DIR", default=".",
               help="Output directory (env: NETTOM_OUTPUT_DIR).")
 def network(topology, seed, out):

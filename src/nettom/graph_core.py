@@ -120,13 +120,42 @@ class Network:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """All-pairs shortest-path hop counts plus the graph diameter."""
+    """All-pairs shortest-path hop counts plus the graph diameter.
+
+    The graph itself is read back from ``dist == 1`` once, for the exact
+    metric's flow over the edges: ``arc_tail``/``arc_head`` list both
+    directions of every edge in row-major order, ``bfs_order`` is the nodes
+    by hop distance from node 0, ``bfs_parent`` each node's smallest
+    neighbour one hop nearer to node 0 (node 0 is its own parent), and
+    ``bfs_up_arc``/``bfs_down_arc`` the index of the arc to and from that
+    parent (unused for node 0). All arrays are write-locked.
+    """
 
     dist: np.ndarray
     diameter: int
 
     def __post_init__(self):
         self.dist.setflags(write=False)
+        n = self.dist.shape[0]
+        adjacent = self.dist == 1
+        tail, head = np.nonzero(adjacent)
+        hops = self.dist[0]
+        nearer = adjacent & (hops[None, :] == hops[:, None] - 1)
+        if not nearer[1:].any(axis=1).all():
+            raise ValueError("dist is not the hop-count matrix of a connected graph")
+        parent = nearer.argmax(axis=1)
+        parent[0] = 0
+        keys = tail * n + head
+        nodes = np.arange(n)
+        up_arc = np.searchsorted(keys, nodes * n + parent)
+        down_arc = np.searchsorted(keys, parent * n + nodes)
+        derived = {"arc_tail": tail, "arc_head": head,
+                   "bfs_order": np.argsort(hops, kind="stable"),
+                   "bfs_parent": parent, "bfs_up_arc": up_arc,
+                   "bfs_down_arc": down_arc}
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -248,7 +277,10 @@ def generate_tree_network(name: str, seed: int = 0) -> Network:
 
 
 def generate_network(name: str, seed: int = 0) -> Network:
-    """Generate any known topology (the five trees plus the two fixed extras)."""
+    """Generate any known topology (the five trees plus the two fixed extras).
+
+    Every topology is a fixed template; ``seed`` does not alter it.
+    """
     key = name.lower()
     if key in _TREE_BRANCH_SIZES:
         return generate_tree_network(key, seed)

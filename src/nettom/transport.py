@@ -11,9 +11,13 @@ pass normalized inputs; :func:`normalize` is provided but never applied
 implicitly, so accidental mass loss in a caller surfaces as an error here
 rather than being papered over.
 
-The inner transportation problem is solved exactly with a network simplex
-specialized to bipartite transportation form, restricted to the union of
-the two supports. Solutions are vertex solutions, so costs are exact up to
+One primal network simplex over an arc list solves both exact forms. The
+metric (:func:`ntd`) is a min-cost flow over the graph's own edges, both
+directions at cost 1 (the Beckmann form of hop-cost W1), started from the
+BFS spanning tree with each tree arc carrying its subtree's imbalance; on
+a tree that start is already optimal. The plan (:func:`wasserstein`) is a
+transportation problem over the cells of the two supports, started from a
+greedy basis. Solutions are vertex solutions, so costs are exact up to
 float rounding on integer hop costs.
 """
 
@@ -92,11 +96,118 @@ def normalize(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Transportation network simplex
+# Network simplex over an arc list
 # ---------------------------------------------------------------------------
 
 _BLAND_AFTER_FACTOR = 200
 _MAX_PIVOTS = 1_000_000
+
+
+def _network_simplex(tail, head, cost, parent, arc, flow):
+    """Solve an uncapacitated min-cost flow exactly from a feasible tree.
+
+    Arc k runs from tail[k] to head[k] at cost[k]. The three arrays may
+    have any shapes that broadcast together, and arcs are numbered in
+    row-major order of the broadcast shape: a complete bipartite arc set
+    is an (m, 1) column of tails, a (1, n) row of heads and an (m, n) cost
+    matrix, priced by broadcasting instead of by gathers.
+
+    The spanning-tree basis is rooted at node 0, its own parent; any other
+    node x hangs from parent[x] by arc[x], which points up (tail x) or
+    down (head x) and carries flow[x] >= 0. The node supplies are the ones
+    the starting flows balance. parent, arc and flow are updated in place
+    to an optimal tree; returns (pot, pivots, bland).
+
+    A tree arc u -> v has pot[v] = pot[u] - cost, so a reduced cost is
+    cost - pot[tail] + pot[head] and the optimal cost is the sum of supply
+    times pot. Costs are integers, so every potential is an exact integer
+    and tree arcs price at exactly 0. Pricing is Dantzig's (most negative
+    reduced cost) until _BLAND_AFTER_FACTOR pivots per node, then Bland's
+    (first negative arc) as an anti-cycling safeguard.
+    """
+    N = len(parent)
+    nodes = np.arange(N)
+    arc_tail, arc_head, arc_cost = (a.flat for a in np.broadcast_arrays(tail, head, cost))
+    # Each node's potential is the signed cost of its root path, summed by
+    # pointer doubling.
+    pot = np.where(arc_tail[arc] == nodes, arc_cost[arc], -arc_cost[arc])
+    pot[0] = 0.0
+    jump = parent
+    for _ in range(N.bit_length()):
+        pot += pot[jump]
+        jump = jump[jump]
+
+    tol = 1e-10 * max(1.0, float(np.abs(cost).max()))
+    bland_after = _BLAND_AFTER_FACTOR * N
+    pivots = 0
+    rc = np.empty(np.broadcast_shapes(tail.shape, head.shape, cost.shape))
+    while True:
+        np.subtract(cost, pot[tail], out=rc)
+        rc += pot[head]
+        bland = pivots >= bland_after
+        k = int((rc < -tol).argmax() if bland else rc.argmin())
+        if rc.flat[k] >= -tol:
+            break
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            raise RuntimeError("network simplex failed to terminate")
+        u, v = int(arc_tail[k]), int(arc_head[k])
+        d_enter = float(rc.flat[k])
+
+        # Cycle: pa climbs from the tail to the root, pb from the head until
+        # it meets pa at the lowest common ancestor, and pa is cut there.
+        up = parent.tolist()
+        pa = [u]
+        while pa[-1]:
+            pa.append(up[pa[-1]])
+        height = {x: t for t, x in enumerate(pa)}
+        pb = [v]
+        while pb[-1] not in height:
+            pb.append(up[pb[-1]])
+        pa = pa[: height[pb[-1]] + 1]
+
+        # Tree arcs around the cycle, named by their child node, run from
+        # the head up to the apex and down to the tail. An arc pointing the
+        # way the cycle runs gains theta, the others lose it; the leaving
+        # arc is the first losing arc of least flow, for determinism.
+        cycle = np.array(pb[:-1] + pa[-2::-1])
+        gains = arc_tail[arc[cycle]] == cycle
+        gains[len(pb) - 1:] ^= True
+        losing = np.flatnonzero(~gains)
+        s = int(losing[flow[cycle[losing]].argmin()])
+        leave = int(cycle[s])
+        theta = flow[leave]
+        flow[cycle[losing]] -= theta
+        flow[cycle[gains]] += theta
+
+        # The subtree under the leaving arc moves across the entering arc:
+        # mark it by pointer doubling and shift its potentials.
+        in_sub = nodes == leave
+        jump = parent
+        for _ in range(N.bit_length()):
+            in_sub |= in_sub[jump]
+            jump = jump[jump]
+        tail_side = s >= len(pb) - 1
+        pot[in_sub] += d_enter if tail_side else -d_enter
+
+        # Re-root the moved subtree at its entering endpoint: reverse the
+        # chain from that endpoint up to the leaving node and hang it from
+        # the other endpoint by the entering arc.
+        if tail_side:
+            chain, e_out = cycle[s:][::-1], v
+        else:
+            chain, e_out = cycle[: s + 1], u
+        flow[chain[1:]] = flow[chain[:-1]]
+        arc[chain[1:]] = arc[chain[:-1]]
+        parent[chain[1:]] = chain[:-1]
+        parent[chain[0]] = e_out
+        arc[chain[0]] = k
+        flow[chain[0]] = theta
+
+    if flow.min() < -1e-9:
+        raise RuntimeError("simplex produced a negative flow")
+    np.maximum(flow, 0.0, out=flow)
+    return pot, pivots, bland
 
 
 def _greedy_basis(p, q, C):
@@ -108,22 +219,21 @@ def _greedy_basis(p, q, C):
     than a northwest-corner start, so the simplex needs few pivots.
     """
     m, n = len(p), len(q)
-    a = p.astype(float).copy()
-    b = q.astype(float).copy()
-    row_alive = np.ones(m, dtype=bool)
-    col_alive = np.ones(n, dtype=bool)
+    a = p.astype(float).tolist()
+    b = q.astype(float).tolist()
+    row_alive = [True] * m
+    col_alive = [True] * n
     rows_left, cols_left = m, n
     order = np.argsort(C, axis=None, kind="stable")
+    order_i = (order // n).tolist()
+    order_j = (order % n).tolist()
     arcs = []
     flows = []
     ptr = 0
     for _ in range(m + n - 1):
-        while True:
-            cell = int(order[ptr])
-            i, j = divmod(cell, n)
-            if row_alive[i] and col_alive[j]:
-                break
+        while not (row_alive[order_i[ptr]] and col_alive[order_j[ptr]]):
             ptr += 1
+        i, j = order_i[ptr], order_j[ptr]
         t = min(a[i], b[j])
         arcs.append((i, j))
         flows.append(t)
@@ -138,129 +248,72 @@ def _greedy_basis(p, q, C):
     return arcs, flows
 
 
-def _transport_simplex(p: np.ndarray, q: np.ndarray, C: np.ndarray):
+def _transport_plan(p: np.ndarray, q: np.ndarray, C: np.ndarray):
     """Solve min <X, C> s.t. X1 = p, X'1 = q, X >= 0 exactly.
 
-    Primal network simplex on the bipartite transportation graph with a
-    spanning-tree basis: Dantzig (most negative reduced cost) pivoting with
-    a switch to Bland's rule as an anti-cycling safeguard. Rows are nodes
-    0..m-1, columns are nodes m..m+n-1. The tree is rooted at node 0, its
-    own parent; any other node x hangs from cell (min(x, parent[x]),
-    max(x, parent[x]) - m) with flow pflow[x].
-
-    pot[:m] are the row potentials and pot[m:] the negated column
-    potentials, so a reduced cost is C[i, j] - pot[i] + pot[m + j] and a
-    moved subtree shifts all its potentials by one signed amount. Hop costs
-    are integers, so every potential is an exact integer and this sign
-    convention changes no float. Returns (plan, cost, pivots, bland).
+    The bipartite caller of the network simplex: rows are nodes 0..m-1,
+    columns are nodes m..m+n-1, and cell (i, j) is arc i*n + j from row i
+    to column m + j, so arcs are priced in row-major order. The start is
+    the greedy basis, hung from row 0. Returns (plan, cost, pivots, bland).
     """
     m, n = len(p), len(q)
     N = m + n
     C = np.ascontiguousarray(C, dtype=float)
 
     arcs, flows = _greedy_basis(p, q, C)
-    # basis_mask holds +inf on basis cells so masked reduced costs never
-    # select an arc that is already in the tree.
-    basis_mask = np.zeros((m, n), dtype=float)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(N)]
+    adj: list[list[tuple[int, int, float]]] = [[] for _ in range(N)]
     for (i, j), f in zip(arcs, flows):
-        basis_mask[i, j] = np.inf
-        adj[i].append((m + j, f))
-        adj[m + j].append((i, f))
-
+        adj[i].append((m + j, i * n + j, f))
+        adj[m + j].append((i, i * n + j, f))
     parent = np.zeros(N, dtype=np.int64)
-    pflow = np.zeros(N, dtype=float)
-    pot = np.zeros(N, dtype=float)
+    arc = np.zeros(N, dtype=np.int64)
+    flow = np.zeros(N, dtype=float)
     stack = [0]
     while stack:
         x = stack.pop()
-        for y, f in adj[x]:
+        for y, k, f in adj[x]:
             if y != parent[x]:
                 parent[y] = x
-                pflow[y] = f
-                c = C[min(x, y), max(x, y) - m]
-                pot[y] = pot[x] + (c if y < m else -c)
+                arc[y] = k
+                flow[y] = f
                 stack.append(y)
 
-    tol = 1e-10 * max(1.0, float(np.abs(C).max()))
-    bland_after = _BLAND_AFTER_FACTOR * N
-    nodes = np.arange(N)
-    pivots = 0
-    rc = np.empty_like(C)
-    while True:
-        np.subtract(C, pot[:m, None], out=rc)
-        rc += pot[None, m:]
-        rc += basis_mask
-        bland = pivots >= bland_after
-        k = int((rc.ravel() < -tol).argmax() if bland else rc.argmin())
-        if rc.flat[k] >= -tol:
-            break
-        pivots += 1
-        if pivots > _MAX_PIVOTS:
-            raise RuntimeError("transportation simplex failed to terminate")
-        ei, ej = divmod(k, n)
-        d_enter = float(rc.flat[k])
-
-        # Cycle: pa climbs from the row endpoint to the root, pb from the
-        # column endpoint until it meets pa at the lowest common ancestor,
-        # and pa is cut there.
-        up = parent.tolist()
-        pa = [ei]
-        while pa[-1]:
-            pa.append(up[pa[-1]])
-        height = {x: t for t, x in enumerate(pa)}
-        pb = [m + ej]
-        while pb[-1] not in height:
-            pb.append(up[pb[-1]])
-        pa = pa[: height[pb[-1]] + 1]
-
-        # Tree arcs around the cycle, named by their child node, starting
-        # after the entering arc at the column end: alternate arcs lose and
-        # gain theta, and ties keep the first arc met, for determinism.
-        cycle = np.array(pb[:-1] + pa[-2::-1])
-        s = 2 * int(pflow[cycle[0::2]].argmin())
-        leave = int(cycle[s])
-        theta = pflow[leave]
-        pflow[cycle[0::2]] -= theta
-        pflow[cycle[1::2]] += theta
-
-        basis_mask[min(leave, up[leave]), max(leave, up[leave]) - m] = 0.0
-        basis_mask[ei, ej] = np.inf
-
-        # The subtree under the leaving arc moves across the entering arc:
-        # mark it by pointer doubling and shift its potentials.
-        in_sub = nodes == leave
-        jump = parent
-        for _ in range(N.bit_length()):
-            in_sub |= in_sub[jump]
-            jump = jump[jump]
-        a_side = s >= len(pb) - 1
-        pot[in_sub] += d_enter if a_side else -d_enter
-
-        # Re-root the moved subtree at its entering endpoint: reverse the
-        # chain from that endpoint up to the leaving node and hang it from
-        # the other endpoint.
-        if a_side:
-            chain, e_out = cycle[s:][::-1], m + ej
-        else:
-            chain, e_out = cycle[: s + 1], ei
-        pflow[chain[1:]] = pflow[chain[:-1]]
-        parent[chain[1:]] = chain[:-1]
-        parent[chain[0]] = e_out
-        pflow[chain[0]] = theta
-
-    child, par = nodes[1:], parent[1:]
+    _, pivots, bland = _network_simplex(np.arange(m)[:, None], np.arange(m, N)[None, :],
+                                        C, parent, arc, flow)
     X = np.zeros((m, n), dtype=float)
-    X[np.minimum(child, par), np.maximum(child, par) - m] = pflow[1:]
-    if X.min() < -1e-9:
-        raise RuntimeError("simplex produced a negative flow")
-    np.maximum(X, 0.0, out=X)
+    X.ravel()[arc[1:]] = flow[1:]
     cost = float((X * C).sum())
     return X, cost, pivots, bland
 
 
+def _graph_flow(P: np.ndarray, Q: np.ndarray, cm):
+    """Exact hop-cost W1 as a min-cost flow over the graph's own arcs.
+
+    The graph caller of the network simplex (the Beckmann form): both
+    directions of every edge, at cost 1. The start is the BFS spanning tree
+    from node 0 in which each tree arc carries its subtree's imbalance
+    P - Q, toward the parent when it is positive. On a tree that start is
+    already optimal, so the simplex prices once and stops. Returns
+    (cost, pot, pivots, bland); pot changes by at most 1 across an edge and
+    cost equals <P - Q, pot>, the Kantorovich-Rubinstein certificate.
+    """
+    parent = cm.bfs_parent.copy()
+    up = parent.tolist()
+    s = (P - Q).tolist()
+    for x in reversed(cm.bfs_order.tolist()[1:]):
+        s[up[x]] += s[x]
+    s = np.array(s)
+    arc = np.where(s >= 0, cm.bfs_up_arc, cm.bfs_down_arc)
+    flow = np.abs(s)
+    cost = np.ones(len(cm.arc_tail))
+    pot, pivots, bland = _network_simplex(cm.arc_tail, cm.arc_head, cost,
+                                          parent, arc, flow)
+    # Every arc costs one hop, so the cost is the total tree flow.
+    return float(flow[1:].sum()), pot, pivots, bland
+
+
 def wasserstein(P: np.ndarray, Q: np.ndarray, cm) -> TransportPlan:
-    """Exact minimum-cost transport between two node distributions.
+    """Exact minimum-cost transport plan between two node distributions.
 
     The ground cost is ``cm.dist``. Inputs must be normalized; identical
     inputs short-circuit to the diagonal plan with cost 0. The solve is
@@ -280,17 +333,29 @@ def wasserstein(P: np.ndarray, Q: np.ndarray, cm) -> TransportPlan:
     rows = np.flatnonzero(P > 0)
     cols = np.flatnonzero(Q > 0)
     sub = cm.dist[np.ix_(rows, cols)].astype(float)
-    x_sub, cost, pivots, bland = _transport_simplex(P[rows], Q[cols], sub)
+    x_sub, cost, pivots, bland = _transport_plan(P[rows], Q[cols], sub)
     plan = np.zeros((n, n), dtype=float)
     plan[np.ix_(rows, cols)] = x_sub
     return TransportPlan(plan=plan, cost=cost, pivots=pivots, bland=bland)
 
 
 def ntd(P: np.ndarray, Q: np.ndarray, cm) -> float:
-    """Unit-bounded transport distance: exact Wasserstein cost / diameter."""
+    """Unit-bounded transport distance: exact Wasserstein cost / diameter.
+
+    The cost comes from the flow over the graph's arcs, with no plan. It is
+    computed on the same canonical argument order as :func:`wasserstein`,
+    so ``ntd(P, Q, cm) == ntd(Q, P, cm)`` exactly.
+    """
     if cm.diameter <= 0:
         raise ValueError("diameter must be positive (single-node graphs unsupported)")
-    return wasserstein(P, Q, cm).cost / cm.diameter
+    n = cm.dist.shape[0]
+    P = check_distribution(P, n, "P")
+    Q = check_distribution(Q, n, "Q")
+    if np.array_equal(P, Q):
+        return 0.0
+    if Q.tobytes() < P.tobytes():
+        P, Q = Q, P
+    return _graph_flow(P, Q, cm)[0] / cm.diameter
 
 
 def minmax_scale(x: np.ndarray, floor: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately use different algorithms from the production code:
-exhaustive vertex enumeration instead of the simplex, Floyd-Warshall
-instead of per-node BFS, and central finite differences instead of dual
-potentials. ``trajectory_to_jsonl_v1`` is the trajectory encoder of schema
-1, which wrote every step's full observation.
+exhaustive vertex enumeration instead of the simplex, subtree imbalances
+instead of a flow solve on trees, Floyd-Warshall instead of per-node BFS,
+and central finite differences instead of dual potentials.
+``trajectory_to_jsonl_v1`` is the trajectory encoder of schema 1, which
+wrote every step's full observation.
 """
 
 from __future__ import annotations
@@ -85,6 +86,35 @@ def brute_force_transport_cost(p, q, C) -> float:
         cost = sum(C[i, j] * f for (i, j), f in flows.items())
         best = min(best, cost)
     return float(best)
+
+
+def tree_w1(node_count: int, edges, p, q) -> float:
+    """Hop-cost Wasserstein distance on a tree, by subtree imbalances.
+
+    Every edge carries exactly the mass imbalance P - Q of the side it cuts
+    off, so W1 is the sum of |P(subtree) - Q(subtree)| over the edges
+    (Evans & Matsen 2012). Rooted at the last node.
+    """
+    adj = [[] for _ in range(node_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    root = node_count - 1
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    if len(order) != node_count or len(edges) != node_count - 1:
+        raise ValueError("not a tree")
+    imbalance = [float(a) - float(b) for a, b in zip(p, q)]
+    total = 0.0
+    for x in reversed(order[1:]):
+        total += abs(imbalance[x])
+        imbalance[parent[x]] += imbalance[x]
+    return total
 
 
 def floyd_warshall(adjacency: np.ndarray) -> np.ndarray:

@@ -69,6 +69,15 @@ class TestNetworkCommand:
         assert (tmp_path / "a" / "tree30.json").read_bytes() \
             == (tmp_path / "b" / "tree30.json").read_bytes()
 
+    def test_seed_has_no_effect(self, runner, tmp_path):
+        for seed in ("0", "1"):
+            result = runner.invoke(main, ["network", "--topology", "optical54",
+                                          "--seed", seed, "--out", str(tmp_path / seed)])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "0" / "optical54.json").read_bytes() \
+            == (tmp_path / "1" / "optical54.json").read_bytes()
+        assert "no effect" in runner.invoke(main, ["network", "--help"]).output
+
     def test_unknown_topology_exits_2_and_lists_ids(self, runner, tmp_path):
         result = runner.invoke(main, ["network", "--topology", "ring9",
                                       "--out", str(tmp_path)])

@@ -8,7 +8,9 @@ from nettom import transport as tp
 from _oracles import (
     brute_force_transport_cost,
     dyadic_distribution,
+    floyd_warshall,
     random_connected_graph,
+    tree_w1,
 )
 from conftest import delta
 
@@ -16,6 +18,35 @@ from conftest import delta
 def _random_net(rng, n):
     net = gc.Network.from_edges(random_connected_graph(rng, n))
     return net, gc.all_pairs_shortest_paths(net)
+
+
+def _random_tree(rng, n):
+    """Edges of a random recursive tree under a random relabelling, so the
+    solver's root (node 0) sits anywhere in it."""
+    label = rng.permutation(n)
+    return sorted(tuple(sorted((int(label[rng.integers(v)]), int(label[v]))))
+                  for v in range(1, n))
+
+
+def _mixed_pair(rng, n, case):
+    """Dense dyadic, sparse dyadic or dense non-dyadic inputs, by case."""
+    if case % 3 == 0:
+        return dyadic_distribution(rng, n), dyadic_distribution(rng, n)
+    if case % 3 == 1:
+        return tuple(dyadic_distribution(rng, n, support=int(rng.integers(1, 5)))
+                     for _ in range(2))
+    return rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+
+
+def _certified_flow(p, q, cm, edges):
+    """Solve on the graph's arcs and check the Kantorovich-Rubinstein
+    certificate: the node potential y changes by at most one hop across
+    every edge, and <P - Q, y> equals the cost."""
+    cost, y, pivots, bland = tp._graph_flow(p, q, cm)
+    u, v = np.asarray(edges).T
+    assert np.abs(y[u] - y[v]).max() <= 1.0
+    assert float((p - q) @ y) == pytest.approx(cost, rel=0, abs=1e-12)
+    return cost, pivots, bland
 
 
 class TestWasserstein:
@@ -190,6 +221,66 @@ class TestNtd:
         p_bar = path_mass(near_leaf)
         q_bar = path_mass(far_leaf)
         assert tp.ntd(p_bar, t_bar, cm) < tp.ntd(q_bar, t_bar, cm) - 0.01
+
+
+class TestGraphFlow:
+    """``ntd`` solves on the graph's own arcs; the plan solve and the tree
+    formula are its oracles."""
+
+    def test_trees_match_subtree_oracle(self):
+        rng = np.random.default_rng(21)
+        for case in range(10_000):
+            n = int(rng.integers(2, 31))
+            edges = _random_tree(rng, n)
+            adjacency = np.zeros((n, n), dtype=bool)
+            adjacency[tuple(np.transpose(edges))] = True
+            dist = floyd_warshall(adjacency | adjacency.T).astype(np.int64)
+            cm = gc.CostMatrix(dist=dist, diameter=int(dist.max()))
+            p, q = _mixed_pair(rng, n, case)
+            ref = tree_w1(n, edges, p, q)
+            assert tp.ntd(p, q, cm) == pytest.approx(ref / cm.diameter,
+                                                      rel=0, abs=1e-12)
+            cost, pivots, _ = _certified_flow(p, q, cm, edges)
+            assert cost == pytest.approx(ref, rel=0, abs=1e-12)
+            assert pivots == 0  # the spanning-tree start is already optimal
+
+    def test_cyclic_graphs_match_plan_solve(self):
+        rng = np.random.default_rng(22)
+        pivots = 0
+        for case in range(1000):
+            n = int(rng.integers(5, 31))
+            edges = random_connected_graph(rng, n)
+            cm = gc.all_pairs_shortest_paths(gc.Network.from_edges(edges))
+            p, q = _mixed_pair(rng, n, case)
+            expected = tp.wasserstein(p, q, cm).cost
+            assert tp.ntd(p, q, cm) * cm.diameter == pytest.approx(
+                expected, rel=0, abs=1e-12)
+            cost, used, bland = _certified_flow(p, q, cm, edges)
+            assert cost == pytest.approx(expected, rel=0, abs=1e-12)
+            assert not bland
+            pivots += used
+        assert pivots > 0
+
+    def test_bland_rule_from_first_pivot(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = []
+        while len(cases) < 20:
+            n = int(rng.integers(20, 60))
+            edges = random_connected_graph(rng, n)
+            if len(edges) >= n:
+                cm = gc.all_pairs_shortest_paths(gc.Network.from_edges(edges))
+                cases.append((edges, cm, dyadic_distribution(rng, n),
+                              dyadic_distribution(rng, n)))
+        default = [tp._graph_flow(p, q, cm) for _, cm, p, q in cases]
+        assert not any(bland for *_, bland in default)
+        assert sum(pivots for _, _, pivots, _ in default) > 0
+        monkeypatch.setattr(tp, "_BLAND_AFTER_FACTOR", 0)
+        for (edges, cm, p, q), (expected, *_) in zip(cases, default):
+            cost, _, bland = _certified_flow(p, q, cm, edges)
+            assert bland
+            assert cost == pytest.approx(expected, rel=0, abs=1e-12)
+            assert tp.ntd(p, q, cm) == pytest.approx(expected / cm.diameter,
+                                                      rel=0, abs=1e-12)
 
 
 class TestMinMaxScale:
