@@ -343,23 +343,29 @@ def red_param_dim(kind: str) -> int:
     return 3 if kind in ("hvt_pref", "hvt_pref_sp") else len(RED_PROB_ORDER)
 
 
-def _attackable(obs: StateObservation) -> np.ndarray:
+def _attackable(obs: StateObservation, ctx: EpisodeContext) -> np.ndarray:
     return attackable_nodes(
-        obs.active_adjacency, obs.compromised_visible, obs.isolated, obs.is_entry
+        ctx.net.adjacency, obs.compromised_visible, obs.isolated, obs.is_entry
     )
 
 
 def _node_attackable(obs: StateObservation, ctx: EpisodeContext, v: int) -> bool:
-    """``_attackable(obs)[v]`` without building the whole mask."""
+    """``_attackable(obs, ctx)[v]`` without building the whole mask."""
     return node_attackable(ctx.net.neighbors, v, obs.compromised_visible,
                            obs.isolated, obs.is_entry)
 
 
-def _move_targets(obs: StateObservation) -> np.ndarray:
-    """Nodes a random move may relocate to: live neighbours of a live
-    compromised node."""
+def _move_targets(obs: StateObservation, ctx: EpisodeContext) -> np.ndarray:
+    """Nodes a random move may relocate to: non-isolated neighbours of a
+    live (compromised, non-isolated) node."""
     live = obs.compromised_visible & ~obs.isolated
-    return np.flatnonzero((obs.active_adjacency & live[None, :]).any(axis=1))
+    return np.flatnonzero(~obs.isolated & (ctx.net.adjacency & live).any(axis=1))
+
+
+def _live_degree(obs: StateObservation, ctx: EpisodeContext,
+                 nodes: np.ndarray) -> np.ndarray:
+    """Each of ``nodes``' count of live edges (to non-isolated neighbours)."""
+    return (ctx.net.adjacency[nodes] & ~obs.isolated).sum(axis=1)
 
 
 def _strike_kind(obs: StateObservation) -> str:
@@ -400,12 +406,12 @@ class RedRandomSimple(_RedBase):
         if kind in (RED_DO_NOTHING, RED_SPREAD, RED_INTRUDE):
             return RedAction(kind)
         if kind == RED_RANDOM_MOVE:
-            pool = _move_targets(obs)
+            pool = _move_targets(obs, self._ctx)
             if pool.size == 0:
                 return RedAction(RED_DO_NOTHING)
             return RedAction(kind, int(pool[rng.integers(pool.size)]))
         # basic or zero-day attack
-        pool = np.flatnonzero(_attackable(obs))
+        pool = np.flatnonzero(_attackable(obs, self._ctx))
         if pool.size == 0:
             return RedAction(RED_DO_NOTHING)
         return RedAction(kind, self._pick_target(pool, obs, rng))
@@ -428,7 +434,7 @@ class RedTargetConnected(RedRandomSmart):
     """Targets the attackable node with the most live connections."""
 
     def _pick_target(self, pool, obs, rng):
-        deg = obs.active_adjacency[pool].sum(axis=1)
+        deg = _live_degree(obs, self._ctx, pool)
         return int(pool[int(np.argmax(deg))])
 
 
@@ -436,7 +442,7 @@ class RedTargetUnconnected(RedRandomSmart):
     """Targets the attackable node with the fewest live connections."""
 
     def _pick_target(self, pool, obs, rng):
-        deg = obs.active_adjacency[pool].sum(axis=1)
+        deg = _live_degree(obs, self._ctx, pool)
         return int(pool[int(np.argmin(deg))])
 
 
@@ -499,7 +505,7 @@ class RedHvtPreferenceSP(_RedBase):
         this attacker from its always-on-path variant in tournament play.
         """
         if rng.integers(2) == 0:
-            pool = _move_targets(obs)
+            pool = _move_targets(obs, self._ctx)
             if pool.size:
                 return RedAction(RED_RANDOM_MOVE,
                                  int(pool[rng.integers(pool.size)]))

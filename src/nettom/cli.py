@@ -163,11 +163,11 @@ def _load_config(path: str, table: dict[str, Key]) -> dict:
 def _read_distribution(path: str, n: int, name: str) -> np.ndarray:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        arr = np.asarray(data, dtype=float)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        values = evalkit.number_vector(data, name)
+    except (OSError, TypeError, ValueError) as exc:
         raise _fail_data(f"cannot read distribution {path}: {exc}")
     try:
-        return transport.check_distribution(arr, n, name)
+        return transport.check_distribution(values, n, name)
     except ValueError as exc:
         raise _fail_data(str(exc))
 

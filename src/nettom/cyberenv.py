@@ -12,6 +12,8 @@ varies, per environment):
 
 * Node vulnerabilities are drawn uniformly per episode and set the success
   probability of ordinary attacks against that node.
+* Only isolation removes an edge: the live edges are the base edges
+  between non-isolated nodes, derived where needed and never stored.
 * An attack needs a live launch point: a compromised, non-isolated node
   adjacent to the target, or the entry node itself (red can always try to
   re-enter through a non-isolated entry). Isolated nodes can neither
@@ -39,6 +41,7 @@ from .graph_core import (
     Network,
     all_pairs_shortest_paths,
     entry_candidates,
+    json_int,
     place_high_value_nodes,
 )
 from .seeding import derive_seed, rng_for
@@ -131,7 +134,7 @@ class EpisodeState:
 
 @dataclass
 class StateObservation:
-    """Per-node features plus an adjacency snapshot for one observer.
+    """Per-node features for one observer.
 
     Fields absent from an observer's view are None: blue never sees hidden
     compromises, high-value labels, or red's zero-day budget; red sees its
@@ -144,7 +147,6 @@ class StateObservation:
     isolated: np.ndarray
     is_entry: np.ndarray
     is_hvn: np.ndarray | None
-    active_adjacency: np.ndarray
     zero_day_budget: int | None
 
 
@@ -168,22 +170,17 @@ class StepResult:
     red_hits: tuple[int, ...]
 
 
-def active_adjacency(base_adjacency: np.ndarray, isolated: np.ndarray) -> np.ndarray:
-    """Edges currently alive: base topology minus rows/cols of isolated nodes."""
-    alive = ~isolated
-    return base_adjacency & alive[:, None] & alive[None, :]
-
-
-def attackable_nodes(active_adj: np.ndarray, compromised: np.ndarray,
+def attackable_nodes(adjacency: np.ndarray, compromised: np.ndarray,
                      isolated: np.ndarray, is_entry: np.ndarray) -> np.ndarray:
     """Boolean mask of nodes red can currently attack.
 
     A node is attackable when it is not isolated, not yet compromised, and
-    either adjacent (through live edges) to a live compromised node or is an
-    entry node (red's permanent way back in).
+    either adjacent to a live (compromised, non-isolated) node or is an
+    entry node (red's permanent way back in). ``adjacency`` is the base
+    topology: an edge between two non-isolated nodes is live.
     """
     live = compromised & ~isolated
-    reachable = (active_adj & live[None, :]).any(axis=1)
+    reachable = (adjacency & live[None, :]).any(axis=1)
     return ~isolated & ~compromised & (reachable | is_entry)
 
 
@@ -217,7 +214,6 @@ class CyberEnv:
         self.cm = cm if cm is not None else all_pairs_shortest_paths(net)
         self.entry_count = entry_count
         self.state: EpisodeState | None = None
-        self._adj_cache: np.ndarray | None = None
 
     def reset(self, seed: int) -> EpisodeState:
         net = self.net
@@ -243,20 +239,14 @@ class CyberEnv:
             rng=rng,
             red_locus=entries[0],
         )
-        self._adj_cache = None
         return self.state
 
     # -- views ----------------------------------------------------------
 
     def active_adjacency(self) -> np.ndarray:
-        # Isolation changes rarely, so the live-edge matrix is cached and
-        # write-locked; isolate/reconnect invalidate it.
-        if self._adj_cache is None:
-            s = self._require_state()
-            adj = active_adjacency(self.net.adjacency, s.isolated)
-            adj.setflags(write=False)
-            self._adj_cache = adj
-        return self._adj_cache
+        """The live edges now: the base edges between non-isolated nodes."""
+        alive = ~self._require_state().isolated
+        return self.net.adjacency & alive[:, None] & alive[None, :]
 
     def observe(self, observer: str) -> StateObservation:
         s = self._require_state()
@@ -272,7 +262,6 @@ class CyberEnv:
             isolated=s.isolated.copy(),
             is_entry=s.is_entry,
             is_hvn=None if blue else s.is_hvn,
-            active_adjacency=self.active_adjacency(),
             zero_day_budget=None if blue else s.zero_day_budget,
         )
 
@@ -300,11 +289,9 @@ class CyberEnv:
             s.vulnerability[v] = s.initial_vulnerability[v]
         elif kind == BLUE_ISOLATE:
             s.isolated[v] = True
-            self._adj_cache = None
         elif kind == BLUE_RECONNECT:
             # Reconnecting a connected node is a no-op by the rules.
             s.isolated[v] = False
-            self._adj_cache = None
         return s
 
     def apply_red(self, action: RedAction, rng: np.random.Generator | None = None
@@ -323,7 +310,8 @@ class CyberEnv:
         hits: list[int] = []
         if kind == RED_RANDOM_MOVE:
             # Bookkeeping only: relocates the action locus, never the state.
-            if self.active_adjacency()[s.red_locus, v]:
+            u = s.red_locus
+            if self.net.adjacency[u, v] and not (s.isolated[u] or s.isolated[v]):
                 s.red_locus = v
         elif kind == RED_BASIC_ATTACK:
             if self._can_attack(v):
@@ -354,7 +342,7 @@ class CyberEnv:
 
     def _attackable_mask(self) -> np.ndarray:
         s = self.state
-        return attackable_nodes(self.active_adjacency(), s.compromised,
+        return attackable_nodes(self.net.adjacency, s.compromised,
                                 s.isolated, s.is_entry)
 
     def _roll_attack(self, v: int, rng: np.random.Generator, hits: list[int]) -> None:
@@ -416,6 +404,7 @@ class TrajectoryStep:
 class EpisodeTrajectory:
     """Full-observability record of one episode.
 
+    ``edges`` lists the base edges as ``(i, j)``, ``i < j``, row-major.
     ``steps`` holds final_step + 1 entries: one per acted step plus a
     terminal entry carrying the final state with no actions. It is empty
     when the episode was played with ``rollout(..., record=False)``.
@@ -431,6 +420,7 @@ class EpisodeTrajectory:
     final_step: int
     hvns: tuple[int, int, int]
     entries: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
     total_blue_reward: float
     steps: list[TrajectoryStep] = field(default_factory=list)
 
@@ -493,6 +483,7 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
         final_step=state.step,
         hvns=state.placement.hvns,
         entries=state.entries,
+        edges=tuple(map(tuple, np.argwhere(np.triu(net.adjacency)).tolist())),
         total_blue_reward=total_reward,
         steps=steps,
     )
@@ -517,17 +508,16 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
     """Encode a recorded episode as JSONL.
 
     The header holds the episode's facts and its static data once: the
-    node count and the base edge list (step 0's live edges; nothing is
-    isolated at reset). Each step line holds ``t``, both actions, red's
-    hits and ``changed``: a ``[node, vulnerability, flags]`` triple for
-    every node whose vulnerability or flags differ from the previous step
-    (step 0 is diffed against zeros). ``flags`` packs compromised-visible
-    (1), compromised-hidden (2) and isolated (4).
+    node count and the base edge list ``traj.edges``. Each step line holds
+    ``t``, both actions, red's hits and ``changed``: a ``[node,
+    vulnerability, flags]`` triple for every node whose vulnerability or
+    flags differ from the previous step (step 0 is diffed against zeros).
+    ``flags`` packs compromised-visible (1), compromised-hidden (2) and
+    isolated (4).
     """
     steps = traj.steps
     if not steps:
         raise ValueError(f"episode {traj.episode_id}: no recorded steps to encode")
-    first = steps[0].obs
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
         "episode_id": traj.episode_id,
@@ -539,8 +529,8 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
         "hvns": list(traj.hvns),
         "entries": list(traj.entries),
         "total_blue_reward": traj.total_blue_reward,
-        "node_count": int(first.vulnerability.size),
-        "edges": np.argwhere(np.triu(first.active_adjacency)).tolist(),
+        "node_count": int(steps[0].obs.vulnerability.size),
+        "edges": [list(e) for e in traj.edges],
     }
     vuln = np.stack([s.obs.vulnerability for s in steps])
     flags = np.zeros(vuln.shape, dtype=np.uint8)
@@ -591,12 +581,6 @@ def _node(v, n: int) -> int:
     return v
 
 
-def _int(v, what: str) -> int:
-    if type(v) is not int:
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
-
-
 def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
     if obj is None:
         return None
@@ -609,8 +593,9 @@ def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
 def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     """Decode a file written by ``trajectory_to_jsonl`` into the trajectory
     that was encoded, observation arrays bit for bit. As in ``CyberEnv``,
-    ``is_entry``, ``is_hvn`` and each live-edge matrix are write-locked and
-    shared between steps. Malformed content raises ``ValueError`` naming
+    ``is_entry`` and ``is_hvn`` are write-locked and shared between steps.
+    The header's edges must be ``[i, j]`` pairs with ``i < j`` in ascending
+    order, each listed once. Malformed content raises ``ValueError`` naming
     the file and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -619,11 +604,11 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     if version != TRAJECTORY_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported trajectory schema {version!r}")
     try:
-        n = _int(header["node_count"], "node_count")
-        base = np.zeros((n, n), dtype=bool)
-        for i, j in header["edges"]:
-            base[_node(i, n), _node(j, n)] = True
-        base |= base.T
+        n = json_int(header["node_count"], "node_count")
+        edges = tuple((_node(i, n), _node(j, n)) for i, j in header["edges"])
+        if any(i >= j for i, j in edges) or edges != tuple(sorted(set(edges))):
+            raise ValueError("edges are not [i, j] pairs with i < j, ascending, "
+                             "each once")
         traj = EpisodeTrajectory(
             episode_id=header["episode_id"],
             network=header["network"],
@@ -632,9 +617,10 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
             red_id=header["agents"]["red"],
             outcome=header["outcome"]["winner"],
             target_node=header["outcome"]["target"],
-            final_step=_int(header["final_step"], "final_step"),
+            final_step=json_int(header["final_step"], "final_step"),
             hvns=tuple(_node(v, n) for v in header["hvns"]),
             entries=tuple(_node(v, n) for v in header["entries"]),
+            edges=edges,
             total_blue_reward=header["total_blue_reward"],
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -660,7 +646,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
             counts.append(len(changed))
             red = rec["red_action"]
             records.append((
-                _int(rec["t"], "t"),
+                json_int(rec["t"], "t"),
                 _action_from_json(BlueAction, BLUE_ACTION_KINDS, rec["blue_action"], n),
                 _action_from_json(RedAction, RED_ACTION_KINDS, red, n),
                 tuple(_node(v, n) for v in red["hits"]) if red is not None else (),
@@ -683,14 +669,9 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     packed = packed[last, np.arange(n)]
     visible, hidden, isolated = ((packed & (1 << bit)) != 0
                                  for bit in range(len(_FLAG_FIELDS)))
-    isolation_changed = np.ones(len(records), dtype=bool)
-    isolation_changed[1:] = (isolated[1:] != isolated[:-1]).any(axis=1)
 
     is_entry, is_hvn = _mask(traj.entries, n), _mask(traj.hvns, n)
     for k, (t, blue_action, red_action, hits) in enumerate(records):
-        if isolation_changed[k]:
-            adj = active_adjacency(base, isolated[k])
-            adj.setflags(write=False)
         traj.steps.append(TrajectoryStep(
             t=t,
             obs=StateObservation(
@@ -700,7 +681,6 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                 isolated=isolated[k],
                 is_entry=is_entry,
                 is_hvn=is_hvn,
-                active_adjacency=adj,
                 zero_day_budget=None,
             ),
             blue_action=blue_action,

@@ -170,7 +170,7 @@ class PredictionRecord:
 _NUMBER_TYPES = frozenset({int, float})
 
 
-def _vector(value, label: str) -> tuple[float, ...]:
+def number_vector(value, label: str) -> tuple[float, ...]:
     """A JSON list of numbers (not booleans) as a tuple of floats."""
     if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
         raise TypeError(f"{label} must be a list of numbers")
@@ -197,8 +197,8 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
                                     f"{type(pred_sr).__name__}")
                 rec = PredictionRecord(
                     sample_id=sample_id,
-                    pred_hvn=_vector(obj["pred_hvn"], "pred_hvn"),
-                    pred_sr={k: _vector(v, f"pred_sr[{k}]")
+                    pred_hvn=number_vector(obj["pred_hvn"], "pred_hvn"),
+                    pred_sr={k: number_vector(v, f"pred_sr[{k}]")
                              for k, v in pred_sr.items()},
                 )
             except (KeyError, TypeError, ValueError) as exc:

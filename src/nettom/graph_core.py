@@ -65,6 +65,8 @@ class Network:
         for i, j in self.edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j})")
+            if adj[i, j]:
+                raise ValueError(f"repeated edge ({i}, {j})")
             adj[i, j] = adj[j, i] = True
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
@@ -109,11 +111,14 @@ class Network:
 
     @classmethod
     def from_json(cls, obj: dict, name: str = "custom") -> "Network":
+        """The network of a ``to_json`` object; ``nodes``, ``entry`` and
+        every edge endpoint must be JSON integers."""
+        ends = [[json_int(v, "edge endpoint") for v in e] for e in obj["edges"]]
         return cls(
             name=name,
-            node_count=int(obj["nodes"]),
-            edges=tuple(sorted((min(i, j), max(i, j)) for i, j in obj["edges"])),
-            entry_node=int(obj["entry"]),
+            node_count=json_int(obj["nodes"], "nodes"),
+            edges=tuple(sorted((min(i, j), max(i, j)) for i, j in ends)),
+            entry_node=json_int(obj["entry"], "entry"),
             node_layer=tuple(obj["layers"]),
         )
 
@@ -175,6 +180,13 @@ class HvnPlacement:
         if not 0 <= index < 3:
             raise ValueError("target_index must be 0, 1 or 2")
         return replace(self, target_index=index)
+
+
+def json_int(v, what: str) -> int:
+    """``v`` if it is a JSON integer (not a float or a boolean)."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 def _connected(neighbors) -> bool:

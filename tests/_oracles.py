@@ -160,9 +160,8 @@ def dyadic_distribution(rng: np.random.Generator, n: int,
     return x
 
 
-def _obs_to_json_v1(obs) -> dict:
-    adj = obs.active_adjacency
-    edges = [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(adj)))]
+def _obs_to_json_v1(obs, edges) -> dict:
+    live = [[i, j] for i, j in edges if not (obs.isolated[i] or obs.isolated[j])]
     return {
         "vulnerability": [float(x) for x in obs.vulnerability],
         "compromised": [int(x) for x in obs.compromised_visible],
@@ -170,7 +169,7 @@ def _obs_to_json_v1(obs) -> dict:
         "isolated": [int(x) for x in obs.isolated],
         "is_entry": [int(x) for x in obs.is_entry],
         "is_hvn": [int(x) for x in obs.is_hvn],
-        "edges": edges,
+        "edges": live,
     }
 
 
@@ -185,7 +184,8 @@ def _action_to_json_v1(action, hits=None):
 
 def trajectory_to_jsonl_v1(traj) -> str:
     """An episode as schema-1 JSONL: the header, then every step's full
-    observation (all six per-node vectors and the live-edge list)."""
+    observation (all six per-node vectors and the live-edge list, the
+    episode's base edges between non-isolated nodes)."""
     header = {
         "schema_version": 1,
         "episode_id": traj.episode_id,
@@ -202,7 +202,7 @@ def trajectory_to_jsonl_v1(traj) -> str:
     for step in traj.steps:
         rec = {
             "t": step.t,
-            "obs": _obs_to_json_v1(step.obs),
+            "obs": _obs_to_json_v1(step.obs, traj.edges),
             "blue_action": _action_to_json_v1(step.blue_action),
             "red_action": _action_to_json_v1(step.red_action, step.red_hits),
         }

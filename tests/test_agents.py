@@ -299,7 +299,6 @@ class TestLegality:
         state.compromised[net.entry_node] |= rng.random() < 0.7
         state.hidden[:] = state.compromised & (rng.random(n) < 0.4)
         state.isolated[:] = rng.random(n) < 0.15
-        env._adj_cache = None  # isolation was edited directly
         state.zero_day_budget = int(rng.integers(0, 3))
         return state
 

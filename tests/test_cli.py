@@ -695,15 +695,47 @@ class TestNtdCommands:
          "layers": ["subnet"] * 3, "nodes": 3},
         {"edges": [[0, 1.5], [1, 2]], "entry": 0,
          "layers": ["subnet"] * 3, "nodes": 3},
-    ], ids=["list", "string_endpoints", "float_endpoint"])
+        '{"edges": [[0, 1], [1, 2]], "entry": 0, '
+        '"layers": ["subnet", "subnet", "subnet"], "nodes": 1e400}',
+        {"edges": [[0, 1], [1, 2]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3.9},
+        {"edges": [[0, 1], [1, 2]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": "3"},
+        {"edges": [[0, 1], [1, 2]], "entry": False,
+         "layers": ["subnet"] * 3, "nodes": 3},
+        {"edges": [[0, 1], [1, 2], [1, 0]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3},
+        {"edges": [[0, 1], [1, 2], [1, 2]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3},
+    ], ids=["list", "string_endpoints", "float_endpoint", "nodes_overflow",
+            "nodes_float", "nodes_string", "entry_bool",
+            "edge_repeated_reversed", "edge_repeated"])
     @pytest.mark.parametrize("command", ["score", "sinkhorn"])
     def test_malformed_network_exits_1(self, runner, files, tmp_path, payload,
                                        command):
         _, p_path, q_path = files
         bad = tmp_path / "bad_net.json"
-        bad.write_text(json.dumps(payload), encoding="utf-8")
+        bad.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                       encoding="utf-8")
         result = runner.invoke(main, ["ntd", command, "--p", str(p_path),
                                       "--q", str(q_path), "--network", str(bad)])
         assert result.exit_code == 1, result.output
         assert result.exc_info[0] is SystemExit
         assert "cannot load network" in result.output
+        assert len(result.output.strip().splitlines()) == 1, result.output
+
+    @pytest.mark.parametrize("text", ["[true, false, false]", '["1", 0, 0]', "{}"],
+                             ids=["booleans", "string_entry", "object"])
+    @pytest.mark.parametrize("command", ["score", "sinkhorn"])
+    def test_non_number_distribution_exits_1(self, runner, files, tmp_path,
+                                             text, command):
+        net_path, _, q_path = files
+        bad = tmp_path / "bad_p.json"
+        bad.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["ntd", command, "--p", str(bad),
+                                      "--q", str(q_path),
+                                      "--network", str(net_path)])
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert "P must be a list of numbers" in result.output
+        assert len(result.output.strip().splitlines()) == 1, result.output
