@@ -489,6 +489,7 @@ def ntd_sinkhorn(p_path, q_path, net_path, lam, max_iters, tol):
         "iterations": result.iterations_used,
         "converged": result.converged,
         "marginal_violation": result.marginal_violation,
+        "absorptions": result.absorptions,
         "lam": lam,
     }, sort_keys=True))
 

@@ -30,6 +30,7 @@ varies, per environment):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -595,8 +596,10 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     that was encoded, observation arrays bit for bit. As in ``CyberEnv``,
     ``is_entry`` and ``is_hvn`` are write-locked and shared between steps.
     The header's edges must be ``[i, j]`` pairs with ``i < j`` in ascending
-    order, each listed once. Malformed content raises ``ValueError`` naming
-    the file and line."""
+    order, each listed once; ``seed`` an integer, ``hvns`` three distinct
+    nodes, the winner one the game writes, the target null or a node, and
+    ``total_blue_reward`` a finite number. Malformed content raises
+    ``ValueError`` naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = _json_object(path, 1, lines[0] if lines else "")
@@ -609,19 +612,29 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
         if any(i >= j for i, j in edges) or edges != tuple(sorted(set(edges))):
             raise ValueError("edges are not [i, j] pairs with i < j, ascending, "
                              "each once")
+        hvns = tuple(_node(v, n) for v in header["hvns"])
+        if len(hvns) != 3 or len(set(hvns)) != 3:
+            raise ValueError(f"hvns {list(hvns)} are not three distinct nodes")
+        winner = header["outcome"]["winner"]
+        if winner not in (RED_WIN, BLUE_WIN):
+            raise ValueError(f"unknown winner {winner!r}")
+        target = header["outcome"]["target"]
+        reward = header["total_blue_reward"]
+        if type(reward) not in (int, float) or not math.isfinite(reward):
+            raise ValueError(f"total_blue_reward {reward!r} is not a finite number")
         traj = EpisodeTrajectory(
             episode_id=header["episode_id"],
             network=header["network"],
-            seed=header["seed"],
+            seed=json_int(header["seed"], "seed"),
             blue_id=header["agents"]["blue"],
             red_id=header["agents"]["red"],
-            outcome=header["outcome"]["winner"],
-            target_node=header["outcome"]["target"],
+            outcome=winner,
+            target_node=None if target is None else _node(target, n),
             final_step=json_int(header["final_step"], "final_step"),
-            hvns=tuple(_node(v, n) for v in header["hvns"]),
+            hvns=hvns,
             entries=tuple(_node(v, n) for v in header["entries"]),
             edges=edges,
-            total_blue_reward=header["total_blue_reward"],
+            total_blue_reward=float(reward),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise _line_error(path, 1, exc) from None

@@ -2,13 +2,18 @@
 
 Replaces the exact metric's linear program with alternating diagonal
 scaling against the kernel ``K = exp(-dist/lam)``, which makes the loss
-differentiable in the input distributions. All iterations run in the log
-domain (potentials instead of scalings), so small regularization weights
-do not underflow; the classic multiplicative updates
+differentiable in the input distributions. The updates are the classic
+multiplicative ones,
 
-    u <- P / (K v),    v <- Q / (K' u)
+    u <- P / (K v),    v <- Q / (K' u),
 
-are recovered via ``u = exp(f/lam)``, ``v = exp(g/lam)``.
+two matrix-vector products per iteration. At small regularization weights
+the scalings grow past float range while far kernel entries underflow, so
+whenever a scaling passes a threshold its logarithm is absorbed into the
+log potentials ``f``, ``g`` and the kernel is rebuilt as
+``exp(-dist/lam + f + g')`` with ``u = v = 1`` (Schmitzer, arXiv:1610.06519;
+Peyre & Cuturi, arXiv:1803.00567, section 4.4). The dual potentials are
+``log u + f`` and ``log v + g``.
 
 The loss divides both the transport-cost term and the entropy term by the
 graph diameter, mirroring how the exact metric is normalized.
@@ -16,6 +21,8 @@ graph diameter, mirroring how the exact metric is normalized.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,17 @@ from .transport import check_distribution
 
 _SMOOTHING_EPS = 1e-9
 _CHECK_EVERY = 10
+# Scalings are absorbed into the kernel once the squared norm of u or v
+# passes this, that is once an entry passes 1e30 / sqrt(n) (a dot product
+# costs half a max reduction). Every kernel is at most 1 entrywise and every
+# smoothed marginal at least 1e-9 / n, so u and v stay far inside float
+# range on both sides.
+_ABSORB_NORM_SQ = 1e60
+
+
+def _check_positive(name: str, x) -> None:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -35,17 +53,22 @@ class SinkhornParams:
     convergence_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_positive("lam", self.lam)
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)):
+            raise ValueError(
+                f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        _check_positive("convergence_tol", self.convergence_tol)
 
 
 @dataclass(frozen=True)
 class SinkhornResult:
-    """Converged (or truncated) scaling state and the regularized loss."""
+    """Converged (or truncated) scaling state and the regularized loss.
+
+    ``absorptions`` counts the kernel rebuilds the solve needed.
+    """
 
     value: float
     plan: np.ndarray
@@ -54,6 +77,7 @@ class SinkhornResult:
     iterations_used: int
     converged: bool
     marginal_violation: float
+    absorptions: int
 
     @property
     def u(self) -> np.ndarray:
@@ -64,27 +88,26 @@ class SinkhornResult:
         return np.exp(self.log_v)
 
 
-def kernel_matrix(cm, lam: float) -> np.ndarray:
-    """Elementwise ``exp(-dist/lam)``; unit diagonal, entries in (0, 1].
+def _log_kernel(cm, lam: float) -> np.ndarray:
+    return -cm.dist.astype(float) / lam
 
-    For extreme ``dist/lam`` ratios the far entries underflow to zero in
-    float arithmetic; the iteration itself works in the log domain and
-    never materializes this matrix.
+
+def kernel_matrix(cm, lam: float) -> np.ndarray:
+    """Elementwise ``exp(-dist/lam)``; unit diagonal, entries in [0, 1].
+
+    This is the kernel ``sinkhorn_plan`` starts from. For extreme
+    ``dist/lam`` ratios the far entries underflow to zero in float
+    arithmetic; the iteration recovers them when it absorbs the scalings
+    and rebuilds the kernel.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return np.exp(-cm.dist.astype(float) / lam)
+    _check_positive("lam", lam)
+    return np.exp(_log_kernel(cm, lam))
 
 
 def _smooth(x: np.ndarray, n: int) -> np.ndarray:
     """Mix with the uniform distribution so every coordinate is positive."""
     out = (1.0 - _SMOOTHING_EPS) * x + _SMOOTHING_EPS / n
     return out / out.sum()
-
-
-def _logsumexp_rows(M: np.ndarray) -> np.ndarray:
-    mx = M.max(axis=1)
-    return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
 
 
 def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
@@ -100,7 +123,10 @@ def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
     every iteration and ``(max_violation, total_violation)`` pairs are
     appended. The total violation decreases monotonically (the updates are
     alternating information projections); the max can wobble during the
-    first few iterations.
+    first few iterations. A check costs no extra product: the row sums of
+    the plan are ``u * (K v)``, where ``K v`` feeds the next u-update, and
+    the column sums ``v * (K' u)`` come from the last v-update. The n x n
+    plan is built once, from the final potentials.
 
     Deterministic: identical inputs and params give bit-identical results.
     """
@@ -110,11 +136,12 @@ def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
     p = _smooth(P, n)
     q = _smooth(Q, n)
     lam = params.lam
-    logp = np.log(p)
-    logq = np.log(q)
-    logK = -cm.dist.astype(float) / lam
-    phi = np.zeros(n)
-    psi = np.zeros(n)
+    logK = _log_kernel(cm, lam)
+    K = kernel_matrix(cm, lam)
+    f = np.zeros(n)
+    g = np.zeros(n)
+    Kv = K.sum(axis=1)  # K @ v at v = 1
+    absorptions = 0
 
     check_every = 1 if violation_trace is not None else _CHECK_EVERY
     iters = 0
@@ -124,15 +151,23 @@ def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
         budget = min(check_every, params.max_iters - iters)
         for _ in range(budget):
             iters += 1
-            phi = logp - _logsumexp_rows(logK + psi[None, :])
-            psi = logq - _logsumexp_rows(logK.T + phi[None, :])
-        M = logK + phi[:, None] + psi[None, :]
-        if not np.isfinite(M).all():
+            u = p / Kv
+            KTu = u.dot(K)
+            v = q / KTu
+            if u.dot(u) > _ABSORB_NORM_SQ or v.dot(v) > _ABSORB_NORM_SQ:
+                f += np.log(u)
+                g += np.log(v)
+                K = np.exp(logK + f[:, None] + g[None, :])
+                u = np.ones(n)
+                v = np.ones(n)
+                KTu = K.sum(axis=0)
+                absorptions += 1
+            Kv = K.dot(v)
+        row_err = np.abs(u * Kv - p)
+        col_err = np.abs(v * KTu - q)
+        violation = float(np.maximum(row_err.max(), col_err.max()))
+        if not math.isfinite(violation):
             raise RuntimeError("scaling updates produced non-finite potentials")
-        plan = np.exp(M)
-        row_err = np.abs(plan.sum(axis=1) - p)
-        col_err = np.abs(plan.sum(axis=0) - q)
-        violation = max(float(row_err.max()), float(col_err.max()))
         if violation_trace is not None:
             violation_trace.append(
                 (violation, float(row_err.sum() + col_err.sum()))
@@ -141,19 +176,23 @@ def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
             converged = True
             break
 
-    # max_iters >= 1 and every pass ends with a check, so M and plan hold
-    # the final potentials' values.
+    # max_iters >= 1, so u and v hold the last update.
+    log_u = f + np.log(u)
+    log_v = g + np.log(v)
+    M = logK + log_u[:, None] + log_v[None, :]
+    plan = np.exp(M)
     cost_term = float((plan * cm.dist).sum())
     entropy = -float((plan * M).sum())  # log(plan) == M, safe at underflow
     value = (cost_term - lam * entropy) / cm.diameter
     return SinkhornResult(
         value=value,
         plan=plan,
-        log_u=phi.copy(),
-        log_v=psi.copy(),
+        log_u=log_u,
+        log_v=log_v,
         iterations_used=iters,
         converged=converged,
         marginal_violation=violation,
+        absorptions=absorptions,
     )
 
 

@@ -5,7 +5,9 @@ exhaustive vertex enumeration instead of the simplex, subtree imbalances
 instead of a flow solve on trees, Floyd-Warshall instead of per-node BFS,
 and central finite differences instead of dual potentials.
 ``trajectory_to_jsonl_v1`` is the trajectory encoder of schema 1, which
-wrote every step's full observation.
+wrote every step's full observation. ``sinkhorn_log_domain`` is the
+Sinkhorn loop on log potentials, two n x n log-sum-exps per iteration,
+against which the scaling-domain loop with absorption is checked.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import itertools
 import json
 
 import numpy as np
+
+from nettom.sinkhorn import _CHECK_EVERY, SinkhornResult, _smooth
+from nettom.transport import check_distribution
 
 
 def brute_force_transport_cost(p, q, C) -> float:
@@ -208,3 +213,71 @@ def trajectory_to_jsonl_v1(traj) -> str:
         }
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
+
+
+def _logsumexp_rows(M: np.ndarray) -> np.ndarray:
+    mx = M.max(axis=1)
+    return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
+
+
+def sinkhorn_log_domain(P: np.ndarray, Q: np.ndarray, cm, params,
+                        violation_trace: list[tuple[float, float]] | None = None
+                        ) -> SinkhornResult:
+    """``sinkhorn.sinkhorn_plan`` iterated on the log scalings
+    ``phi = log u``, ``psi = log v``: every update is a row log-sum-exp of
+    ``logK + psi`` (or of its transpose plus ``phi``), which cannot
+    underflow at any ``lam``, and every check builds the n x n plan. Same
+    smoothing, check schedule and result fields (``absorptions`` is
+    always 0)."""
+    n = cm.dist.shape[0]
+    P = check_distribution(P, n, "P")
+    Q = check_distribution(Q, n, "Q")
+    p = _smooth(P, n)
+    q = _smooth(Q, n)
+    lam = params.lam
+    logp = np.log(p)
+    logq = np.log(q)
+    logK = -cm.dist.astype(float) / lam
+    phi = np.zeros(n)
+    psi = np.zeros(n)
+
+    check_every = 1 if violation_trace is not None else _CHECK_EVERY
+    iters = 0
+    converged = False
+    violation = np.inf
+    while iters < params.max_iters:
+        budget = min(check_every, params.max_iters - iters)
+        for _ in range(budget):
+            iters += 1
+            phi = logp - _logsumexp_rows(logK + psi[None, :])
+            psi = logq - _logsumexp_rows(logK.T + phi[None, :])
+        M = logK + phi[:, None] + psi[None, :]
+        if not np.isfinite(M).all():
+            raise RuntimeError("scaling updates produced non-finite potentials")
+        plan = np.exp(M)
+        row_err = np.abs(plan.sum(axis=1) - p)
+        col_err = np.abs(plan.sum(axis=0) - q)
+        violation = max(float(row_err.max()), float(col_err.max()))
+        if violation_trace is not None:
+            violation_trace.append(
+                (violation, float(row_err.sum() + col_err.sum()))
+            )
+        if violation <= params.convergence_tol:
+            converged = True
+            break
+
+    # max_iters >= 1 and every pass ends with a check, so M and plan hold
+    # the final potentials' values.
+    cost_term = float((plan * cm.dist).sum())
+    entropy = -float((plan * M).sum())  # log(plan) == M, safe at underflow
+    value = (cost_term - lam * entropy) / cm.diameter
+    return SinkhornResult(
+        value=value,
+        plan=plan,
+        log_u=phi.copy(),
+        log_v=psi.copy(),
+        iterations_used=iters,
+        converged=converged,
+        marginal_violation=violation,
+        absorptions=0,
+    )

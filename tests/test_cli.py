@@ -679,6 +679,36 @@ class TestNtdCommands:
         payload = json.loads(result.output)
         assert payload["converged"]
         assert abs(payload["value"] - 1.0) < 0.02
+        assert payload["absorptions"] == 0
+
+    def test_sinkhorn_reports_absorptions(self, runner, files):
+        net_path, p_path, q_path = files
+        result = runner.invoke(main, [
+            "ntd", "sinkhorn", "--p", str(p_path), "--q", str(q_path),
+            "--network", str(net_path), "--lambda", "0.002",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["converged"]
+        assert payload["absorptions"] > 0
+        assert abs(payload["value"] - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--lambda", "inf", "lam"), ("--lambda", "-inf", "lam"),
+        ("--lambda", "nan", "lam"), ("--tol", "nan", "convergence_tol"),
+        ("--tol", "inf", "convergence_tol"),
+    ])
+    def test_sinkhorn_non_finite_parameter_exits_1(self, runner, files, flag,
+                                                   value, name):
+        net_path, p_path, q_path = files
+        result = runner.invoke(main, [
+            "ntd", "sinkhorn", "--p", str(p_path), "--q", str(q_path),
+            "--network", str(net_path), flag, value,
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert f"{name} must be a positive finite number, got {value}" in result.output
+        assert len(result.output.strip().splitlines()) == 1, result.output
 
     def test_unnormalized_input_exits_1(self, runner, files, tmp_path):
         net_path, p_path, q_path = files

@@ -524,6 +524,26 @@ MALFORMED_TRAJECTORIES = {
     "edges_repeated": (_edges(lambda e: e.insert(1, e[0])), 1, _BAD_EDGES),
     "edges_descending": (_edges(lambda e: e.reverse()), 1, _BAD_EDGES),
     "hvn_negative": (_set(1, ("hvns", 0), -1), 1, "node -1 outside [0, 30)"),
+    "hvns_one": (_set(1, ("hvns",), [1]), 1, "hvns [1] are not three distinct nodes"),
+    "hvns_repeated": (_set(1, ("hvns",), [1, 1, 2]), 1,
+                      "hvns [1, 1, 2] are not three distinct nodes"),
+    "hvns_four": (_set(1, ("hvns",), [1, 2, 3, 4]), 1,
+                  "hvns [1, 2, 3, 4] are not three distinct nodes"),
+    "seed_string": (_set(1, ("seed",), "x"), 1, "seed must be an integer, got 'x'"),
+    "seed_float": (_set(1, ("seed",), 11.0), 1, "seed must be an integer, got 11.0"),
+    "winner_unknown": (_set(1, ("outcome", "winner"), "nobody"), 1,
+                       "unknown winner 'nobody'"),
+    "winner_null": (_set(1, ("outcome", "winner"), None), 1, "unknown winner None"),
+    "outcome_target_outside": (_set(1, ("outcome", "target"), 30), 1,
+                               "node 30 outside [0, 30)"),
+    "outcome_target_string": (_set(1, ("outcome", "target"), "3"), 1,
+                              "node '3' outside [0, 30)"),
+    "reward_string": (_set(1, ("total_blue_reward",), "lots"), 1,
+                      "total_blue_reward 'lots' is not a finite number"),
+    "reward_bool": (_set(1, ("total_blue_reward",), True), 1,
+                    "total_blue_reward True is not a finite number"),
+    "reward_nan": (_set(1, ("total_blue_reward",), float("nan")), 1,
+                   "total_blue_reward nan is not a finite number"),
     "final_step_float": (_set(1, ("final_step",), 3.0), 1, "final_step must be an integer"),
     "step_missing_changed": (_delete(3, "changed"), 3, "missing key 'changed'"),
     "step_missing_t": (_delete(2, "t"), 2, "missing key 't'"),

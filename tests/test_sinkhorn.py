@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from nettom import graph_core as gc
 from nettom import sinkhorn as sk
 from nettom import transport as tp
 
-from _oracles import dyadic_distribution, random_connected_graph
+from _oracles import dyadic_distribution, random_connected_graph, sinkhorn_log_domain
 from conftest import delta
 
 
@@ -38,6 +40,93 @@ class TestKernel:
             sk.kernel_matrix(cm, lam=0.0)
         with pytest.raises(ValueError, match="positive"):
             sk.SinkhornParams(lam=-1.0)
+
+
+class TestParams:
+    @pytest.mark.parametrize("kw, fragment", [
+        (dict(lam=math.inf), "lam must be a positive finite number, got inf"),
+        (dict(lam=-math.inf), "lam must be a positive finite number, got -inf"),
+        (dict(lam=math.nan), "lam must be a positive finite number, got nan"),
+        (dict(lam=True), "lam must be a positive finite number, got True"),
+        (dict(lam="1"), "lam must be a positive finite number, got '1'"),
+        (dict(lam=1.0, convergence_tol=math.nan),
+         "convergence_tol must be a positive finite number, got nan"),
+        (dict(lam=1.0, convergence_tol=math.inf),
+         "convergence_tol must be a positive finite number, got inf"),
+        (dict(lam=1.0, convergence_tol=0.0),
+         "convergence_tol must be a positive finite number, got 0.0"),
+        (dict(lam=1.0, max_iters=2.5), "max_iters must be an integer, got 2.5"),
+        (dict(lam=1.0, max_iters=10.0), "max_iters must be an integer, got 10.0"),
+        (dict(lam=1.0, max_iters=True), "max_iters must be an integer, got True"),
+        (dict(lam=1.0, max_iters=0), "max_iters must be >= 1"),
+    ], ids=["lam_inf", "lam_minus_inf", "lam_nan", "lam_bool", "lam_string",
+            "tol_nan", "tol_inf", "tol_zero", "iters_float", "iters_whole_float",
+            "iters_bool", "iters_zero"])
+    def test_rejected(self, kw, fragment):
+        with pytest.raises(ValueError) as info:
+            sk.SinkhornParams(**kw)
+        assert str(info.value) == fragment
+
+    def test_numpy_scalars_accepted(self):
+        params = sk.SinkhornParams(lam=np.float64(0.5), max_iters=np.int64(7),
+                                   convergence_tol=np.float32(1e-6))
+        assert params.max_iters == 7
+
+
+def _centred_gradient(res, cm, lam):
+    grad = lam * res.log_u / cm.diameter
+    return grad - grad.mean()
+
+
+class TestLogDomainOracle:
+    """The scaling loop against the log-domain loop it replaced
+    (``_oracles.sinkhorn_log_domain``), on a sparse and a Dirichlet pair per
+    shipped topology. At lam = 0.001 x diameter the far kernel entries
+    underflow and the scalings pass float range within a few hundred
+    iterations, so only absorption keeps the two in step; the budget there
+    is capped because neither converges quickly."""
+
+    @pytest.mark.parametrize("name", gc.TOPOLOGIES)
+    def test_matches_log_domain(self, name):
+        net, cm = gc.topology(name)
+        n = net.node_count
+        rng = np.random.default_rng(11)
+        pairs = [
+            (dyadic_distribution(rng, n, support=4),
+             dyadic_distribution(rng, n, support=4)),
+            (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))),
+        ]
+        for mult, max_iters in ((0.05, 10_000), (0.01, 10_000), (0.001, 500)):
+            params = _params(cm, mult, max_iters=max_iters)
+            for k, (p, q) in enumerate(pairs):
+                res = sk.sinkhorn_plan(p, q, cm, params)
+                ref = sinkhorn_log_domain(p, q, cm, params)
+                case = (mult, k)
+                assert res.iterations_used == ref.iterations_used, case
+                assert res.converged == ref.converged, case
+                assert math.isfinite(res.value), case
+                assert abs(res.value - ref.value) <= 1e-12, case
+                assert np.abs(res.plan - ref.plan).max() <= 1e-12, case
+                assert np.abs(_centred_gradient(res, cm, params.lam)
+                              - _centred_gradient(ref, cm, params.lam)
+                              ).max() <= 1e-9, case
+                if mult == 0.05:
+                    assert res.absorptions == 0, case
+                if mult == 0.001:
+                    assert res.absorptions > 0, case
+
+    def test_violation_trace_matches_log_domain(self, tree30):
+        net, cm = tree30
+        rng = np.random.default_rng(12)
+        p = dyadic_distribution(rng, net.node_count, support=5)
+        q = dyadic_distribution(rng, net.node_count, support=5)
+        params = _params(cm, 0.01, max_iters=1000)
+        trace: list[tuple[float, float]] = []
+        ref_trace: list[tuple[float, float]] = []
+        sk.sinkhorn_plan(p, q, cm, params, violation_trace=trace)
+        sinkhorn_log_domain(p, q, cm, params, violation_trace=ref_trace)
+        assert len(trace) == len(ref_trace) == 1000
+        assert np.abs(np.subtract(trace, ref_trace)).max() <= 1e-12
 
 
 class TestSinkhornPlan:
