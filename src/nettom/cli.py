@@ -453,12 +453,17 @@ def ntd_score(p_path, q_path, net_path, with_plan):
         "cost": result.cost,
         "ntd": result.cost / cm.diameter,
         "diameter": cm.diameter,
+        "duality_gap": result.cost - float((p - q) @ result.potential),
         "pivots": result.pivots,
         "bland": result.bland,
     }
     if with_plan:
         payload["plan"] = [[float(x) for x in row] for row in result.plan]
     click.echo(json.dumps(payload, sort_keys=True))
+
+
+_SINKHORN_FLAGS = {"lam": "--lambda", "max_iters": "--max-iters",
+                   "convergence_tol": "--tol"}
 
 
 @ntd.command(name="sinkhorn")
@@ -481,6 +486,11 @@ def ntd_sinkhorn(p_path, q_path, net_path, lam, max_iters, tol):
         params = sinkhorn.SinkhornParams(
             lam=lam, max_iters=max_iters, convergence_tol=tol
         )
+    except ValueError as exc:
+        # SinkhornParams owns these rules; its messages start with the field.
+        field, _, rest = str(exc).partition(" ")
+        raise _fail_data(f"{_SINKHORN_FLAGS[field]} {rest}")
+    try:
         result = sinkhorn.sinkhorn_plan(p, q, cm, params)
     except (ValueError, RuntimeError) as exc:
         raise _fail_data(str(exc))

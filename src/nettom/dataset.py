@@ -27,7 +27,7 @@ import numpy as np
 from .agents import RedPolicySpec, make_blue, make_red
 from .cyberenv import RED_WIN, EpisodeTrajectory, rollout, write_trajectory
 from .errors import ConfigError, DataError, SampleExclusionError
-from .graph_core import topology
+from .graph_core import json_int, topology
 from .seeding import derive_seed, rng_for
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -459,28 +459,38 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"malformed manifest: {exc!r}") from None
 
 
+def _sample_from_json(i: int, s: dict) -> ToMSample:
+    for key in ("sample_id", "game_id", "network", "blue_id", "red_id",
+                "current_episode_id"):
+        if not isinstance(s[key], str):
+            raise TypeError(f"samples[{i}].{key} must be a string, got {s[key]!r}")
+    for key in ("t", "truth_hvn", "target_index", "entry"):
+        json_int(s[key], f"samples[{i}].{key}")
+    if s["split"] not in ("train", "val"):
+        raise ValueError(f"samples[{i}].split must be 'train' or 'val', "
+                         f"got {s['split']!r}")
+    return ToMSample(
+        sample_id=s["sample_id"],
+        game_id=s["game_id"],
+        network=s["network"],
+        blue_id=s["blue_id"],
+        red_id=s["red_id"],
+        current_episode_id=s["current_episode_id"],
+        t=s["t"],
+        truth_hvn=s["truth_hvn"],
+        truth_sr={k: tuple(v) for k, v in s["truth_sr"].items()},
+        past=tuple(
+            PastRef(episode_id=p["episode_id"], step_indices=tuple(p["steps"]))
+            for p in s["past"]
+        ),
+        hvns=tuple(s["hvns"]),
+        target_index=s["target_index"],
+        entry=s["entry"],
+    )
+
+
 def _manifest_from_json(obj: dict) -> DatasetManifest:
-    samples = [
-        ToMSample(
-            sample_id=s["sample_id"],
-            game_id=s["game_id"],
-            network=s["network"],
-            blue_id=s["blue_id"],
-            red_id=s["red_id"],
-            current_episode_id=s["current_episode_id"],
-            t=s["t"],
-            truth_hvn=s["truth_hvn"],
-            truth_sr={k: tuple(v) for k, v in s["truth_sr"].items()},
-            past=tuple(
-                PastRef(episode_id=p["episode_id"], step_indices=tuple(p["steps"]))
-                for p in s["past"]
-            ),
-            hvns=tuple(s["hvns"]),
-            target_index=s["target_index"],
-            entry=s["entry"],
-        )
-        for s in obj["samples"]
-    ]
+    samples = [_sample_from_json(i, s) for i, s in enumerate(obj["samples"])]
     return DatasetManifest(
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],

@@ -59,7 +59,7 @@ class SinkhornParams:
             raise ValueError(
                 f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         _check_positive("convergence_tol", self.convergence_tol)
 
 
@@ -78,14 +78,6 @@ class SinkhornResult:
     converged: bool
     marginal_violation: float
     absorptions: int
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.exp(self.log_u)
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.exp(self.log_v)
 
 
 def _log_kernel(cm, lam: float) -> np.ndarray:

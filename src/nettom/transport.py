@@ -11,14 +11,14 @@ pass normalized inputs; :func:`normalize` is provided but never applied
 implicitly, so accidental mass loss in a caller surfaces as an error here
 rather than being papered over.
 
-One primal network simplex over an arc list solves both exact forms. The
-metric (:func:`ntd`) is a min-cost flow over the graph's own edges, both
-directions at cost 1 (the Beckmann form of hop-cost W1), started from the
-BFS spanning tree with each tree arc carrying its subtree's imbalance; on
-a tree that start is already optimal. The plan (:func:`wasserstein`) is a
-transportation problem over the cells of the two supports, started from a
-greedy basis. Solutions are vertex solutions, so costs are exact up to
-float rounding on integer hop costs.
+One primal network simplex solves the exact problem as a min-cost flow
+over the graph's own edges, both directions at cost 1 (the Beckmann form
+of hop-cost W1), started from the BFS spanning tree with each tree arc
+carrying its subtree's imbalance; on a tree that start is already optimal.
+:func:`ntd` reads the cost off the flow. :func:`wasserstein` splits the
+same flow into paths, each a shortest path, to get an optimal plan, and
+returns the flow's node potential as its certificate. Solutions are vertex
+solutions, so costs are exact up to float rounding on integer hop costs.
 """
 
 from __future__ import annotations
@@ -34,12 +34,16 @@ SUM_TOL = 1e-9
 class TransportPlan:
     """An optimal transport plan, its cost and the simplex work behind it.
 
-    pivots counts basis exchanges; bland tells whether the anti-cycling
-    Bland rule had replaced Dantzig pivoting by the end of the solve.
+    potential is a dual certificate: it changes by at most 1 across every
+    edge and <P - Q, potential> equals cost (Kantorovich-Rubinstein), so
+    any plan with that cost is optimal. pivots counts basis exchanges of
+    the graph solve; bland tells whether the anti-cycling Bland rule had
+    replaced Dantzig pivoting by the end of it.
     """
 
     plan: np.ndarray
     cost: float
+    potential: np.ndarray
     pivots: int
     bland: bool
 
@@ -96,63 +100,60 @@ def normalize(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Network simplex over an arc list
+# Network simplex over the graph's arcs
 # ---------------------------------------------------------------------------
 
 _BLAND_AFTER_FACTOR = 200
 _MAX_PIVOTS = 1_000_000
+# Flow or mass below this is rounding residue (about 1e-17 on unit mass); a
+# walk that followed it would dead-end.
+_EMPTY = 1e-12
 
 
-def _network_simplex(tail, head, cost, parent, arc, flow):
-    """Solve an uncapacitated min-cost flow exactly from a feasible tree.
+def _network_simplex(tail, head, parent, arc, flow):
+    """Solve an uncapacitated unit-cost min-cost flow exactly from a
+    feasible tree.
 
-    Arc k runs from tail[k] to head[k] at cost[k]. The three arrays may
-    have any shapes that broadcast together, and arcs are numbered in
-    row-major order of the broadcast shape: a complete bipartite arc set
-    is an (m, 1) column of tails, a (1, n) row of heads and an (m, n) cost
-    matrix, priced by broadcasting instead of by gathers.
+    Arc k runs from tail[k] to head[k] at cost 1. The spanning-tree basis
+    is rooted at node 0, its own parent; any other node x hangs from
+    parent[x] by arc[x], which points up (tail x) or down (head x) and
+    carries flow[x] >= 0. The node supplies are the ones the starting flows
+    balance. parent, arc and flow are updated in place to an optimal tree;
+    returns (pot, pivots, bland).
 
-    The spanning-tree basis is rooted at node 0, its own parent; any other
-    node x hangs from parent[x] by arc[x], which points up (tail x) or
-    down (head x) and carries flow[x] >= 0. The node supplies are the ones
-    the starting flows balance. parent, arc and flow are updated in place
-    to an optimal tree; returns (pot, pivots, bland).
-
-    A tree arc u -> v has pot[v] = pot[u] - cost, so a reduced cost is
-    cost - pot[tail] + pot[head] and the optimal cost is the sum of supply
-    times pot. Costs are integers, so every potential is an exact integer
-    and tree arcs price at exactly 0. Pricing is Dantzig's (most negative
-    reduced cost) until _BLAND_AFTER_FACTOR pivots per node, then Bland's
-    (first negative arc) as an anti-cycling safeguard.
+    A tree arc u -> v has pot[v] = pot[u] - 1, so a reduced cost is
+    1 - pot[tail] + pot[head] and the optimal cost is the sum of supply
+    times pot. Every potential is an exact integer, so tree arcs price at
+    exactly 0. Pricing is Dantzig's (most negative reduced cost) until
+    _BLAND_AFTER_FACTOR pivots per node, then Bland's (first negative arc)
+    as an anti-cycling safeguard.
     """
     N = len(parent)
     nodes = np.arange(N)
-    arc_tail, arc_head, arc_cost = (a.flat for a in np.broadcast_arrays(tail, head, cost))
-    # Each node's potential is the signed cost of its root path, summed by
-    # pointer doubling.
-    pot = np.where(arc_tail[arc] == nodes, arc_cost[arc], -arc_cost[arc])
+    # Each node's potential is the signed hop count of its root path, summed
+    # by pointer doubling.
+    pot = np.where(tail[arc] == nodes, 1.0, -1.0)
     pot[0] = 0.0
     jump = parent
     for _ in range(N.bit_length()):
         pot += pot[jump]
         jump = jump[jump]
 
-    tol = 1e-10 * max(1.0, float(np.abs(cost).max()))
     bland_after = _BLAND_AFTER_FACTOR * N
     pivots = 0
-    rc = np.empty(np.broadcast_shapes(tail.shape, head.shape, cost.shape))
+    rc = np.empty(len(tail))
     while True:
-        np.subtract(cost, pot[tail], out=rc)
+        np.subtract(1.0, pot[tail], out=rc)
         rc += pot[head]
         bland = pivots >= bland_after
-        k = int((rc < -tol).argmax() if bland else rc.argmin())
-        if rc.flat[k] >= -tol:
+        k = int((rc < -1e-10).argmax() if bland else rc.argmin())
+        if rc[k] >= -1e-10:
             break
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("network simplex failed to terminate")
-        u, v = int(arc_tail[k]), int(arc_head[k])
-        d_enter = float(rc.flat[k])
+        u, v = int(tail[k]), int(head[k])
+        d_enter = float(rc[k])
 
         # Cycle: pa climbs from the tail to the root, pb from the head until
         # it meets pa at the lowest common ancestor, and pa is cut there.
@@ -171,7 +172,7 @@ def _network_simplex(tail, head, cost, parent, arc, flow):
         # way the cycle runs gains theta, the others lose it; the leaving
         # arc is the first losing arc of least flow, for determinism.
         cycle = np.array(pb[:-1] + pa[-2::-1])
-        gains = arc_tail[arc[cycle]] == cycle
+        gains = tail[arc[cycle]] == cycle
         gains[len(pb) - 1:] ^= True
         losing = np.flatnonzero(~gains)
         s = int(losing[flow[cycle[losing]].argmin()])
@@ -210,92 +211,17 @@ def _network_simplex(tail, head, cost, parent, arc, flow):
     return pot, pivots, bland
 
 
-def _greedy_basis(p, q, C):
-    """Initial basic feasible solution by the sorted matrix-minimum rule.
-
-    Cells are visited in ascending cost order; each allocation exhausts and
-    retires exactly one row or column, which keeps the allocation graph
-    acyclic and yields exactly m+n-1 basis arcs. Much closer to optimal
-    than a northwest-corner start, so the simplex needs few pivots.
-    """
-    m, n = len(p), len(q)
-    a = p.astype(float).tolist()
-    b = q.astype(float).tolist()
-    row_alive = [True] * m
-    col_alive = [True] * n
-    rows_left, cols_left = m, n
-    order = np.argsort(C, axis=None, kind="stable")
-    order_i = (order // n).tolist()
-    order_j = (order % n).tolist()
-    arcs = []
-    flows = []
-    ptr = 0
-    for _ in range(m + n - 1):
-        while not (row_alive[order_i[ptr]] and col_alive[order_j[ptr]]):
-            ptr += 1
-        i, j = order_i[ptr], order_j[ptr]
-        t = min(a[i], b[j])
-        arcs.append((i, j))
-        flows.append(t)
-        a[i] -= t
-        b[j] -= t
-        if (a[i] <= b[j] and rows_left > 1) or cols_left == 1:
-            row_alive[i] = False
-            rows_left -= 1
-        else:
-            col_alive[j] = False
-            cols_left -= 1
-    return arcs, flows
-
-
-def _transport_plan(p: np.ndarray, q: np.ndarray, C: np.ndarray):
-    """Solve min <X, C> s.t. X1 = p, X'1 = q, X >= 0 exactly.
-
-    The bipartite caller of the network simplex: rows are nodes 0..m-1,
-    columns are nodes m..m+n-1, and cell (i, j) is arc i*n + j from row i
-    to column m + j, so arcs are priced in row-major order. The start is
-    the greedy basis, hung from row 0. Returns (plan, cost, pivots, bland).
-    """
-    m, n = len(p), len(q)
-    N = m + n
-    C = np.ascontiguousarray(C, dtype=float)
-
-    arcs, flows = _greedy_basis(p, q, C)
-    adj: list[list[tuple[int, int, float]]] = [[] for _ in range(N)]
-    for (i, j), f in zip(arcs, flows):
-        adj[i].append((m + j, i * n + j, f))
-        adj[m + j].append((i, i * n + j, f))
-    parent = np.zeros(N, dtype=np.int64)
-    arc = np.zeros(N, dtype=np.int64)
-    flow = np.zeros(N, dtype=float)
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y, k, f in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                arc[y] = k
-                flow[y] = f
-                stack.append(y)
-
-    _, pivots, bland = _network_simplex(np.arange(m)[:, None], np.arange(m, N)[None, :],
-                                        C, parent, arc, flow)
-    X = np.zeros((m, n), dtype=float)
-    X.ravel()[arc[1:]] = flow[1:]
-    cost = float((X * C).sum())
-    return X, cost, pivots, bland
-
-
 def _graph_flow(P: np.ndarray, Q: np.ndarray, cm):
     """Exact hop-cost W1 as a min-cost flow over the graph's own arcs.
 
-    The graph caller of the network simplex (the Beckmann form): both
-    directions of every edge, at cost 1. The start is the BFS spanning tree
-    from node 0 in which each tree arc carries its subtree's imbalance
-    P - Q, toward the parent when it is positive. On a tree that start is
-    already optimal, so the simplex prices once and stops. Returns
-    (cost, pot, pivots, bland); pot changes by at most 1 across an edge and
-    cost equals <P - Q, pot>, the Kantorovich-Rubinstein certificate.
+    The Beckmann form: both directions of every edge, at cost 1. The start
+    is the BFS spanning tree from node 0 in which each tree arc carries its
+    subtree's imbalance P - Q, toward the parent when it is positive. On a
+    tree that start is already optimal, so the simplex prices once and
+    stops. Returns (cost, pot, pivots, bland, arc, flow): pot changes by at
+    most 1 across an edge and cost equals <P - Q, pot>, the
+    Kantorovich-Rubinstein certificate; each node x > 0 of the optimal tree
+    sends flow[x] along arc arc[x], and no other arc carries flow.
     """
     parent = cm.bfs_parent.copy()
     up = parent.tolist()
@@ -305,38 +231,73 @@ def _graph_flow(P: np.ndarray, Q: np.ndarray, cm):
     s = np.array(s)
     arc = np.where(s >= 0, cm.bfs_up_arc, cm.bfs_down_arc)
     flow = np.abs(s)
-    cost = np.ones(len(cm.arc_tail))
-    pot, pivots, bland = _network_simplex(cm.arc_tail, cm.arc_head, cost,
+    pot, pivots, bland = _network_simplex(cm.arc_tail, cm.arc_head,
                                           parent, arc, flow)
     # Every arc costs one hop, so the cost is the total tree flow.
-    return float(flow[1:].sum()), pot, pivots, bland
+    return float(flow[1:].sum()), pot, pivots, bland, arc, flow
+
+
+def _plan_from_flow(P: np.ndarray, Q: np.ndarray, cm, arc, flow) -> np.ndarray:
+    """Split an optimal flow from P to Q into an optimal plan.
+
+    Mass that stays put, min(P, Q), goes on the diagonal. From each surplus
+    node in ascending id order, a walk follows the out-arcs that still
+    carry flow, smallest (tail, head) first, until it reaches a node with
+    unmet demand; the least of the surplus, the demand and the flows on the
+    way is booked to that cell and taken off the path. Flow arcs price at
+    zero against a potential that changes by at most 1 per edge, so every
+    walk is a shortest path and the plan costs what the flow costs.
+    """
+    n = len(P)
+    tail = cm.arc_tail[arc].tolist()
+    head = cm.arc_head[arc].tolist()
+    left = flow.tolist()
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x in (np.argsort(arc[1:]) + 1).tolist():
+        if left[x] > _EMPTY:
+            out[tail[x]].append((head[x], x))
+    excess = (P - Q).tolist()
+    plan = np.diag(np.minimum(P, Q))
+    for a in range(n):
+        while excess[a] > _EMPTY:
+            path, x = [], a
+            while excess[x] >= -_EMPTY:
+                step = next(((y, e) for y, e in out[x] if left[e] > _EMPTY), None)
+                if step is None:
+                    raise RuntimeError(f"flow decomposition dead-ended at node {x}")
+                x, e = step
+                path.append(e)
+            amount = min(excess[a], -excess[x], min(left[e] for e in path))
+            plan[a, x] += amount
+            excess[a] -= amount
+            excess[x] += amount
+            for e in path:
+                left[e] -= amount
+    return plan
 
 
 def wasserstein(P: np.ndarray, Q: np.ndarray, cm) -> TransportPlan:
     """Exact minimum-cost transport plan between two node distributions.
 
     The ground cost is ``cm.dist``. Inputs must be normalized; identical
-    inputs short-circuit to the diagonal plan with cost 0. The solve is
-    restricted to the union of supports and, because hop costs are
-    symmetric, runs on a canonical argument order so that the returned
-    cost is exactly symmetric in (P, Q).
+    inputs short-circuit to the diagonal plan with cost 0. The plan is
+    split from the flow :func:`ntd` solves, on the same canonical argument
+    order, so the cost is exactly symmetric in (P, Q) and
+    ``cost / cm.diameter == ntd(P, Q, cm)``.
     """
     n = cm.dist.shape[0]
     P = check_distribution(P, n, "P")
     Q = check_distribution(Q, n, "Q")
     if np.array_equal(P, Q):
-        return TransportPlan(plan=np.diag(P), cost=0.0, pivots=0, bland=False)
+        return TransportPlan(plan=np.diag(P), cost=0.0, potential=np.zeros(n),
+                             pivots=0, bland=False)
     if Q.tobytes() < P.tobytes():
         flipped = wasserstein(Q, P, cm)
-        return replace(flipped, plan=flipped.plan.T.copy())
-
-    rows = np.flatnonzero(P > 0)
-    cols = np.flatnonzero(Q > 0)
-    sub = cm.dist[np.ix_(rows, cols)].astype(float)
-    x_sub, cost, pivots, bland = _transport_plan(P[rows], Q[cols], sub)
-    plan = np.zeros((n, n), dtype=float)
-    plan[np.ix_(rows, cols)] = x_sub
-    return TransportPlan(plan=plan, cost=cost, pivots=pivots, bland=bland)
+        return replace(flipped, plan=flipped.plan.T.copy(),
+                       potential=-flipped.potential)
+    cost, pot, pivots, bland, arc, flow = _graph_flow(P, Q, cm)
+    return TransportPlan(plan=_plan_from_flow(P, Q, cm, arc, flow), cost=cost,
+                         potential=pot, pivots=pivots, bland=bland)
 
 
 def ntd(P: np.ndarray, Q: np.ndarray, cm) -> float:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from nettom import dataset as ds
 from nettom import graph_core as gc
+from nettom import transport as tp
 from nettom.cli import (DATASET_KEYS, SPECIES_KEYS, TOURNAMENT_KEYS, _read_keys,
                         main)
 
@@ -394,6 +395,35 @@ class TestConfigSchema:
         assert config["reds"] and config["networks"] and config["blues"]
 
 
+def _edit_manifest(path, value):
+    """An edit that sets the entry of the manifest object at path to value."""
+    def edit(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+    return edit
+
+
+# Every case reaches `nettom score` through a 2-game tree30 build.
+MALFORMED_MANIFESTS = {
+    "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
+    "sample_not_object": (_edit_manifest(("samples",), [1]), "malformed manifest"),
+    "gammas_string": (_edit_manifest(("gammas",), "x"), "malformed manifest"),
+    "truth_sr_wrong_length": (_edit_manifest(("samples", 0, "truth_sr", "0.5"), [1.0]),
+                              "truth_sr has shape (1,), expected (30,)"),
+    "entry_off_network": (_edit_manifest(("samples", 0, "entry"), 999),
+                          "node 999 is not on tree30"),
+    "sample_id_int": (_edit_manifest(("samples", 0, "sample_id"), 5),
+                      "samples[0].sample_id must be a string, got 5"),
+    "t_string": (_edit_manifest(("samples", 0, "t"), "x"),
+                 "samples[0].t must be an integer, got 'x'"),
+    "split_unknown": (_edit_manifest(("samples", 0, "split"), "nope"),
+                      "samples[0].split must be 'train' or 'val', got 'nope'"),
+}
+
+
 class TestScoreCommand:
     def test_perfect_predictions_score_perfectly(self, runner, tmp_path):
         cfg = tmp_path / "d.json"
@@ -607,30 +637,18 @@ class TestScoreCommand:
         assert listed in result.output
         assert not (tmp_path / "rep").exists()
 
-    @pytest.mark.parametrize("shape", [
-        "top_level_list", "sample_not_object", "gammas_string",
-        "truth_sr_wrong_length", "entry_off_network",
-    ])
+    @pytest.mark.parametrize("shape", list(MALFORMED_MANIFESTS))
     def test_malformed_manifest_exit_1(self, runner, tmp_path, shape):
         manifest_path = self._built(runner, tmp_path)
         preds = tmp_path / "preds.jsonl"
         _perfect_predictions(manifest_path, preds)
-        obj = json.loads(manifest_path.read_text(encoding="utf-8"))
-        first = obj["samples"][0]
-        if shape == "top_level_list":
-            obj = [obj]
-        elif shape == "sample_not_object":
-            obj["samples"] = [1]
-        elif shape == "gammas_string":
-            obj["gammas"] = "x"
-        elif shape == "truth_sr_wrong_length":
-            first["truth_sr"]["0.5"] = [1.0]
-        else:
-            first["entry"] = 999
+        edit, fragment = MALFORMED_MANIFESTS[shape]
+        obj = edit(json.loads(manifest_path.read_text(encoding="utf-8")))
         manifest_path.write_text(json.dumps(obj), encoding="utf-8")
         result = self._score(runner, tmp_path, preds, manifest_path)
         assert result.exit_code == 1, result.output
         assert result.exc_info[0] is SystemExit
+        assert fragment in result.output
         assert len(result.output.strip().splitlines()) == 1
 
 
@@ -658,6 +676,28 @@ class TestNtdCommands:
         assert payload["ntd"] == 1.0
         assert payload["pivots"] == 0
         assert payload["bland"] is False
+
+    @pytest.mark.parametrize("topology, pivots", [("optical54", None),
+                                                  ("tree30", 0)])
+    def test_score_is_the_certified_metric(self, runner, tmp_path, topology,
+                                           pivots):
+        # ntd equals the library metric bit for bit, the potential closes
+        # the duality gap, and pivots count the graph solve (none on a tree)
+        net, cm = gc.topology(topology)
+        rng = np.random.default_rng(12)
+        p, q = rng.dirichlet(np.ones(net.node_count), size=2)
+        paths = [tmp_path / name for name in ("net.json", "p.json", "q.json")]
+        gc.save_network(net, paths[0])
+        paths[1].write_text(json.dumps(p.tolist()), encoding="utf-8")
+        paths[2].write_text(json.dumps(q.tolist()), encoding="utf-8")
+        result = runner.invoke(main, ["ntd", "score", "--network", str(paths[0]),
+                                      "--p", str(paths[1]), "--q", str(paths[2])])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["ntd"] == tp.ntd(p, q, cm)
+        assert abs(payload["duality_gap"]) <= 1e-12
+        if pivots is not None:
+            assert payload["pivots"] == pivots
 
     def test_plan_flag(self, runner, files):
         net_path, p_path, q_path = files
@@ -696,10 +736,11 @@ class TestNtdCommands:
     @pytest.mark.parametrize("flag, value, name", [
         ("--lambda", "inf", "lam"), ("--lambda", "-inf", "lam"),
         ("--lambda", "nan", "lam"), ("--tol", "nan", "convergence_tol"),
-        ("--tol", "inf", "convergence_tol"),
+        ("--tol", "inf", "convergence_tol"), ("--max-iters", "0", "max_iters"),
     ])
     def test_sinkhorn_non_finite_parameter_exits_1(self, runner, files, flag,
                                                    value, name):
+        # the message names the flag typed, not the SinkhornParams field
         net_path, p_path, q_path = files
         result = runner.invoke(main, [
             "ntd", "sinkhorn", "--p", str(p_path), "--q", str(q_path),
@@ -707,7 +748,9 @@ class TestNtdCommands:
         ])
         assert result.exit_code == 1, result.output
         assert result.exc_info[0] is SystemExit
-        assert f"{name} must be a positive finite number, got {value}" in result.output
+        assert result.output.startswith(f"Error: {flag} must be "), result.output
+        assert f"got {value}" in result.output
+        assert f"{name} must" not in result.output
         assert len(result.output.strip().splitlines()) == 1, result.output
 
     def test_unnormalized_input_exits_1(self, runner, files, tmp_path):

@@ -84,7 +84,7 @@ EXPECTED_SIMULATE = "5de75f775ea8613c9fec18609c54e5bae472b4f58814e885c65ffbb601d
 EXPECTED_DATASET_V1 = "5106648a380fa2c8ab947d36d8033a5157468548e330f45e24c7d00d3cf10c69"
 EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "6f03b992c89bf2b9f4f2894166baa445f550b3d823f64eeb934a6395561a00b8"
-EXPECTED_PLANS = "55e3ffa8719a8de96fd3a5479f76433b58c4328abbd2e3e129a9bd1927bf040a"
+EXPECTED_PLANS = "572d5ddae2965b4c247d97cccc8d624a6aca1ae845b26ea4ad970ef2d4dda930"
 EXPECTED_SINKHORN = {
     "tree30": [0.522481981309285, -0.1212994193650917],
     "forest72": [0.5034167483585317, -0.17845652167294263],

@@ -58,7 +58,7 @@ class TestParams:
         (dict(lam=1.0, max_iters=2.5), "max_iters must be an integer, got 2.5"),
         (dict(lam=1.0, max_iters=10.0), "max_iters must be an integer, got 10.0"),
         (dict(lam=1.0, max_iters=True), "max_iters must be an integer, got True"),
-        (dict(lam=1.0, max_iters=0), "max_iters must be >= 1"),
+        (dict(lam=1.0, max_iters=0), "max_iters must be >= 1, got 0"),
     ], ids=["lam_inf", "lam_minus_inf", "lam_nan", "lam_bool", "lam_string",
             "tol_nan", "tol_inf", "tol_zero", "iters_float", "iters_whole_float",
             "iters_bool", "iters_zero"])
@@ -156,8 +156,8 @@ class TestSinkhornPlan:
         p = dyadic_distribution(rng, cm.dist.shape[0], support=5)
         q = dyadic_distribution(rng, cm.dist.shape[0], support=5)
         res = sk.sinkhorn_plan(p, q, cm, _params(cm, 0.5))
-        K = sk.kernel_matrix(cm, 0.5 * cm.diameter)
-        rebuilt = res.u[:, None] * K * res.v[None, :]
+        logK = sk._log_kernel(cm, 0.5 * cm.diameter)
+        rebuilt = np.exp(res.log_u[:, None] + res.log_v[None, :] + logK)
         assert np.abs(rebuilt - res.plan).max() < 1e-9
 
     def test_plan_strictly_positive(self, tree30):

@@ -38,15 +38,21 @@ def _mixed_pair(rng, n, case):
     return rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
 
 
-def _certified_flow(p, q, cm, edges):
-    """Solve on the graph's arcs and check the Kantorovich-Rubinstein
-    certificate: the node potential y changes by at most one hop across
-    every edge, and <P - Q, y> equals the cost."""
-    cost, y, pivots, bland = tp._graph_flow(p, q, cm)
+def _certified_plan(p, q, cm, edges):
+    """Solve and prove the plan optimal by LP duality: the plan is feasible
+    (marginals P and Q, no negative entry) at cost <X, dist>, and the
+    potential y is a feasible dual of the same value (it changes by at most
+    one hop across every edge, and <P - Q, y> equals the cost)."""
+    result = tp.wasserstein(p, q, cm)
+    X, y = result.plan, result.potential
+    assert np.abs(X.sum(axis=1) - p).max() <= 1e-12
+    assert np.abs(X.sum(axis=0) - q).max() <= 1e-12
+    assert X.min() >= 0.0
+    assert float((X * cm.dist).sum()) == pytest.approx(result.cost, rel=0, abs=1e-12)
     u, v = np.asarray(edges).T
     assert np.abs(y[u] - y[v]).max() <= 1.0
-    assert float((p - q) @ y) == pytest.approx(cost, rel=0, abs=1e-12)
-    return cost, pivots, bland
+    assert float((p - q) @ y) == pytest.approx(result.cost, rel=0, abs=1e-12)
+    return result
 
 
 class TestWasserstein:
@@ -224,8 +230,8 @@ class TestNtd:
 
 
 class TestGraphFlow:
-    """``ntd`` solves on the graph's own arcs; the plan solve and the tree
-    formula are its oracles."""
+    """``ntd`` and ``wasserstein`` solve on the graph's own arcs; the tree
+    formula and the duality certificate check them."""
 
     def test_trees_match_subtree_oracle(self):
         rng = np.random.default_rng(21)
@@ -240,11 +246,11 @@ class TestGraphFlow:
             ref = tree_w1(n, edges, p, q)
             assert tp.ntd(p, q, cm) == pytest.approx(ref / cm.diameter,
                                                       rel=0, abs=1e-12)
-            cost, pivots, _ = _certified_flow(p, q, cm, edges)
-            assert cost == pytest.approx(ref, rel=0, abs=1e-12)
-            assert pivots == 0  # the spanning-tree start is already optimal
+            result = _certified_plan(p, q, cm, edges)
+            assert result.cost == pytest.approx(ref, rel=0, abs=1e-12)
+            assert result.pivots == 0  # the spanning-tree start is already optimal
 
-    def test_cyclic_graphs_match_plan_solve(self):
+    def test_cyclic_graphs_certified(self):
         rng = np.random.default_rng(22)
         pivots = 0
         for case in range(1000):
@@ -252,14 +258,23 @@ class TestGraphFlow:
             edges = random_connected_graph(rng, n)
             cm = gc.all_pairs_shortest_paths(gc.Network.from_edges(edges))
             p, q = _mixed_pair(rng, n, case)
-            expected = tp.wasserstein(p, q, cm).cost
-            assert tp.ntd(p, q, cm) * cm.diameter == pytest.approx(
-                expected, rel=0, abs=1e-12)
-            cost, used, bland = _certified_flow(p, q, cm, edges)
-            assert cost == pytest.approx(expected, rel=0, abs=1e-12)
-            assert not bland
-            pivots += used
+            result = _certified_plan(p, q, cm, edges)
+            assert tp.ntd(p, q, cm) == result.cost / cm.diameter
+            assert not result.bland
+            pivots += result.pivots
         assert pivots > 0
+
+    def test_swapped_inputs_transpose_the_plan(self):
+        rng = np.random.default_rng(24)
+        for case in range(200):
+            n = int(rng.integers(5, 31))
+            cm = gc.all_pairs_shortest_paths(
+                gc.Network.from_edges(random_connected_graph(rng, n)))
+            p, q = _mixed_pair(rng, n, case)
+            forward, backward = tp.wasserstein(p, q, cm), tp.wasserstein(q, p, cm)
+            assert (backward.plan == forward.plan.T).all()
+            assert (backward.potential == -forward.potential).all()
+            assert backward.cost == forward.cost
 
     def test_bland_rule_from_first_pivot(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -271,15 +286,15 @@ class TestGraphFlow:
                 cm = gc.all_pairs_shortest_paths(gc.Network.from_edges(edges))
                 cases.append((edges, cm, dyadic_distribution(rng, n),
                               dyadic_distribution(rng, n)))
-        default = [tp._graph_flow(p, q, cm) for _, cm, p, q in cases]
-        assert not any(bland for *_, bland in default)
-        assert sum(pivots for _, _, pivots, _ in default) > 0
+        default = [tp.wasserstein(p, q, cm) for _, cm, p, q in cases]
+        assert not any(r.bland for r in default)
+        assert sum(r.pivots for r in default) > 0
         monkeypatch.setattr(tp, "_BLAND_AFTER_FACTOR", 0)
-        for (edges, cm, p, q), (expected, *_) in zip(cases, default):
-            cost, _, bland = _certified_flow(p, q, cm, edges)
-            assert bland
-            assert cost == pytest.approx(expected, rel=0, abs=1e-12)
-            assert tp.ntd(p, q, cm) == pytest.approx(expected / cm.diameter,
+        for (edges, cm, p, q), expected in zip(cases, default):
+            result = _certified_plan(p, q, cm, edges)
+            assert result.bland
+            assert result.cost == pytest.approx(expected.cost, rel=0, abs=1e-12)
+            assert tp.ntd(p, q, cm) == pytest.approx(expected.cost / cm.diameter,
                                                       rel=0, abs=1e-12)
 
 
