@@ -447,7 +447,7 @@ def ntd_score(p_path, q_path, net_path, with_plan):
     q = _read_distribution(q_path, net.node_count, "Q")
     try:
         result = transport.wasserstein(p, q, cm)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise _fail_data(str(exc))
     payload = {
         "cost": result.cost,
@@ -487,9 +487,10 @@ def ntd_sinkhorn(p_path, q_path, net_path, lam, max_iters, tol):
             lam=lam, max_iters=max_iters, convergence_tol=tol
         )
     except ValueError as exc:
-        # SinkhornParams owns these rules; its messages start with the field.
+        # SinkhornParams owns these rules; name the flag for the field its
+        # message starts with, and pass any other message on unchanged.
         field, _, rest = str(exc).partition(" ")
-        raise _fail_data(f"{_SINKHORN_FLAGS[field]} {rest}")
+        raise _fail_data(f"{_SINKHORN_FLAGS.get(field, field)} {rest}")
     try:
         result = sinkhorn.sinkhorn_plan(p, q, cm, params)
     except (ValueError, RuntimeError) as exc:

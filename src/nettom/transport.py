@@ -247,6 +247,12 @@ def _plan_from_flow(P: np.ndarray, Q: np.ndarray, cm, arc, flow) -> np.ndarray:
     way is booked to that cell and taken off the path. Flow arcs price at
     zero against a potential that changes by at most 1 per edge, so every
     walk is a shortest path and the plan costs what the flow costs.
+
+    The root, node 0, balances the flow: the start flow sends it the input
+    imbalance sum(P) - sum(Q), which check_distribution bounds by
+    2 * SUM_TOL, and no arc carries that on. So an imbalance above rounding
+    residue is added to the root's demand (or, when negative, its surplus),
+    and the plan's marginals then miss P and Q by at most that much.
     """
     n = len(P)
     tail = cm.arc_tail[arc].tolist()
@@ -257,6 +263,9 @@ def _plan_from_flow(P: np.ndarray, Q: np.ndarray, cm, arc, flow) -> np.ndarray:
         if left[x] > _EMPTY:
             out[tail[x]].append((head[x], x))
     excess = (P - Q).tolist()
+    spare = float(P.sum() - Q.sum())
+    if abs(spare) > _EMPTY:
+        excess[0] -= spare
     plan = np.diag(np.minimum(P, Q))
     for a in range(n):
         while excess[a] > _EMPTY:

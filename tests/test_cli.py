@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from nettom import dataset as ds
 from nettom import graph_core as gc
+from nettom import sinkhorn
 from nettom import transport as tp
 from nettom.cli import (DATASET_KEYS, SPECIES_KEYS, TOURNAMENT_KEYS, _read_keys,
                         main)
@@ -699,6 +700,36 @@ class TestNtdCommands:
         if pivots is not None:
             assert payload["pivots"] == pivots
 
+    def test_score_total_off_by_a_little(self, runner, files, tmp_path):
+        # a total within check_distribution's tolerance of 1 is scored
+        net_path, _, _ = files
+        p, q = [0.0, 0.5 + 1e-10, 0.5], [0.5, 0.0, 0.5]
+        paths = [tmp_path / "p1.json", tmp_path / "q1.json"]
+        for path, x in zip(paths, (p, q)):
+            path.write_text(json.dumps(x), encoding="utf-8")
+        result = runner.invoke(main, ["ntd", "score", "--p", str(paths[0]),
+                                      "--q", str(paths[1]),
+                                      "--network", str(net_path), "--plan"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        cm = gc.all_pairs_shortest_paths(gc.load_network(net_path))
+        assert payload["ntd"] == tp.ntd(np.array(p), np.array(q), cm)
+        assert np.abs(np.sum(payload["plan"], axis=1) - p).max() <= 1e-12
+
+    def test_score_solver_failure_exits_1(self, runner, files, monkeypatch):
+        def dead_end(*args):
+            raise RuntimeError("flow decomposition dead-ended at node 0")
+
+        monkeypatch.setattr(tp, "_plan_from_flow", dead_end)
+        net_path, p_path, q_path = files
+        result = runner.invoke(main, ["ntd", "score", "--p", str(p_path),
+                                      "--q", str(q_path),
+                                      "--network", str(net_path)])
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert result.output.strip() == (
+            "Error: flow decomposition dead-ended at node 0")
+
     def test_plan_flag(self, runner, files):
         net_path, p_path, q_path = files
         result = runner.invoke(main, ["ntd", "score", "--p", str(p_path),
@@ -752,6 +783,21 @@ class TestNtdCommands:
         assert f"got {value}" in result.output
         assert f"{name} must" not in result.output
         assert len(result.output.strip().splitlines()) == 1, result.output
+
+    def test_sinkhorn_other_parameter_message_passes_through(
+            self, runner, files, monkeypatch):
+        def reject(**kwargs):
+            raise ValueError("parameters rejected")
+
+        monkeypatch.setattr(sinkhorn, "SinkhornParams", reject)
+        net_path, p_path, q_path = files
+        result = runner.invoke(main, [
+            "ntd", "sinkhorn", "--p", str(p_path), "--q", str(q_path),
+            "--network", str(net_path),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert result.output.strip() == "Error: parameters rejected"
 
     def test_unnormalized_input_exits_1(self, runner, files, tmp_path):
         net_path, p_path, q_path = files

@@ -276,6 +276,43 @@ class TestGraphFlow:
             assert (backward.potential == -forward.potential).all()
             assert backward.cost == forward.cost
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)],
+                                       [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]])
+    def test_totals_off_by_a_little(self, edges):
+        # check_distribution lets a total miss 1 by SUM_TOL; the root, which
+        # balances the flow, takes the imbalance and no walk dead-ends
+        n = int(np.max(edges)) + 1
+        cm = gc.all_pairs_shortest_paths(gc.Network.from_edges(edges))
+        rng = np.random.default_rng(25)
+        pairs = [(np.array([0.0, 0.5 + 1e-10, 0.5] + [0.0] * (n - 3)),
+                  np.array([0.5, 0.0, 0.5] + [0.0] * (n - 3)))]
+        for _ in range(50):
+            p, q = rng.dirichlet(np.ones(n), size=2)
+            p[rng.integers(n)] += rng.uniform(-5e-10, 5e-10)
+            pairs.append((p, q))
+        for p, q in pairs + [(q, p) for p, q in pairs]:
+            result = tp.wasserstein(p, q, cm)
+            X, y = result.plan, result.potential
+            gap = abs(p.sum() - q.sum())
+            assert result.cost == tp.ntd(p, q, cm) * cm.diameter
+            assert X.min() >= 0.0
+            assert np.abs(X.sum(axis=1) - p).max() <= gap + 1e-12
+            assert np.abs(X.sum(axis=0) - q).max() <= gap + 1e-12
+            assert abs(float((X * cm.dist).sum()) - result.cost) <= (
+                gap * cm.diameter + 1e-12)
+            u, v = np.asarray(edges).T
+            assert np.abs(y[u] - y[v]).max() <= 1.0
+            assert float((p - q) @ y) == pytest.approx(result.cost, rel=0,
+                                                       abs=1e-12)
+
+    def test_dead_end_raises(self, path3):
+        # a flow that does not carry the surplus leaves mass unplaced
+        _, cm = path3
+        p, q = delta(3, 0), delta(3, 2)
+        arc, flow = tp._graph_flow(p, q, cm)[4:]
+        with pytest.raises(RuntimeError, match="dead-ended at node 1"):
+            tp._plan_from_flow(p, q, cm, arc, flow * np.array([1.0, 1.0, 0.0]))
+
     def test_bland_rule_from_first_pivot(self, monkeypatch):
         rng = np.random.default_rng(23)
         cases = []
