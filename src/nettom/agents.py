@@ -499,7 +499,7 @@ class RedHvtPreferenceSP(_RedBase):
         return self._path_step(obs)
 
     def _deviate(self, obs, rng):
-        """A sloppy off-path turn: shuffle the locus or stall outright.
+        """A sloppy off-path turn: a random move or an outright stall.
 
         Deviations burn tempo and gain nothing, which is what separates
         this attacker from its always-on-path variant in tournament play.

@@ -128,7 +128,6 @@ class EpisodeState:
     is_entry: np.ndarray
     is_hvn: np.ndarray
     rng: np.random.Generator
-    red_locus: int
     done: bool = False
     outcome: str | None = None
 
@@ -238,7 +237,6 @@ class CyberEnv:
             is_entry=is_entry,
             is_hvn=is_hvn,
             rng=rng,
-            red_locus=entries[0],
         )
         return self.state
 
@@ -306,15 +304,11 @@ class CyberEnv:
         if kind in _RED_TARGETED:
             if v is None or not (0 <= v < self.net.node_count):
                 raise ValueError(f"red action {kind} needs a valid node, got {v!r}")
-        if kind == RED_DO_NOTHING:
+        if kind in (RED_DO_NOTHING, RED_RANDOM_MOVE):
+            # A random move is a turn spent moving: it changes no state.
             return ()
         hits: list[int] = []
-        if kind == RED_RANDOM_MOVE:
-            # Bookkeeping only: relocates the action locus, never the state.
-            u = s.red_locus
-            if self.net.adjacency[u, v] and not (s.isolated[u] or s.isolated[v]):
-                s.red_locus = v
-        elif kind == RED_BASIC_ATTACK:
+        if kind == RED_BASIC_ATTACK:
             if self._can_attack(v):
                 self._roll_attack(v, rng, hits)
         elif kind == RED_ZERO_DAY:
@@ -484,7 +478,7 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
         final_step=state.step,
         hvns=state.placement.hvns,
         entries=state.entries,
-        edges=tuple(map(tuple, np.argwhere(np.triu(net.adjacency)).tolist())),
+        edges=net.edges,
         total_blue_reward=total_reward,
         steps=steps,
     )

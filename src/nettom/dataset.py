@@ -469,6 +469,28 @@ def _sample_from_json(i: int, s: dict) -> ToMSample:
     if s["split"] not in ("train", "val"):
         raise ValueError(f"samples[{i}].split must be 'train' or 'val', "
                          f"got {s['split']!r}")
+    hvns = s["hvns"]
+    if not isinstance(hvns, list) or len(hvns) != 3:
+        raise ValueError(f"samples[{i}].hvns must be three integers, got {hvns!r}")
+    for h in hvns:
+        json_int(h, f"samples[{i}].hvns entry")
+    if len(set(hvns)) != 3:
+        raise ValueError(f"samples[{i}].hvns {hvns!r} are not distinct")
+    if s["target_index"] not in (0, 1, 2):
+        raise ValueError(f"samples[{i}].target_index must be 0, 1 or 2, "
+                         f"got {s['target_index']!r}")
+    if s["truth_hvn"] != hvns[s["target_index"]]:
+        raise ValueError(f"samples[{i}].truth_hvn {s['truth_hvn']!r} is not "
+                         f"hvns[{s['target_index']}] = {hvns[s['target_index']]!r}")
+    for k, ref in enumerate(s["past"]):
+        if not isinstance(ref["episode_id"], str):
+            raise TypeError(f"samples[{i}].past[{k}].episode_id must be a string, "
+                            f"got {ref['episode_id']!r}")
+        if not isinstance(ref["steps"], list) or any(
+                json_int(t, f"samples[{i}].past[{k}].steps entry") < 0
+                for t in ref["steps"]):
+            raise ValueError(f"samples[{i}].past[{k}].steps must be a list of "
+                             f"non-negative integers, got {ref['steps']!r}")
     return ToMSample(
         sample_id=s["sample_id"],
         game_id=s["game_id"],
@@ -490,6 +512,11 @@ def _sample_from_json(i: int, s: dict) -> ToMSample:
 
 
 def _manifest_from_json(obj: dict) -> DatasetManifest:
+    for key, kind, name in (("games", dict, "an object"),
+                            ("red_split", dict, "an object"),
+                            ("excluded", list, "a list")):
+        if not isinstance(obj[key], kind):
+            raise TypeError(f"{key} must be {name}, got {obj[key]!r}")
     samples = [_sample_from_json(i, s) for i, s in enumerate(obj["samples"])]
     return DatasetManifest(
         schema_version=obj["schema_version"],

@@ -3,11 +3,14 @@
 Networks are immutable after construction: the adjacency matrix is
 write-locked and all derived structure (leaves, branches, neighbor lists)
 is precomputed. Generators are pure functions of (name, seed).
+
+One breadth-first search, ``_hops``, computes all hop-count geometry: the
+connectivity check, the branch labels, the all-pairs hop counts and the
+attacker's shortest paths.
 """
 
 from __future__ import annotations
 
-import collections
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -68,6 +71,8 @@ class Network:
             if adj[i, j]:
                 raise ValueError(f"repeated edge ({i}, {j})")
             adj[i, j] = adj[j, i] = True
+        if tuple(self.edges) != tuple(sorted((min(e), max(e)) for e in self.edges)):
+            raise ValueError("edges must be (i, j) pairs with i < j, in ascending order")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
         neighbors = tuple(tuple(np.flatnonzero(adj[v]).tolist()) for v in range(n))
@@ -78,7 +83,7 @@ class Network:
         object.__setattr__(
             self, "leaf_set", frozenset(int(v) for v in np.flatnonzero(degree == 1))
         )
-        if not _connected(neighbors):
+        if -1 in _hops(neighbors, 0):
             raise ValueError("network must be connected")
         object.__setattr__(self, "branch_of", _branch_labels(self))
 
@@ -189,20 +194,27 @@ def json_int(v, what: str) -> int:
     return v
 
 
-def _connected(neighbors) -> bool:
-    n = len(neighbors)
-    seen = [False] * n
-    seen[0] = True
-    queue = collections.deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
+def _hops(neighbors, source: int, blocked=frozenset()) -> list[int]:
+    """Hop counts from ``source`` by a breadth-first search that never
+    enters ``blocked``; -1 marks the nodes it cannot reach.
+
+    Each level is expanded in the order the previous level was found, each
+    node's neighbours in ascending id order (``neighbors`` holds sorted
+    tuples).
+    """
+    hops = [-1] * len(neighbors)
+    hops[source] = 0
+    level, d = [source], 0
+    while level:
+        d += 1
+        found = []
+        for v in level:
+            for w in neighbors[v]:
+                if hops[w] < 0 and w not in blocked:
+                    hops[w] = d
+                    found.append(w)
+        level = found
+    return hops
 
 
 def _branch_labels(net: Network) -> tuple[int, ...]:
@@ -211,22 +223,16 @@ def _branch_labels(net: Network) -> tuple[int, ...]:
     Core-layer nodes get -1. Branches are numbered by their smallest node id,
     which for the generated templates matches construction order.
     """
-    core = {v for v in range(net.node_count) if net.node_layer[v] == "core"}
+    core = frozenset(v for v in range(net.node_count) if net.node_layer[v] == "core")
     label = [-1] * net.node_count
-    comp_roots = []
+    branch = 0
     for start in range(net.node_count):
         if start in core or label[start] != -1:
             continue
-        comp_roots.append(start)
-        idx = len(comp_roots) - 1
-        queue = collections.deque([start])
-        label[start] = idx
-        while queue:
-            v = queue.popleft()
-            for w in net.neighbors[v]:
-                if w not in core and label[w] == -1:
-                    label[w] = idx
-                    queue.append(w)
+        for v, h in enumerate(_hops(net.neighbors, start, core)):
+            if h >= 0:
+                label[v] = branch
+        branch += 1
     return tuple(label)
 
 
@@ -312,26 +318,14 @@ def generate_network(name: str, seed: int = 0) -> Network:
 
 
 def all_pairs_shortest_paths(net: Network) -> CostMatrix:
-    """Hop-count shortest paths via BFS from every node.
+    """Hop-count shortest paths: one breadth-first search per source row.
 
-    Raises if the graph is disconnected (infinite entries would break the
-    unit-bounded transport metric).
+    Every entry is finite because ``Network`` rejects disconnected graphs.
     """
     n = net.node_count
-    dist = np.full((n, n), -1, dtype=np.int64)
+    dist = np.empty((n, n), dtype=np.int64)
     for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue = collections.deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = row[v]
-            for w in net.neighbors[v]:
-                if row[w] < 0:
-                    row[w] = dv + 1
-                    queue.append(w)
-    if (dist < 0).any():
-        raise ValueError("graph is disconnected; shortest paths are not finite")
+        dist[s] = _hops(net.neighbors, s)
     return CostMatrix(dist=dist, diameter=int(dist.max()))
 
 
@@ -346,28 +340,23 @@ def shortest_path(net: Network, source: int, target: int,
                   blocked: frozenset[int] | None = None) -> list[int] | None:
     """One shortest path from source to target, avoiding blocked nodes.
 
-    BFS expands neighbors in ascending id order, so ties break toward the
-    lexicographically smallest path. Returns None if target is unreachable.
+    The hop counts to ``target`` avoiding ``blocked`` come first; the walk
+    from ``source`` then steps to the smallest-id neighbour one hop nearer
+    each time, so ties break toward the lexicographically smallest shortest
+    path. Returns None if an endpoint is blocked or target is unreachable.
     """
     if blocked is None:
         blocked = frozenset()
     if source in blocked or target in blocked:
         return None
-    parent = {source: None}
-    queue = collections.deque([source])
-    while queue:
-        v = queue.popleft()
-        if v == target:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = parent[v]
-            return path[::-1]
-        for w in net.neighbors[v]:
-            if w not in parent and w not in blocked:
-                parent[w] = v
-                queue.append(w)
-    return None
+    hops = _hops(net.neighbors, target, blocked)
+    if hops[source] < 0:
+        return None
+    path = [source]
+    while path[-1] != target:
+        v = path[-1]
+        path.append(next(w for w in net.neighbors[v] if hops[w] == hops[v] - 1))
+    return path
 
 
 def place_high_value_nodes(net: Network, rng_seed: int,

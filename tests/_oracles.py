@@ -8,10 +8,15 @@ and central finite differences instead of dual potentials.
 wrote every step's full observation. ``sinkhorn_log_domain`` is the
 Sinkhorn loop on log potentials, two n x n log-sum-exps per iteration,
 against which the scaling-domain loop with absorption is checked.
+``shortest_path_parent_bfs`` is the attacker's path search as a BFS from
+the source that records each node's parent and stops at the target, and
+``branch_labels_union_find`` finds branches by merging the endpoints of
+every edge between non-core nodes.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 
@@ -130,6 +135,55 @@ def floyd_warshall(adjacency: np.ndarray) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k][:, None] + dist[k][None, :])
     return dist
+
+
+def shortest_path_parent_bfs(net, source: int, target: int,
+                             blocked=None) -> list[int] | None:
+    """One shortest path by BFS from source with parent pointers.
+
+    Neighbours are expanded in ascending id order, so each level is popped
+    in lexicographic order of the tree paths and the path found is the
+    lexicographically smallest shortest one. None if an endpoint is
+    blocked or target is unreachable.
+    """
+    if blocked is None:
+        blocked = frozenset()
+    if source in blocked or target in blocked:
+        return None
+    parent = {source: None}
+    queue = collections.deque([source])
+    while queue:
+        v = queue.popleft()
+        if v == target:
+            path = []
+            while v is not None:
+                path.append(v)
+                v = parent[v]
+            return path[::-1]
+        for w in net.neighbors[v]:
+            if w not in parent and w not in blocked:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def branch_labels_union_find(node_count: int, edges, core) -> tuple[int, ...]:
+    """Core nodes -1; every other node the index of its core-free component,
+    components numbered in order of their smallest node id."""
+    root = list(range(node_count))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i, j in edges:
+        if i not in core and j not in core:
+            root[max(find(i), find(j))] = min(find(i), find(j))
+    index: dict[int, int] = {}
+    return tuple(-1 if v in core else index.setdefault(find(v), len(index))
+                 for v in range(node_count))
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:

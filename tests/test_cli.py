@@ -407,6 +407,13 @@ def _edit_manifest(path, value):
     return edit
 
 
+def _edit_truth_hvn(obj):
+    """Name another of the sample's HVNs as its truth."""
+    sample = obj["samples"][0]
+    sample["truth_hvn"] = sample["hvns"][(sample["target_index"] + 1) % 3]
+    return obj
+
+
 # Every case reaches `nettom score` through a 2-game tree30 build.
 MALFORMED_MANIFESTS = {
     "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
@@ -422,6 +429,25 @@ MALFORMED_MANIFESTS = {
                  "samples[0].t must be an integer, got 'x'"),
     "split_unknown": (_edit_manifest(("samples", 0, "split"), "nope"),
                       "samples[0].split must be 'train' or 'val', got 'nope'"),
+    "hvns_string": (_edit_manifest(("samples", 0, "hvns", 0), "a"),
+                    "samples[0].hvns entry must be an integer, got 'a'"),
+    "hvns_repeated": (_edit_manifest(("samples", 0, "hvns"), [1, 1, 2]),
+                      "samples[0].hvns [1, 1, 2] are not distinct"),
+    "target_index_9": (_edit_manifest(("samples", 0, "target_index"), 9),
+                       "samples[0].target_index must be 0, 1 or 2, got 9"),
+    "truth_hvn_not_target": (_edit_truth_hvn, "samples[0].truth_hvn "),
+    "past_step_string": (_edit_manifest(("samples", 0, "past", 0, "steps"), ["x"]),
+                         "samples[0].past[0].steps entry must be an integer"),
+    "past_step_negative": (_edit_manifest(("samples", 0, "past", 0, "steps"), [-1]),
+                           "samples[0].past[0].steps must be a list of non-negative"),
+    "past_episode_id_int": (_edit_manifest(("samples", 0, "past", 0, "episode_id"), 3),
+                            "samples[0].past[0].episode_id must be a string, got 3"),
+    "games_list": (_edit_manifest(("games",), [1]),
+                   "games must be an object, got [1]"),
+    "red_split_list": (_edit_manifest(("red_split",), []),
+                       "red_split must be an object, got []"),
+    "excluded_object": (_edit_manifest(("excluded",), {}),
+                        "excluded must be a list, got {}"),
 }
 
 

@@ -6,7 +6,12 @@ import pytest
 from nettom import graph_core as gc
 from nettom.errors import ConfigError
 
-from _oracles import floyd_warshall, random_connected_graph
+from _oracles import (
+    branch_labels_union_find,
+    floyd_warshall,
+    random_connected_graph,
+    shortest_path_parent_bfs,
+)
 
 
 EXPECTED_BRANCHES = {
@@ -115,6 +120,13 @@ class TestShortestPaths:
         with pytest.raises(ValueError, match="hop-count"):
             gc.CostMatrix(dist=np.array([[0, 2], [2, 0]]), diameter=2)
 
+    @pytest.mark.parametrize("edges", [((2, 1), (0, 1)), ((1, 2), (0, 1)),
+                                       ((1, 0), (1, 2))])
+    def test_unordered_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="i < j, in ascending order"):
+            gc.Network(name="x", node_count=3, edges=edges, entry_node=0,
+                       node_layer=("subnet",) * 3)
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             gc.Network.from_edges([(0, 1), (2, 3)])
@@ -131,6 +143,45 @@ class TestShortestPaths:
     def test_shortest_path_blocked(self, path3):
         net, _ = path3
         assert gc.shortest_path(net, 0, 2, blocked=frozenset({1})) is None
+
+    def test_shortest_path_matches_parent_pointer_bfs(self):
+        # the same lexicographically smallest path, with and without blocked
+        # nodes, and None for blocked endpoints and unreachable targets
+        rng = np.random.default_rng(13)
+        nets = [gc.generate_network(name) for name in gc.TOPOLOGIES]
+        nets += [gc.Network.from_edges(random_connected_graph(rng, int(rng.integers(2, 61))))
+                 for _ in range(80)]
+        unreachable = 0
+        for net in nets:
+            n = net.node_count
+            for _ in range(25):
+                s, t = (int(x) for x in rng.integers(n, size=2))
+                cut = rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False)
+                blocked = frozenset(cut.tolist()) - {s, t}
+                for b in (None, blocked, blocked | {s}, blocked | {t}):
+                    path = gc.shortest_path(net, s, t, b)
+                    assert path == shortest_path_parent_bfs(net, s, t, b), (net.name, s, t, b)
+                    unreachable += b == blocked and path is None
+        assert unreachable > 0
+
+
+class TestBranches:
+    def test_branch_of_matches_union_find(self):
+        # the shipped topologies, then random connected graphs with a random
+        # core mask and the other layers drawn at random
+        rng = np.random.default_rng(14)
+        nets = [gc.generate_network(name) for name in gc.TOPOLOGIES]
+        for _ in range(200):
+            n = int(rng.integers(2, 61))
+            layers = [gc.LAYERS[k] for k in rng.integers(1, len(gc.LAYERS), size=n)]
+            for v in np.flatnonzero(rng.random(n) < rng.random() * 0.5):
+                layers[v] = "core"
+            nets.append(gc.Network.from_edges(random_connected_graph(rng, n),
+                                              node_layer=layers))
+        for net in nets:
+            core = {v for v in range(net.node_count) if net.node_layer[v] == "core"}
+            assert net.branch_of == branch_labels_union_find(net.node_count,
+                                                              net.edges, core)
 
 
 class TestPlacement:
