@@ -130,17 +130,17 @@ class _ThreatAware(_Policy):
         """The visible compromised node closest to any high-value node, with
         its hop distance; None when blue sees no compromise. Ties break low
         id."""
-        visible = np.flatnonzero(obs.compromised_visible)
+        visible = obs.compromised_visible.nonzero()[0]
         if visible.size == 0:
             return None
         dists = self._hvn_dist[visible]
-        k = int(np.argmin(dists))
+        k = int(dists.argmin())
         return int(visible[k]), int(dists[k])
 
 
 def _defence_probability(dist_to_hvn: int, diameter: int) -> float:
     """Chance of acting defensively, rising as a compromise nears an HVN."""
-    return float(np.clip(1.0 - dist_to_hvn / max(diameter, 1), 0.1, 0.95))
+    return min(max(1.0 - dist_to_hvn / max(diameter, 1), 0.1), 0.95)
 
 
 class BlueSleep(_Policy):
@@ -175,10 +175,10 @@ class BlueRandomSmart(_Policy):
 
     def act(self, obs, rng):
         n = len(obs.vulnerability)
-        all_visible = np.flatnonzero(obs.compromised_visible)
-        visible = np.flatnonzero(obs.compromised_visible & ~obs.isolated)
+        all_visible = obs.compromised_visible.nonzero()[0]
+        visible = (obs.compromised_visible & ~obs.isolated).nonzero()[0]
         coast_clear = all_visible.size == 0
-        isolated = np.flatnonzero(obs.isolated) if coast_clear else \
+        isolated = obs.isolated.nonzero()[0] if coast_clear else \
             np.empty(0, dtype=int)
         pools = {
             BLUE_DO_NOTHING: None,
@@ -215,7 +215,7 @@ class BlueIsolate(_Policy):
             v = self._queue.pop(0)
             if not obs.isolated[v]:
                 return BlueAction(BLUE_ISOLATE, v)
-        visible = np.flatnonzero(obs.compromised_visible)
+        visible = obs.compromised_visible.nonzero()[0]
         if visible.size:
             return BlueAction(BLUE_MAKE_SAFE, int(visible[0]))
         return BlueAction(BLUE_SCAN)
@@ -273,7 +273,7 @@ class BlueMsnRnv(BlueMsnS):
     def _fallback(self, obs, rng):
         if rng.integers(2) == 0:
             return BlueAction(BLUE_SCAN)
-        return BlueAction(BLUE_REDUCE_VULN, int(np.argmax(obs.vulnerability)))
+        return BlueAction(BLUE_REDUCE_VULN, int(obs.vulnerability.argmax()))
 
 
 class BlueMsnRestore(BlueMsnS):
@@ -357,9 +357,11 @@ def _node_attackable(obs: StateObservation, ctx: EpisodeContext, v: int) -> bool
 
 def _move_targets(obs: StateObservation, ctx: EpisodeContext) -> np.ndarray:
     """Nodes a random move may relocate to: non-isolated neighbours of a
-    live (compromised, non-isolated) node."""
+    live (compromised, non-isolated) node, read from the live nodes' rows of
+    the symmetric base adjacency."""
     live = obs.compromised_visible & ~obs.isolated
-    return np.flatnonzero(~obs.isolated & (ctx.net.adjacency & live).any(axis=1))
+    frontier = ctx.net.adjacency[live.nonzero()[0]].any(axis=0)
+    return (~obs.isolated & frontier).nonzero()[0]
 
 
 def _live_degree(obs: StateObservation, ctx: EpisodeContext,
@@ -411,7 +413,7 @@ class RedRandomSimple(_RedBase):
                 return RedAction(RED_DO_NOTHING)
             return RedAction(kind, int(pool[rng.integers(pool.size)]))
         # basic or zero-day attack
-        pool = np.flatnonzero(_attackable(obs, self._ctx))
+        pool = _attackable(obs, self._ctx).nonzero()[0]
         if pool.size == 0:
             return RedAction(RED_DO_NOTHING)
         return RedAction(kind, self._pick_target(pool, obs, rng))
@@ -435,7 +437,7 @@ class RedTargetConnected(RedRandomSmart):
 
     def _pick_target(self, pool, obs, rng):
         deg = _live_degree(obs, self._ctx, pool)
-        return int(pool[int(np.argmax(deg))])
+        return int(pool[int(deg.argmax())])
 
 
 class RedTargetUnconnected(RedRandomSmart):
@@ -443,21 +445,21 @@ class RedTargetUnconnected(RedRandomSmart):
 
     def _pick_target(self, pool, obs, rng):
         deg = _live_degree(obs, self._ctx, pool)
-        return int(pool[int(np.argmin(deg))])
+        return int(pool[int(deg.argmin())])
 
 
 class RedTargetVulnerable(RedRandomSmart):
     """Targets the most vulnerable attackable node."""
 
     def _pick_target(self, pool, obs, rng):
-        return int(pool[int(np.argmax(obs.vulnerability[pool]))])
+        return int(pool[int(obs.vulnerability[pool].argmax())])
 
 
 class RedTargetResilient(RedRandomSmart):
     """Targets the least vulnerable attackable node."""
 
     def _pick_target(self, pool, obs, rng):
-        return int(pool[int(np.argmin(obs.vulnerability[pool]))])
+        return int(pool[int(obs.vulnerability[pool].argmin())])
 
 
 class RedHvtSimple(RedRandomSimple):
@@ -492,6 +494,9 @@ class RedHvtPreferenceSP(_RedBase):
         best = max(scores)
         self._target = min(h for h, s in zip(ctx.hvns, scores) if s == best)
         self._path = shortest_path(ctx.net, entry, self._target)
+        # The blocked set under which the entry last failed to reach the
+        # target: that search depends on nothing else, so it is not repeated.
+        self._entry_cut_off = None
 
     def act(self, obs, rng):
         if self.deviation_prob > 0.0 and rng.random() < self.deviation_prob:
@@ -535,16 +540,20 @@ class RedHvtPreferenceSP(_RedBase):
 
     def _replan(self, obs):
         """Re-route around isolated nodes from the best surviving foothold."""
-        blocked = frozenset(int(v) for v in np.flatnonzero(obs.isolated))
+        blocked = frozenset(obs.isolated.nonzero()[0].tolist())
         sources = [v for v in self._path or []
                    if obs.compromised_visible[v] and not obs.isolated[v]]
-        entry = self._ctx.entries[0]
-        candidates = list(reversed(sources)) or [entry]
+        if not sources and blocked == self._entry_cut_off:
+            self._path = None
+            return
+        candidates = list(reversed(sources)) or [self._ctx.entries[0]]
         for src in candidates:
             path = shortest_path(self._ctx.net, src, self._target, blocked=blocked)
             if path is not None:
                 self._path = path
                 return
+        if not sources:
+            self._entry_cut_off = blocked
         self._path = None
 
 

@@ -178,9 +178,13 @@ def attackable_nodes(adjacency: np.ndarray, compromised: np.ndarray,
     either adjacent to a live (compromised, non-isolated) node or is an
     entry node (red's permanent way back in). ``adjacency`` is the base
     topology: an edge between two non-isolated nodes is live.
+
+    ``adjacency`` must be symmetric, as the base topology and the live-edge
+    matrix are: the frontier is the union of the live nodes' rows, which
+    are their columns.
     """
     live = compromised & ~isolated
-    reachable = (adjacency & live[None, :]).any(axis=1)
+    reachable = adjacency[live.nonzero()[0]].any(axis=0)
     return ~isolated & ~compromised & (reachable | is_entry)
 
 
@@ -318,14 +322,14 @@ class CyberEnv:
                 s.hidden[v] = True
                 hits.append(v)
         elif kind == RED_SPREAD:
-            for t in np.flatnonzero(self._attackable_mask()):
+            for t in self._attackable_mask().nonzero()[0]:
                 self._roll_attack(int(t), rng, hits)
         elif kind == RED_INTRUDE:
             live = s.compromised & ~s.isolated
             if live.any():
-                targets = np.flatnonzero(~s.isolated & ~s.compromised)
+                targets = (~s.isolated & ~s.compromised).nonzero()[0]
             else:
-                targets = np.flatnonzero(self._attackable_mask())
+                targets = self._attackable_mask().nonzero()[0]
             for t in targets:
                 self._roll_attack(int(t), rng, hits)
         return tuple(hits)
@@ -358,8 +362,8 @@ class CyberEnv:
             s.zero_day_budget += 1
 
         reward = -(
-            COST_COMPROMISED * float(s.compromised.sum())
-            + COST_ISOLATED * float(s.isolated.sum())
+            COST_COMPROMISED * float(np.count_nonzero(s.compromised))
+            + COST_ISOLATED * float(np.count_nonzero(s.isolated))
         )
         captured = [h for h in s.placement.hvns if s.compromised[h]]
         if captured:

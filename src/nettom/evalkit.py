@@ -188,6 +188,8 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError("not a JSON object")
                 sample_id, pred_sr = obj["sample_id"], obj["pred_sr"]
                 if not isinstance(sample_id, str):
                     raise TypeError("sample_id must be a string, got "
@@ -202,7 +204,8 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
                              for k, v in pred_sr.items()},
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed prediction: {exc}")
+                why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise DataError(f"{path}:{lineno}: malformed prediction: {why}")
             for label, vec in [("pred_hvn", rec.pred_hvn)] + [
                 (f"pred_sr[{k}]", v) for k, v in rec.pred_sr.items()
             ]:

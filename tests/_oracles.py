@@ -11,7 +11,10 @@ against which the scaling-domain loop with absorption is checked.
 ``shortest_path_parent_bfs`` is the attacker's path search as a BFS from
 the source that records each node's parent and stops at the target, and
 ``branch_labels_union_find`` finds branches by merging the endpoints of
-every edge between non-core nodes.
+every edge between non-core nodes. ``attackable_nodes_nn`` and
+``move_targets_nn`` read the attack frontier from the n x n
+``adjacency & live`` matrix, reduced over each row, which needs no
+symmetry; ``defence_probability_clip`` clamps with ``np.clip``.
 """
 
 from __future__ import annotations
@@ -165,6 +168,25 @@ def shortest_path_parent_bfs(net, source: int, target: int,
                 parent[w] = v
                 queue.append(w)
     return None
+
+
+def attackable_nodes_nn(adjacency, compromised, isolated, is_entry):
+    """Nodes red can attack: not isolated, not compromised, and an entry or
+    joined by a row of ``adjacency & live`` to a live node."""
+    live = compromised & ~isolated
+    reachable = (adjacency & live[None, :]).any(axis=1)
+    return ~isolated & ~compromised & (reachable | is_entry)
+
+
+def move_targets_nn(adjacency, compromised_visible, isolated):
+    """Ids of the non-isolated nodes joined to a live node, by the same row
+    reduction."""
+    live = compromised_visible & ~isolated
+    return np.flatnonzero(~isolated & (adjacency & live[None, :]).any(axis=1))
+
+
+def defence_probability_clip(dist_to_hvn: int, diameter: int) -> float:
+    return float(np.clip(1.0 - dist_to_hvn / max(diameter, 1), 0.1, 0.95))
 
 
 def branch_labels_union_find(node_count: int, edges, core) -> tuple[int, ...]:

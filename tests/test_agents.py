@@ -8,6 +8,8 @@ from nettom import cyberenv as ce
 from nettom import graph_core as gc
 from nettom.errors import ConfigError
 
+from _oracles import defence_probability_clip
+
 
 def _ctx_and_env(tree30, seed=0):
     net, cm = tree30
@@ -254,6 +256,68 @@ class TestRedBehaviour:
         if action.target is not None:
             assert action.target != mid
 
+    def test_entry_searches_after_footholds_fail(self):
+        """Only a failed search from the entry is remembered: once the last
+        foothold is cut off, the entry searches under the same isolated set."""
+        # The plan is 0-1-2-6-5; the detour 0-3-4-7-8-5 is one hop longer.
+        net = gc.Network.from_edges([(0, 1), (0, 3), (1, 2), (2, 6), (3, 4),
+                                     (4, 7), (5, 6), (5, 8), (7, 8)])
+        ctx = ce.EpisodeContext(net, gc.all_pairs_shortest_paths(net),
+                                (5, 6, 8), (0,))
+        red = ag.make_red(ag.RedPolicySpec(kind="hvt_pref_sp",
+                                           params=(1.0, 0.0, 0.0)))
+        red.begin_episode(ctx, np.random.default_rng(0))
+        assert red._path == [0, 1, 2, 6, 5]
+        n = net.node_count
+        compromised, isolated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        compromised[2] = True
+        isolated[[1, 6]] = True
+        obs = ce.StateObservation(
+            vulnerability=np.full(n, 0.5), compromised_visible=compromised,
+            compromised_hidden=None, isolated=isolated,
+            is_entry=np.arange(n) == 0, is_hvn=None, zero_day_budget=0)
+        red._replan(obs)
+        assert red._path is None  # node 2 cannot reach the target
+        red._replan(obs)
+        assert red._path == [0, 3, 4, 7, 8, 5]
+
+    @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
+    @pytest.mark.parametrize("kind", ["hvt_pref_sp", "hvt_pref"])
+    def test_failed_replan_is_not_repeated(self, network, kind, monkeypatch):
+        """Once the entry cannot reach the target, the attacker searches
+        again only when the isolated set changes: the same actions as
+        searching on every step, with fewer searches."""
+        net, cm = gc.topology(network)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return gc.shortest_path(*args, **kwargs)
+
+        monkeypatch.setattr(ag, "shortest_path", counted)
+
+        def play(forget):
+            actions, calls[0] = [], 0
+            for seed in range(6):
+                red = ag.make_red(ag.RedPolicySpec(kind=kind, alpha=0.5))
+                if forget:
+                    replan = red._replan
+
+                    def _replan(obs, red=red, replan=replan):
+                        red._entry_cut_off = None
+                        replan(obs)
+                    red._replan = _replan
+                for blue in ("blue.isolate", "blue.random", "blue.msn_s"):
+                    traj = ce.rollout(net, ag.make_blue(blue), red, seed=seed,
+                                      cm=cm)
+                    actions += [(s.blue_action, s.red_action) for s in traj.steps]
+            return actions, calls[0]
+
+        actions, searches = play(forget=False)
+        want_actions, want_searches = play(forget=True)
+        assert actions == want_actions
+        assert searches < want_searches
+
 
 class TestLegality:
     STATES_PER_POLICY = 10_000
@@ -455,3 +519,11 @@ class TestFastPaths:
                 k = int(np.argmin(dists))
                 want = (int(visible[k]), int(dists[k]))
             assert policy._nearest_threat(obs) == want
+
+    def test_defence_probability_matches_clip(self):
+        for dist in range(61):
+            for diameter in range(61):
+                got = ag._defence_probability(dist, diameter)
+                assert type(got) is float
+                assert got == defence_probability_clip(dist, diameter), \
+                    (dist, diameter)

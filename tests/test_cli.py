@@ -451,6 +451,66 @@ MALFORMED_MANIFESTS = {
 }
 
 
+def _edit_prediction(edit):
+    """An edit that applies an object edit to the first prediction line."""
+    return lambda lines: [json.dumps(edit(json.loads(lines[0])))] + lines[1:]
+
+
+def _set_prediction(path, value):
+    return _edit_prediction(_edit_manifest(path, value))
+
+
+def _replace_first(text):
+    """An edit that replaces the first prediction line with text."""
+    return lambda lines: [text] + lines[1:]
+
+
+# Every case edits the perfect predictions of a 2-game tree30 build.
+MALFORMED_PREDICTIONS = {
+    "not_json": (_replace_first("{"), "preds.jsonl:1: malformed prediction"),
+    "line_string": (_replace_first('"abc"'), "preds.jsonl:1: malformed "
+                    "prediction: not a JSON object"),
+    "line_list": (_replace_first("[1, 2]"), "preds.jsonl:1: malformed "
+                  "prediction: not a JSON object"),
+    "missing_pred_hvn": (_edit_prediction(
+        lambda obj: {k: v for k, v in obj.items() if k != "pred_hvn"}),
+        "missing key 'pred_hvn'"),
+    "sample_id_int": (_set_prediction(("sample_id",), 5),
+                      "sample_id must be a string, got int"),
+    "pred_hvn_bool": (_set_prediction(("pred_hvn",), [True, False, False]),
+                      "pred_hvn must be a list of numbers"),
+    "pred_hvn_nan": (_set_prediction(("pred_hvn",), [float("nan"), 0.0, 1.0]),
+                     "pred_hvn has non-finite entries"),
+    "pred_hvn_negative": (_set_prediction(("pred_hvn",), [-0.5, 0.5, 1.0]),
+                          "pred_hvn is not normalized within 1e-6"),
+    "pred_hvn_unnormalised": (_set_prediction(("pred_hvn",), [0.5, 0.5, 0.5]),
+                              "pred_hvn is not normalized within 1e-6"),
+    "pred_hvn_wrong_length": (_set_prediction(("pred_hvn",), [0.5, 0.5]),
+                              "pred_hvn has 2 entries, expected 3"),
+    "pred_sr_list": (_set_prediction(("pred_sr",), [[1.0]]),
+                     "pred_sr must be an object, got list"),
+    "pred_sr_unknown_gamma": (_set_prediction(("pred_sr", "0.7"), [1.0] + [0.0] * 29),
+                              "prediction provides gamma 0.7 absent from the manifest"),
+    "pred_sr_wrong_length": (_set_prediction(("pred_sr", "0.5"), [1.0]),
+                             "pred_sr has shape (1,), expected (30,)"),
+    "duplicate_id": (lambda lines: lines + lines[:1], "duplicate sample_id"),
+}
+
+
+@pytest.fixture(scope="module")
+def built_manifest(tmp_path_factory):
+    """A 2-game tree30 build, shared by tests that only read its manifest."""
+    tmp_path = tmp_path_factory.mktemp("built")
+    cfg = tmp_path / "d.json"
+    _write_dataset_config(
+        cfg, reds=[f"red.hvt_pref_sp:alpha=0.01,seed=5,index={i}"
+                   for i in range(2)])
+    result = CliRunner().invoke(main, ["dataset", "--config", str(cfg),
+                                       "--out", str(tmp_path / "data")])
+    assert result.exit_code == 0, result.output
+    return tmp_path / "data" / "manifest.json"
+
+
 class TestScoreCommand:
     def test_perfect_predictions_score_perfectly(self, runner, tmp_path):
         cfg = tmp_path / "d.json"
@@ -673,6 +733,20 @@ class TestScoreCommand:
         obj = edit(json.loads(manifest_path.read_text(encoding="utf-8")))
         manifest_path.write_text(json.dumps(obj), encoding="utf-8")
         result = self._score(runner, tmp_path, preds, manifest_path)
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert fragment in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("shape", list(MALFORMED_PREDICTIONS))
+    def test_malformed_predictions_exit_1(self, runner, tmp_path, built_manifest,
+                                          shape):
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(built_manifest, preds)
+        edit, fragment = MALFORMED_PREDICTIONS[shape]
+        lines = edit(preds.read_text(encoding="utf-8").splitlines())
+        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = self._score(runner, tmp_path, preds, built_manifest)
         assert result.exit_code == 1, result.output
         assert result.exc_info[0] is SystemExit
         assert fragment in result.output

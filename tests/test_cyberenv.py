@@ -8,6 +8,8 @@ from nettom import agents as ag
 from nettom import cyberenv as ce
 from nettom import graph_core as gc
 
+from _oracles import attackable_nodes_nn, move_targets_nn
+
 
 def _env(tree30):
     net, cm = tree30
@@ -675,3 +677,42 @@ class TestInvariants:
                 assert result.red_reward == -result.blue_reward
                 assert state.step <= 500
             assert state.outcome in (ce.RED_WIN, ce.BLUE_WIN)
+
+    @pytest.mark.parametrize("entry_count", [1, 2])
+    @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
+    def test_fast_forms_match_oracles(self, network, entry_count):
+        """On every step of fuzzed episodes: the attackable mask and the
+        random-move pool, read from the live nodes' rows, against the n x n
+        row reduction (``tests/_oracles.py``) for both observers; and the
+        step reward against the mask sums."""
+        net, cm = gc.topology(network)
+        blues = ["blue.random", "blue.random_smart", "blue.msn_s", "blue.isolate"]
+        reds = ["random_smart", "target_connected", "hvt_pref"]
+        for k in range(12):
+            blue = ag.make_blue(blues[k % len(blues)])
+            red = ag.make_red(ag.RedPolicySpec(kind=reds[k % len(reds)], alpha=0.5))
+            env = ce.CyberEnv(net, cm=cm, entry_count=entry_count)
+            state = env.reset(seed=3000 + k)
+            rng = np.random.default_rng(k)
+            ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
+            blue.begin_episode(ctx, rng)
+            red.begin_episode(ctx, rng)
+            while not state.done:
+                # The red observer's compromised mask is the state's.
+                for observer in (ce.OBSERVER_BLUE, ce.OBSERVER_RED):
+                    obs = env.observe(observer)
+                    seen, isolated = obs.compromised_visible, obs.isolated
+                    assert np.array_equal(
+                        ag._attackable(obs, ctx),
+                        attackable_nodes_nn(net.adjacency, seen, isolated,
+                                            obs.is_entry))
+                    assert np.array_equal(
+                        ag._move_targets(obs, ctx),
+                        move_targets_nn(net.adjacency, seen, isolated))
+                result = env.step(blue.act(env.observe(ce.OBSERVER_BLUE), rng),
+                                  red.act(env.observe(ce.OBSERVER_RED), rng))
+                want = -(ce.COST_COMPROMISED * float(state.compromised.sum())
+                         + ce.COST_ISOLATED * float(state.isolated.sum()))
+                if state.outcome == ce.RED_WIN:
+                    want -= ce.RED_WIN_PENALTY
+                assert result.blue_reward == want
