@@ -511,6 +511,20 @@ def _sample_from_json(i: int, s: dict) -> ToMSample:
     )
 
 
+def _gammas_from_json(gammas) -> tuple[float, ...]:
+    """The manifest's discounts: a non-empty list of distinct numbers, each
+    strictly between 0 and 1, as a build writes them."""
+    if not isinstance(gammas, list) or not gammas:
+        raise ValueError(f"gammas must be a non-empty list, got {gammas!r}")
+    for k, g in enumerate(gammas):
+        if isinstance(g, bool) or not isinstance(g, (int, float)) or not 0 < g < 1:
+            raise ValueError(f"gammas[{k}] must be a number strictly between "
+                             f"0 and 1, got {g!r}")
+        if g in gammas[:k]:
+            raise ValueError(f"gammas[{k}] {g!r} is repeated")
+    return tuple(float(g) for g in gammas)
+
+
 def _manifest_from_json(obj: dict) -> DatasetManifest:
     for key, kind, name in (("games", dict, "an object"),
                             ("red_split", dict, "an object"),
@@ -522,7 +536,7 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],
         networks=obj["networks"],
-        gammas=tuple(float(g) for g in obj["gammas"]),
+        gammas=_gammas_from_json(obj["gammas"]),
         n_c=obj["n_c"],
         n_p=obj["n_p"],
         n_past=obj["n_past"],

@@ -65,17 +65,22 @@ class Network:
             if layer not in LAYERS:
                 raise ValueError(f"unknown layer label {layer!r}")
         adj = np.zeros((n, n), dtype=bool)
+        ends: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j})")
             if adj[i, j]:
                 raise ValueError(f"repeated edge ({i}, {j})")
             adj[i, j] = adj[j, i] = True
+            ends[i].append(j)
+            ends[j].append(i)
         if tuple(self.edges) != tuple(sorted((min(e), max(e)) for e in self.edges)):
             raise ValueError("edges must be (i, j) pairs with i < j, in ascending order")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        neighbors = tuple(tuple(np.flatnonzero(adj[v]).tolist()) for v in range(n))
+        # Ascending (i, j) pairs with i < j list each node's smaller
+        # neighbours in ascending order before its larger ones.
+        neighbors = tuple(map(tuple, ends))
         object.__setattr__(self, "neighbors", neighbors)
         degree = adj.sum(axis=1)
         degree.setflags(write=False)

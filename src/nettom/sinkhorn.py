@@ -13,7 +13,10 @@ whenever a scaling passes a threshold its logarithm is absorbed into the
 log potentials ``f``, ``g`` and the kernel is rebuilt as
 ``exp(-dist/lam + f + g')`` with ``u = v = 1`` (Schmitzer, arXiv:1610.06519;
 Peyre & Cuturi, arXiv:1803.00567, section 4.4). The dual potentials are
-``log u + f`` and ``log v + g``.
+``log u + f`` and ``log v + g``. The threshold test runs only where a bound
+on the scalings, from the smallest kernel entry and the node count, cannot
+rule it out: not at all at the default lam = 0.05 x diameter on graphs of
+up to about 6,500 nodes, on every iteration at lam = 0.01 x diameter.
 
 The loss divides both the transport-cost term and the entropy term by the
 graph diameter, mirroring how the exact metric is normalized.
@@ -37,6 +40,8 @@ _CHECK_EVERY = 10
 # smoothed marginal at least 1e-9 / n, so u and v stay far inside float
 # range on both sides.
 _ABSORB_NORM_SQ = 1e60
+# ln(_ABSORB_NORM_SQ) less a rounding margin of e^23, about 1e10.
+_NEVER_ABSORBS_LOG = math.log(_ABSORB_NORM_SQ) - 23.0
 
 
 def _check_positive(name: str, x) -> None:
@@ -102,6 +107,97 @@ def _smooth(x: np.ndarray, n: int) -> np.ndarray:
     return out / out.sum()
 
 
+def _never_absorbs(n: int, logK: np.ndarray) -> bool:
+    """Whether the scalings provably stay below the absorption threshold.
+
+    Let kappa = exp(logK.min()) be the smallest kernel entry and start, as
+    the loop does, from v = 1. The map u -> p / (K (q / (K' u))) is
+    monotone and homogeneous of degree 1, so its iterates stay inside any
+    order interval [a x, b x] around a fixed point x that contains the
+    first one (Sinkhorn's theorem gives x for a positive kernel). The first
+    is u_1 = p / (K 1) and x = p / (K y) with y = q / (K' x), so
+    u_1 / x = (K y) / (K 1) rowwise: a K-weighted mean of y whose weights
+    are all at least kappa / n. Hence b / a <= n / kappa, and with
+    u_1 <= p (the diagonal of K is 1) every iterate before an absorption
+    satisfies u_k <= (n / kappa) p. From u_k >= (kappa / n) u_1 and
+    (K' u_1)_j >= kappa / n also v_k <= (n / kappa)^2 q. So the squared
+    norms stay below (n / kappa)^2 and (n / kappa)^4, and the test
+    against ``_ABSORB_NORM_SQ`` cannot fire while
+    4 ln(n / kappa) <= ln(_ABSORB_NORM_SQ) - 23. The factor e^23 (about
+    1e10) covers rounding, which the map does not amplify: it does not
+    expand distances in Thompson's metric (Schmitzer, arXiv:1610.06519).
+    At the default lam = 0.05 x diameter this holds up to about 6,500
+    nodes; at lam = 0.01 x diameter it never does.
+    """
+    return 4.0 * (math.log(n) - float(logK.min())) <= _NEVER_ABSORBS_LOG
+
+
+def _scale(P: np.ndarray, Q: np.ndarray, cm, params: SinkhornParams,
+           violation_trace: list[tuple[float, float]] | None):
+    """The scaling loop of :func:`sinkhorn_plan`.
+
+    Returns (logK, log_u, log_v, iterations, converged, violation,
+    absorptions).
+    """
+    n = cm.dist.shape[0]
+    P = check_distribution(P, n, "P")
+    Q = check_distribution(Q, n, "Q")
+    p = _smooth(P, n)
+    q = _smooth(Q, n)
+    logK = _log_kernel(cm, params.lam)
+    K = np.exp(logK)
+    f = np.zeros(n)
+    g = np.zeros(n)
+    Kv = K.sum(axis=1)  # K @ v at v = 1
+    absorptions = 0
+    may_absorb = not _never_absorbs(n, logK)
+    # Marginal errors, |u * K v - p| then |v * K'u - q|, refilled in place
+    # at every check.
+    err = np.empty(2 * n)
+    row_err, col_err = err[:n], err[n:]
+    pq = np.concatenate([p, q])
+
+    check_every = 1 if violation_trace is not None else _CHECK_EVERY
+    iters = 0
+    converged = False
+    violation = np.inf
+    while iters < params.max_iters:
+        budget = min(check_every, params.max_iters - iters)
+        for _ in range(budget):
+            iters += 1
+            u = p / Kv
+            KTu = u.dot(K)
+            v = q / KTu
+            if may_absorb and (u.dot(u) > _ABSORB_NORM_SQ
+                               or v.dot(v) > _ABSORB_NORM_SQ):
+                f += np.log(u)
+                g += np.log(v)
+                K = np.exp(logK + f[:, None] + g[None, :])
+                u = np.ones(n)
+                v = np.ones(n)
+                KTu = K.sum(axis=0)
+                absorptions += 1
+            Kv = K.dot(v)
+        np.multiply(u, Kv, out=row_err)
+        np.multiply(v, KTu, out=col_err)
+        err -= pq
+        np.abs(err, out=err)
+        violation = float(err.max())
+        if not math.isfinite(violation):
+            raise RuntimeError("scaling updates produced non-finite potentials")
+        if violation_trace is not None:
+            violation_trace.append(
+                (violation, float(row_err.sum() + col_err.sum()))
+            )
+        if violation <= params.convergence_tol:
+            converged = True
+            break
+
+    # max_iters >= 1, so u and v hold the last update.
+    return (logK, f + np.log(u), g + np.log(v), iters, converged, violation,
+            absorptions)
+
+
 def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
                   params: SinkhornParams,
                   violation_trace: list[tuple[float, float]] | None = None
@@ -117,65 +213,20 @@ def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
     alternating information projections); the max can wobble during the
     first few iterations. A check costs no extra product: the row sums of
     the plan are ``u * (K v)``, where ``K v`` feeds the next u-update, and
-    the column sums ``v * (K' u)`` come from the last v-update. The n x n
-    plan is built once, from the final potentials.
+    the column sums ``v * (K' u)`` come from the last v-update. The
+    absorption test runs only where the scalings can reach its threshold
+    (see ``_never_absorbs``). The n x n plan is built once, from the final
+    potentials.
 
     Deterministic: identical inputs and params give bit-identical results.
     """
-    n = cm.dist.shape[0]
-    P = check_distribution(P, n, "P")
-    Q = check_distribution(Q, n, "Q")
-    p = _smooth(P, n)
-    q = _smooth(Q, n)
-    lam = params.lam
-    logK = _log_kernel(cm, lam)
-    K = kernel_matrix(cm, lam)
-    f = np.zeros(n)
-    g = np.zeros(n)
-    Kv = K.sum(axis=1)  # K @ v at v = 1
-    absorptions = 0
-
-    check_every = 1 if violation_trace is not None else _CHECK_EVERY
-    iters = 0
-    converged = False
-    violation = np.inf
-    while iters < params.max_iters:
-        budget = min(check_every, params.max_iters - iters)
-        for _ in range(budget):
-            iters += 1
-            u = p / Kv
-            KTu = u.dot(K)
-            v = q / KTu
-            if u.dot(u) > _ABSORB_NORM_SQ or v.dot(v) > _ABSORB_NORM_SQ:
-                f += np.log(u)
-                g += np.log(v)
-                K = np.exp(logK + f[:, None] + g[None, :])
-                u = np.ones(n)
-                v = np.ones(n)
-                KTu = K.sum(axis=0)
-                absorptions += 1
-            Kv = K.dot(v)
-        row_err = np.abs(u * Kv - p)
-        col_err = np.abs(v * KTu - q)
-        violation = float(np.maximum(row_err.max(), col_err.max()))
-        if not math.isfinite(violation):
-            raise RuntimeError("scaling updates produced non-finite potentials")
-        if violation_trace is not None:
-            violation_trace.append(
-                (violation, float(row_err.sum() + col_err.sum()))
-            )
-        if violation <= params.convergence_tol:
-            converged = True
-            break
-
-    # max_iters >= 1, so u and v hold the last update.
-    log_u = f + np.log(u)
-    log_v = g + np.log(v)
+    logK, log_u, log_v, iters, converged, violation, absorptions = _scale(
+        P, Q, cm, params, violation_trace)
     M = logK + log_u[:, None] + log_v[None, :]
     plan = np.exp(M)
     cost_term = float((plan * cm.dist).sum())
     entropy = -float((plan * M).sum())  # log(plan) == M, safe at underflow
-    value = (cost_term - lam * entropy) / cm.diameter
+    value = (cost_term - params.lam * entropy) / cm.diameter
     return SinkhornResult(
         value=value,
         plan=plan,
@@ -200,13 +251,15 @@ def ntd_loss_grad(P: np.ndarray, Q: np.ndarray, cm, params: SinkhornParams) -> n
     From the converged dual potentials: ``lam * log(u)`` divided by the
     diameter, centered to sum to zero (the loss is defined on the simplex,
     where gradients are identifiable only up to an additive constant).
+    Runs the scaling loop of :func:`sinkhorn_plan` without building the
+    plan, its cost or its entropy.
     """
-    res = sinkhorn_plan(P, Q, cm, params)
-    if not res.converged:
+    _, log_u, _, iters, converged, violation, _ = _scale(P, Q, cm, params, None)
+    if not converged:
         raise RuntimeError(
-            f"no converged plan after {res.iterations_used} iterations "
-            f"(violation {res.marginal_violation:.3e}); the gradient is "
+            f"no converged plan after {iters} iterations "
+            f"(violation {violation:.3e}); the gradient is "
             "defined only at convergence"
         )
-    grad = params.lam * res.log_u / cm.diameter
+    grad = params.lam * log_u / cm.diameter
     return grad - grad.mean()

@@ -14,15 +14,18 @@ rather than being papered over.
 One primal network simplex solves the exact problem as a min-cost flow
 over the graph's own edges, both directions at cost 1 (the Beckmann form
 of hop-cost W1), started from the BFS spanning tree with each tree arc
-carrying its subtree's imbalance; on a tree that start is already optimal.
-:func:`ntd` reads the cost off the flow. :func:`wasserstein` splits the
-same flow into paths, each a shortest path, to get an optimal plan, and
+carrying its subtree's imbalance; on a tree that start is the unique
+optimum, so :func:`ntd` sums it without calling the solver there. The
+solver prices in numpy and keeps the basis tree in Python lists once it
+pivots. :func:`ntd` reads the cost off the flow. :func:`wasserstein` splits
+the same flow into paths, each a shortest path, to get an optimal plan, and
 returns the flow's node potential as its certificate. Solutions are vertex
 solutions, so costs are exact up to float rounding on integer hop costs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,19 +76,25 @@ class WeightingConfig:
 
 
 def check_distribution(x: np.ndarray, n: int, name: str = "distribution") -> np.ndarray:
+    """x as a float vector of length n, if it is a probability vector: every
+    entry finite and non-negative, the total within SUM_TOL of 1.
+
+    An accepted vector costs two reductions: a minimum that compares >= 0
+    is not NaN, and then a total near 1 is finite, so no entry is inf. The
+    checks that word the error run only on a rejected vector.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    if x.size and x.min() >= 0.0 and abs(float(x.sum()) - 1.0) <= SUM_TOL:
+        return x
     if not np.isfinite(x).all():
         raise ValueError(f"{name} has non-finite entries")
     if (x < 0).any():
         raise ValueError(f"{name} has negative entries")
-    total = float(x.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(
-            f"{name} sums to {total!r}; normalize explicitly before calling"
-        )
-    return x
+    raise ValueError(
+        f"{name} sums to {float(x.sum())!r}; normalize explicitly before calling"
+    )
 
 
 def normalize(x: np.ndarray) -> np.ndarray:
@@ -110,38 +119,38 @@ _MAX_PIVOTS = 1_000_000
 _EMPTY = 1e-12
 
 
-def _network_simplex(tail, head, parent, arc, flow):
+def _network_simplex(tail, head, parent, arc, flow, pot):
     """Solve an uncapacitated unit-cost min-cost flow exactly from a
     feasible tree.
 
     Arc k runs from tail[k] to head[k] at cost 1. The spanning-tree basis
     is rooted at node 0, its own parent; any other node x hangs from
     parent[x] by arc[x], which points up (tail x) or down (head x) and
-    carries flow[x] >= 0. The node supplies are the ones the starting flows
-    balance. parent, arc and flow are updated in place to an optimal tree;
-    returns (pot, pivots, bland).
+    carries flow[x] >= 0. pot is the tree's node potential: a tree arc
+    u -> v has pot[v] = pot[u] - 1, and pot[0] = 0. The node supplies are
+    the ones the starting flows balance. parent, arc, flow and pot are
+    updated in place to an optimal tree; returns (pivots, bland).
 
-    A tree arc u -> v has pot[v] = pot[u] - 1, so a reduced cost is
-    1 - pot[tail] + pot[head] and the optimal cost is the sum of supply
-    times pot. Every potential is an exact integer, so tree arcs price at
-    exactly 0. Pricing is Dantzig's (most negative reduced cost) until
-    _BLAND_AFTER_FACTOR pivots per node, then Bland's (first negative arc)
-    as an anti-cycling safeguard.
+    A reduced cost is 1 - pot[tail] + pot[head] and the optimal cost is
+    the sum of supply times pot. Every potential is an exact integer, so
+    tree arcs price at exactly 0. Pricing is Dantzig's (most negative
+    reduced cost, first index) until _BLAND_AFTER_FACTOR pivots per node,
+    then Bland's (first negative arc) as an anti-cycling safeguard.
+
+    Pricing and the potential stay in numpy; the tree moves to Python
+    lists (parents, arcs, flows, arc tails, children and depths) at the
+    first pivot, so a start that is already optimal costs one pricing.
+    Each pivot climbs the cycle by depth, walks it once for the ratio test
+    and once for the flow update, re-roots the moved subtree along the
+    chain and walks that subtree once to reset its depths and collect the
+    nodes whose potential shifts (Ahuja, Magnanti & Orlin, Network Flows,
+    ch. 11).
     """
     N = len(parent)
-    nodes = np.arange(N)
-    # Each node's potential is the signed hop count of its root path, summed
-    # by pointer doubling.
-    pot = np.where(tail[arc] == nodes, 1.0, -1.0)
-    pot[0] = 0.0
-    jump = parent
-    for _ in range(N.bit_length()):
-        pot += pot[jump]
-        jump = jump[jump]
-
     bland_after = _BLAND_AFTER_FACTOR * N
     pivots = 0
     rc = np.empty(len(tail))
+    up = None  # the tree as lists, from the first pivot on
     while True:
         np.subtract(1.0, pot[tail], out=rc)
         rc += pot[head]
@@ -152,63 +161,124 @@ def _network_simplex(tail, head, parent, arc, flow):
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("network simplex failed to terminate")
-        u, v = int(tail[k]), int(head[k])
+        if up is None:
+            up, tree_arc, tree_flow = parent.tolist(), arc.tolist(), flow.tolist()
+            arc_tail = tail.tolist()
+            children = [[] for _ in range(N)]
+            for x in range(1, N):
+                children[up[x]].append(x)
+            depth = [0] * N
+            order = [0]
+            for x in order:
+                for c in children[x]:
+                    depth[c] = depth[x] + 1
+                    order.append(c)
+        u, v = arc_tail[k], int(head[k])
         d_enter = float(rc[k])
 
-        # Cycle: pa climbs from the tail to the root, pb from the head until
-        # it meets pa at the lowest common ancestor, and pa is cut there.
-        up = parent.tolist()
-        pa = [u]
-        while pa[-1]:
-            pa.append(up[pa[-1]])
-        height = {x: t for t, x in enumerate(pa)}
-        pb = [v]
-        while pb[-1] not in height:
-            pb.append(up[pb[-1]])
-        pa = pa[: height[pb[-1]] + 1]
-
-        # Tree arcs around the cycle, named by their child node, run from
-        # the head up to the apex and down to the tail. An arc pointing the
-        # way the cycle runs gains theta, the others lose it; the leaving
-        # arc is the first losing arc of least flow, for determinism.
-        cycle = np.array(pb[:-1] + pa[-2::-1])
-        gains = tail[arc[cycle]] == cycle
-        gains[len(pb) - 1:] ^= True
-        losing = np.flatnonzero(~gains)
-        s = int(losing[flow[cycle[losing]].argmin()])
-        leave = int(cycle[s])
-        theta = flow[leave]
-        flow[cycle[losing]] -= theta
-        flow[cycle[gains]] += theta
+        # Cycle: climb from the tail and the head to their lowest common
+        # ancestor, the apex. Tree arcs are named by their child node.
+        tail_path, head_path = [], []
+        a, b = u, v
+        while depth[a] > depth[b]:
+            tail_path.append(a)
+            a = up[a]
+        while depth[b] > depth[a]:
+            head_path.append(b)
+            b = up[b]
+        while a != b:
+            tail_path.append(a)
+            head_path.append(b)
+            a, b = up[a], up[b]
+        # The cycle runs from the head up to the apex and down to the tail.
+        # An arc pointing the way the cycle runs gains theta, the others
+        # lose it; the leaving arc is the first losing arc of least flow in
+        # that order, for determinism.
+        cycle = head_path + tail_path[::-1]
+        split = len(head_path)
+        gaining, losing = [], []
+        s, theta = -1, math.inf
+        for t, x in enumerate(cycle):
+            if (arc_tail[tree_arc[x]] == x) == (t < split):
+                gaining.append(x)
+            else:
+                losing.append(x)
+                if tree_flow[x] < theta:
+                    s, theta = t, tree_flow[x]
+        leave = cycle[s]
+        for x in gaining:
+            tree_flow[x] += theta
+        for x in losing:
+            tree_flow[x] -= theta
 
         # The subtree under the leaving arc moves across the entering arc:
-        # mark it by pointer doubling and shift its potentials.
-        in_sub = nodes == leave
-        jump = parent
-        for _ in range(N.bit_length()):
-            in_sub |= in_sub[jump]
-            jump = jump[jump]
-        tail_side = s >= len(pb) - 1
-        pot[in_sub] += d_enter if tail_side else -d_enter
-
-        # Re-root the moved subtree at its entering endpoint: reverse the
-        # chain from that endpoint up to the leaving node and hang it from
-        # the other endpoint by the entering arc.
+        # re-root it at its entering endpoint by reversing the chain from
+        # that endpoint up to the leaving node, and hang it from the other
+        # endpoint by the entering arc.
+        tail_side = s >= split
         if tail_side:
             chain, e_out = cycle[s:][::-1], v
         else:
             chain, e_out = cycle[: s + 1], u
-        flow[chain[1:]] = flow[chain[:-1]]
-        arc[chain[1:]] = arc[chain[:-1]]
-        parent[chain[1:]] = chain[:-1]
-        parent[chain[0]] = e_out
-        arc[chain[0]] = k
-        flow[chain[0]] = theta
+        children[up[leave]].remove(leave)
+        for t in range(len(chain) - 1, 0, -1):
+            x, y = chain[t], chain[t - 1]
+            children[x].remove(y)
+            children[y].append(x)
+            up[x] = y
+            tree_arc[x] = tree_arc[y]
+            tree_flow[x] = tree_flow[y]
+        top = chain[0]
+        up[top], tree_arc[top], tree_flow[top] = e_out, k, theta
+        children[e_out].append(top)
 
+        # Its depths change and its potentials shift by the entering arc's
+        # reduced cost.
+        depth[top] = depth[e_out] + 1
+        sub = [top]
+        for x in sub:
+            below = children[x]
+            if below:
+                d = depth[x] + 1
+                for c in below:
+                    depth[c] = d
+                sub += below
+        # (numpy reads an index array about twice as fast as a list)
+        pot[np.array(sub)] += d_enter if tail_side else -d_enter
+
+    if up is not None:
+        parent[:] = up
+        arc[:] = tree_arc
+        flow[:] = tree_flow
     if flow.min() < -1e-9:
         raise RuntimeError("simplex produced a negative flow")
     np.maximum(flow, 0.0, out=flow)
-    return pot, pivots, bland
+    return pivots, bland
+
+
+def _subtree_imbalance(P: np.ndarray, Q: np.ndarray, cm) -> list[float]:
+    """P - Q summed over each node's subtree of the BFS spanning tree from
+    node 0: the flow each tree arc must carry, toward the parent when it
+    is positive."""
+    up = cm.bfs_parent.tolist()
+    s = (P - Q).tolist()
+    for x in reversed(cm.bfs_order.tolist()[1:]):
+        s[up[x]] += s[x]
+    return s
+
+
+def _bfs_start(P: np.ndarray, Q: np.ndarray, cm):
+    """The simplex start for P to Q: (parent, arc, flow, pot) of the BFS
+    spanning tree from node 0, each tree arc carrying its subtree's
+    imbalance and each node's potential summed down from node 0."""
+    s = _subtree_imbalance(P, Q, cm)
+    up = cm.bfs_parent.tolist()
+    pot = [0.0] * len(s)
+    for x in cm.bfs_order.tolist()[1:]:
+        pot[x] = pot[up[x]] + (1.0 if s[x] >= 0 else -1.0)
+    s = np.array(s)
+    arc = np.where(s >= 0, cm.bfs_up_arc, cm.bfs_down_arc)
+    return cm.bfs_parent.copy(), arc, np.abs(s), np.array(pot)
 
 
 def _graph_flow(P: np.ndarray, Q: np.ndarray, cm):
@@ -223,16 +293,9 @@ def _graph_flow(P: np.ndarray, Q: np.ndarray, cm):
     Kantorovich-Rubinstein certificate; each node x > 0 of the optimal tree
     sends flow[x] along arc arc[x], and no other arc carries flow.
     """
-    parent = cm.bfs_parent.copy()
-    up = parent.tolist()
-    s = (P - Q).tolist()
-    for x in reversed(cm.bfs_order.tolist()[1:]):
-        s[up[x]] += s[x]
-    s = np.array(s)
-    arc = np.where(s >= 0, cm.bfs_up_arc, cm.bfs_down_arc)
-    flow = np.abs(s)
-    pot, pivots, bland = _network_simplex(cm.arc_tail, cm.arc_head,
-                                          parent, arc, flow)
+    parent, arc, flow, pot = _bfs_start(P, Q, cm)
+    pivots, bland = _network_simplex(cm.arc_tail, cm.arc_head,
+                                     parent, arc, flow, pot)
     # Every arc costs one hop, so the cost is the total tree flow.
     return float(flow[1:].sum()), pot, pivots, bland, arc, flow
 
@@ -312,9 +375,10 @@ def wasserstein(P: np.ndarray, Q: np.ndarray, cm) -> TransportPlan:
 def ntd(P: np.ndarray, Q: np.ndarray, cm) -> float:
     """Unit-bounded transport distance: exact Wasserstein cost / diameter.
 
-    The cost comes from the flow over the graph's arcs, with no plan. It is
-    computed on the same canonical argument order as :func:`wasserstein`,
-    so ``ntd(P, Q, cm) == ntd(Q, P, cm)`` exactly.
+    The cost comes from the flow over the graph's arcs, with no plan; on a
+    tree it is the start flow, summed without the solver. It is computed on
+    the same canonical argument order as :func:`wasserstein`, so
+    ``ntd(P, Q, cm) == ntd(Q, P, cm)`` exactly.
     """
     if cm.diameter <= 0:
         raise ValueError("diameter must be positive (single-node graphs unsupported)")
@@ -325,6 +389,9 @@ def ntd(P: np.ndarray, Q: np.ndarray, cm) -> float:
         return 0.0
     if Q.tobytes() < P.tobytes():
         P, Q = Q, P
+    if len(cm.arc_tail) == 2 * (n - 1):
+        # A tree: the start flow is the unique optimum, with no pivot to make.
+        return float(np.abs(_subtree_imbalance(P, Q, cm))[1:].sum()) / cm.diameter
     return _graph_flow(P, Q, cm)[0] / cm.diameter
 
 

@@ -8,6 +8,10 @@ and central finite differences instead of dual potentials.
 wrote every step's full observation. ``sinkhorn_log_domain`` is the
 Sinkhorn loop on log potentials, two n x n log-sum-exps per iteration,
 against which the scaling-domain loop with absorption is checked.
+``sinkhorn_checked`` is the scaling-domain loop that tests for absorption
+on every iteration, and ``network_simplex_doubling`` the exact solver that
+keeps its tree in numpy arrays, marks moved subtrees and sums potentials
+by pointer doubling; the production loops must match both bit for bit.
 ``shortest_path_parent_bfs`` is the attacker's path search as a BFS from
 the source that records each node's parent and stops at the target, and
 ``branch_labels_union_find`` finds branches by merging the endpoints of
@@ -25,8 +29,15 @@ import json
 
 import numpy as np
 
-from nettom.sinkhorn import _CHECK_EVERY, SinkhornResult, _smooth
-from nettom.transport import check_distribution
+from nettom.sinkhorn import (
+    _ABSORB_NORM_SQ,
+    _CHECK_EVERY,
+    SinkhornResult,
+    _log_kernel,
+    _smooth,
+    kernel_matrix,
+)
+from nettom.transport import _MAX_PIVOTS, check_distribution
 
 
 def brute_force_transport_cost(p, q, C) -> float:
@@ -357,3 +368,155 @@ def sinkhorn_log_domain(P: np.ndarray, Q: np.ndarray, cm, params,
         marginal_violation=violation,
         absorptions=0,
     )
+
+
+def sinkhorn_checked(P: np.ndarray, Q: np.ndarray, cm, params,
+                     violation_trace: list[tuple[float, float]] | None = None,
+                     iterates: list[tuple[np.ndarray, np.ndarray]] | None = None
+                     ) -> SinkhornResult:
+    """``sinkhorn.sinkhorn_plan`` with the absorption test
+    ``u.u > 1e60 or v.v > 1e60`` on every iteration, whatever the kernel.
+    With ``iterates`` supplied, a copy of each iteration's ``(u, v)`` is
+    appended before that test."""
+    n = cm.dist.shape[0]
+    P = check_distribution(P, n, "P")
+    Q = check_distribution(Q, n, "Q")
+    p = _smooth(P, n)
+    q = _smooth(Q, n)
+    lam = params.lam
+    logK = _log_kernel(cm, lam)
+    K = kernel_matrix(cm, lam)
+    f = np.zeros(n)
+    g = np.zeros(n)
+    Kv = K.sum(axis=1)
+    absorptions = 0
+
+    check_every = 1 if violation_trace is not None else _CHECK_EVERY
+    iters = 0
+    converged = False
+    violation = np.inf
+    while iters < params.max_iters:
+        budget = min(check_every, params.max_iters - iters)
+        for _ in range(budget):
+            iters += 1
+            u = p / Kv
+            KTu = u.dot(K)
+            v = q / KTu
+            if iterates is not None:
+                iterates.append((u.copy(), v.copy()))
+            if u.dot(u) > _ABSORB_NORM_SQ or v.dot(v) > _ABSORB_NORM_SQ:
+                f += np.log(u)
+                g += np.log(v)
+                K = np.exp(logK + f[:, None] + g[None, :])
+                u = np.ones(n)
+                v = np.ones(n)
+                KTu = K.sum(axis=0)
+                absorptions += 1
+            Kv = K.dot(v)
+        row_err = np.abs(u * Kv - p)
+        col_err = np.abs(v * KTu - q)
+        violation = float(np.maximum(row_err.max(), col_err.max()))
+        if not np.isfinite(violation):
+            raise RuntimeError("scaling updates produced non-finite potentials")
+        if violation_trace is not None:
+            violation_trace.append(
+                (violation, float(row_err.sum() + col_err.sum()))
+            )
+        if violation <= params.convergence_tol:
+            converged = True
+            break
+
+    log_u = f + np.log(u)
+    log_v = g + np.log(v)
+    M = logK + log_u[:, None] + log_v[None, :]
+    plan = np.exp(M)
+    cost_term = float((plan * cm.dist).sum())
+    entropy = -float((plan * M).sum())
+    value = (cost_term - lam * entropy) / cm.diameter
+    return SinkhornResult(
+        value=value,
+        plan=plan,
+        log_u=log_u,
+        log_v=log_v,
+        iterations_used=iters,
+        converged=converged,
+        marginal_violation=violation,
+        absorptions=absorptions,
+    )
+
+
+def network_simplex_doubling(tail, head, parent, arc, flow, bland_after_factor):
+    """``transport._network_simplex`` on numpy arrays: the cycle climbs
+    ``parent.tolist()`` into a dict, the ratio test and the flow update
+    are fancy-indexed, the moved subtree is marked and the starting
+    potentials are summed by pointer doubling over all nodes. Same pivot
+    rule and tie-breaks; parent, arc and flow are updated in place;
+    returns (pot, pivots, bland)."""
+    N = len(parent)
+    nodes = np.arange(N)
+    pot = np.where(tail[arc] == nodes, 1.0, -1.0)
+    pot[0] = 0.0
+    jump = parent
+    for _ in range(N.bit_length()):
+        pot += pot[jump]
+        jump = jump[jump]
+
+    bland_after = bland_after_factor * N
+    pivots = 0
+    rc = np.empty(len(tail))
+    while True:
+        np.subtract(1.0, pot[tail], out=rc)
+        rc += pot[head]
+        bland = pivots >= bland_after
+        k = int((rc < -1e-10).argmax() if bland else rc.argmin())
+        if rc[k] >= -1e-10:
+            break
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            raise RuntimeError("network simplex failed to terminate")
+        u, v = int(tail[k]), int(head[k])
+        d_enter = float(rc[k])
+
+        up = parent.tolist()
+        pa = [u]
+        while pa[-1]:
+            pa.append(up[pa[-1]])
+        height = {x: t for t, x in enumerate(pa)}
+        pb = [v]
+        while pb[-1] not in height:
+            pb.append(up[pb[-1]])
+        pa = pa[: height[pb[-1]] + 1]
+
+        cycle = np.array(pb[:-1] + pa[-2::-1])
+        gains = tail[arc[cycle]] == cycle
+        gains[len(pb) - 1:] ^= True
+        losing = np.flatnonzero(~gains)
+        s = int(losing[flow[cycle[losing]].argmin()])
+        leave = int(cycle[s])
+        theta = flow[leave]
+        flow[cycle[losing]] -= theta
+        flow[cycle[gains]] += theta
+
+        in_sub = nodes == leave
+        jump = parent
+        for _ in range(N.bit_length()):
+            in_sub |= in_sub[jump]
+            jump = jump[jump]
+        tail_side = s >= len(pb) - 1
+        pot[in_sub] += d_enter if tail_side else -d_enter
+
+        if tail_side:
+            chain, e_out = cycle[s:][::-1], v
+        else:
+            chain, e_out = cycle[: s + 1], u
+        flow[chain[1:]] = flow[chain[:-1]]
+        arc[chain[1:]] = arc[chain[:-1]]
+        parent[chain[1:]] = chain[:-1]
+        parent[chain[0]] = e_out
+        arc[chain[0]] = k
+        flow[chain[0]] = theta
+
+    if flow.min() < -1e-9:
+        raise RuntimeError("simplex produced a negative flow")
+    np.maximum(flow, 0.0, out=flow)
+    return pot, pivots, bland

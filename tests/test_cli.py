@@ -419,6 +419,21 @@ MALFORMED_MANIFESTS = {
     "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
     "sample_not_object": (_edit_manifest(("samples",), [1]), "malformed manifest"),
     "gammas_string": (_edit_manifest(("gammas",), "x"), "malformed manifest"),
+    "gammas_empty": (_edit_manifest(("gammas",), []),
+                     "gammas must be a non-empty list, got []"),
+    "gammas_repeated": (_edit_manifest(("gammas",), [0.5, 0.5, 0.95, 0.999]),
+                        "gammas[1] 0.5 is repeated"),
+    "gammas_bool": (_edit_manifest(("gammas", 0), True),
+                    "gammas[0] must be a number strictly between 0 and 1, got True"),
+    "gammas_above_one": (_edit_manifest(("gammas", 0), 1.5),
+                         "gammas[0] must be a number strictly between 0 and 1, got 1.5"),
+    "gammas_zero": (_edit_manifest(("gammas", 1), 0),
+                    "gammas[1] must be a number strictly between 0 and 1, got 0"),
+    "gammas_nan": (_edit_manifest(("gammas", 1), float("nan")),
+                   "gammas[1] must be a number strictly between 0 and 1, got nan"),
+    "gammas_entry_string": (_edit_manifest(("gammas", 0), "0.5"),
+                            "gammas[0] must be a number strictly between 0 and 1, "
+                            "got '0.5'"),
     "truth_sr_wrong_length": (_edit_manifest(("samples", 0, "truth_sr", "0.5"), [1.0]),
                               "truth_sr has shape (1,), expected (30,)"),
     "entry_off_network": (_edit_manifest(("samples", 0, "entry"), 999),

@@ -56,6 +56,15 @@ class TestGenerators:
         assert net.entry_node in net.leaf_set
         assert len(net.leaf_set - {net.entry_node}) >= 3
 
+    def test_neighbors_are_the_adjacency_rows(self):
+        rng = np.random.default_rng(31)
+        nets = [gc.generate_network(name) for name in gc.TOPOLOGIES]
+        nets += [gc.Network.from_edges(random_connected_graph(
+            rng, int(rng.integers(2, 60)))) for _ in range(200)]
+        for net in nets:
+            assert net.neighbors == tuple(tuple(np.flatnonzero(row).tolist())
+                                          for row in net.adjacency)
+
     def test_layers_present(self):
         net = gc.generate_tree_network("tree50")
         assert set(net.node_layer) == set(gc.LAYERS)

@@ -7,8 +7,14 @@ from nettom import graph_core as gc
 from nettom import sinkhorn as sk
 from nettom import transport as tp
 
-from _oracles import dyadic_distribution, random_connected_graph, sinkhorn_log_domain
+from _oracles import (
+    dyadic_distribution,
+    random_connected_graph,
+    sinkhorn_checked,
+    sinkhorn_log_domain,
+)
 from conftest import delta
+from test_fingerprint import _pairs
 
 
 def _params(cm, lam_mult, **kw):
@@ -127,6 +133,100 @@ class TestLogDomainOracle:
         sinkhorn_log_domain(p, q, cm, params, violation_trace=ref_trace)
         assert len(trace) == len(ref_trace) == 1000
         assert np.abs(np.subtract(trace, ref_trace)).max() <= 1e-12
+
+
+def _grid_graphs():
+    graphs = [gc.topology(name) for name in ("tree30", "forest72", "optical54", "tree90")]
+    net = gc.Network.from_edges(random_connected_graph(np.random.default_rng(13), 100))
+    return graphs + [(net, gc.all_pairs_shortest_paths(net))]
+
+
+def _grid_pairs(net, cm, rng):
+    """The fingerprint pairs, a sparse dyadic pair and a Dirichlet pair."""
+    n = net.node_count
+    return _pairs(net, cm) + [
+        (dyadic_distribution(rng, n, support=4), dyadic_distribution(rng, n, support=4)),
+        (rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))),
+    ]
+
+
+# diameter / lam: the absorption test is skipped at 10 and 20 on every graph
+# below and at 25 on tree30 only; 100 absorbs.
+_GRID = (10, 20, 25, 30, 40, 100)
+
+
+class TestAbsorptionCheck:
+    """The loop tests for absorption only where ``_never_absorbs`` cannot
+    rule it out; ``_oracles.sinkhorn_checked`` tests on every iteration."""
+
+    def test_matches_checked_loop(self):
+        rng = np.random.default_rng(14)
+        skipped = absorbed = 0
+        for net, cm in _grid_graphs():
+            for p, q in _grid_pairs(net, cm, rng):
+                for ratio in _GRID:
+                    params = sk.SinkhornParams(lam=cm.diameter / ratio,
+                                               max_iters=3000)
+                    case = (net.node_count, ratio)
+                    res = sk.sinkhorn_plan(p, q, cm, params)
+                    ref = sinkhorn_checked(p, q, cm, params)
+                    assert res.value == ref.value, case
+                    assert res.iterations_used == ref.iterations_used, case
+                    assert res.converged == ref.converged, case
+                    assert res.marginal_violation == ref.marginal_violation, case
+                    assert res.absorptions == ref.absorptions, case
+                    for field in ("log_u", "log_v", "plan"):
+                        assert (getattr(res, field).tobytes()
+                                == getattr(ref, field).tobytes()), (case, field)
+                    if ref.converged:
+                        grad = params.lam * ref.log_u / cm.diameter
+                        assert (sk.ntd_loss_grad(p, q, cm, params).tobytes()
+                                == (grad - grad.mean()).tobytes()), case
+                    if ratio in (10, 100):
+                        trace, ref_trace = [], []
+                        sk.sinkhorn_plan(p, q, cm, params, violation_trace=trace)
+                        sinkhorn_checked(p, q, cm, params, violation_trace=ref_trace)
+                        assert trace == ref_trace, case
+                    skipped += sk._never_absorbs(net.node_count,
+                                                 sk._log_kernel(cm, params.lam))
+                    absorbed += res.absorptions > 0
+        assert skipped > 0 and absorbed > 0
+
+    def test_certified_iterates_stay_under_bounds(self):
+        rng = np.random.default_rng(15)
+        certified = 0
+        for net, cm in _grid_graphs():
+            n = net.node_count
+            for p, q in _grid_pairs(net, cm, rng):
+                for ratio in _GRID:
+                    params = sk.SinkhornParams(lam=cm.diameter / ratio,
+                                               max_iters=3000)
+                    logK = sk._log_kernel(cm, params.lam)
+                    if not sk._never_absorbs(n, logK):
+                        continue
+                    certified += 1
+                    bound = n / math.exp(float(logK.min()))
+                    ps, qs = sk._smooth(p, n), sk._smooth(q, n)
+                    iterates = []
+                    res = sinkhorn_checked(p, q, cm, params, iterates=iterates)
+                    assert res.absorptions == 0
+                    for u, v in iterates:
+                        assert u.dot(u) <= bound ** 2
+                        assert v.dot(v) <= bound ** 4
+                        assert (u <= bound * ps * (1 + 1e-9)).all()
+                        assert (v <= bound ** 2 * qs * (1 + 1e-9)).all()
+        assert certified > 0
+
+    def test_where_the_check_is_skipped(self):
+        # lam = 0.05 x diameter: up to about 6,500 nodes; lam = 0.01 x
+        # diameter: never, so small-lam solves still absorb
+        assert sk._never_absorbs(6000, np.array([-20.0]))
+        assert not sk._never_absorbs(7000, np.array([-20.0]))
+        assert not sk._never_absorbs(2, np.array([-100.0]))
+        for name in gc.TOPOLOGIES:
+            net, cm = gc.topology(name)
+            assert sk._never_absorbs(net.node_count,
+                                     sk._log_kernel(cm, 0.05 * cm.diameter))
 
 
 class TestSinkhornPlan:

@@ -9,6 +9,7 @@ from _oracles import (
     brute_force_transport_cost,
     dyadic_distribution,
     floyd_warshall,
+    network_simplex_doubling,
     random_connected_graph,
     tree_w1,
 )
@@ -36,6 +37,22 @@ def _mixed_pair(rng, n, case):
         return tuple(dyadic_distribution(rng, n, support=int(rng.integers(1, 5)))
                      for _ in range(2))
     return rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+
+
+def _simplex_matches_doubling(p, q, cm):
+    """Solve from the BFS start with ``_network_simplex`` and with the
+    pointer-doubling oracle; both must make the same pivots and end with
+    the same parent, arc, flow and potential bytes. Returns the cost."""
+    parent, arc, flow, pot = tp._bfs_start(p, q, cm)
+    start = (parent.copy(), arc.copy(), flow.copy())
+    pivots, bland = tp._network_simplex(cm.arc_tail, cm.arc_head,
+                                        parent, arc, flow, pot)
+    ref_pot, ref_pivots, ref_bland = network_simplex_doubling(
+        cm.arc_tail, cm.arc_head, *start, tp._BLAND_AFTER_FACTOR)
+    assert (pivots, bland) == (ref_pivots, ref_bland)
+    for got, want in zip((parent, arc, flow, pot), (*start, ref_pot)):
+        assert got.tobytes() == want.tobytes()
+    return float(flow[1:].sum())
 
 
 def _certified_plan(p, q, cm, edges):
@@ -116,6 +133,25 @@ class TestWasserstein:
             tp.ntd(p, delta(3, 0), cm)
         with pytest.raises(ValueError, match="non-finite"):
             tp.ntd(delta(3, 0), p, cm)
+
+    @pytest.mark.parametrize("x, message", [
+        ([np.nan, 0.5, 0.5], "P has non-finite entries"),
+        ([np.inf, 0.0, 0.0], "P has non-finite entries"),
+        ([np.inf, -np.inf, 1.0], "P has non-finite entries"),
+        ([np.nan, -1.0, 2.0], "P has non-finite entries"),
+        ([2.0, -1.0, 0.0], "P has negative entries"),
+        ([-0.5, 0.0, 0.0], "P has negative entries"),
+        ([0.5, 0.5, 1e-8], "P sums to 1.00000001; normalize explicitly before calling"),
+        ([0.0, 0.0, 0.0], "P sums to 0.0; normalize explicitly before calling"),
+    ])
+    def test_check_distribution_messages(self, x, message):
+        with pytest.raises(ValueError) as info:
+            tp.check_distribution(np.array(x), 3, "P")
+        assert str(info.value) == message
+
+    def test_check_distribution_accepts(self):
+        for x in ([1.0, 0.0, -0.0], [0.5, 0.5 + 5e-10, 0.0], [0.25, 0.25, 0.5]):
+            assert tp.check_distribution(x, 3).tolist() == x
 
     def test_oracle_equivalence_small_supports(self):
         rng = np.random.default_rng(7)
@@ -246,6 +282,11 @@ class TestGraphFlow:
             ref = tree_w1(n, edges, p, q)
             assert tp.ntd(p, q, cm) == pytest.approx(ref / cm.diameter,
                                                       rel=0, abs=1e-12)
+            # ntd skips the simplex on a tree; the solver's bytes are the same
+            if not np.array_equal(p, q):
+                first, second = (q, p) if q.tobytes() < p.tobytes() else (p, q)
+                assert tp.ntd(p, q, cm) == (
+                    _simplex_matches_doubling(first, second, cm) / cm.diameter)
             result = _certified_plan(p, q, cm, edges)
             assert result.cost == pytest.approx(ref, rel=0, abs=1e-12)
             assert result.pivots == 0  # the spanning-tree start is already optimal
@@ -262,6 +303,7 @@ class TestGraphFlow:
             assert tp.ntd(p, q, cm) == result.cost / cm.diameter
             assert not result.bland
             pivots += result.pivots
+            _simplex_matches_doubling(p, q, cm)
         assert pivots > 0
 
     def test_swapped_inputs_transpose_the_plan(self):
@@ -330,6 +372,7 @@ class TestGraphFlow:
         for (edges, cm, p, q), expected in zip(cases, default):
             result = _certified_plan(p, q, cm, edges)
             assert result.bland
+            _simplex_matches_doubling(p, q, cm)
             assert result.cost == pytest.approx(expected.cost, rel=0, abs=1e-12)
             assert tp.ntd(p, q, cm) == pytest.approx(expected.cost / cm.diameter,
                                                       rel=0, abs=1e-12)
