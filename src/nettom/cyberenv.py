@@ -75,13 +75,17 @@ RED_ACTION_KINDS = (
 _RED_TARGETED = frozenset((RED_BASIC_ATTACK, RED_RANDOM_MOVE, RED_ZERO_DAY))
 
 OBSERVER_BLUE = "blue"
-OBSERVER_FULL = "full"
 OBSERVER_RED = "red"
 
 RED_WIN = "red_win"
 BLUE_WIN = "blue_win"
 
 TRAJECTORY_SCHEMA_VERSION = 2
+
+# Per-node bits of ``EpisodeTrajectory.flags`` and of a step line's flags.
+FLAG_VISIBLE = 1  # compromised, seen by blue
+FLAG_HIDDEN = 2  # compromised, hidden from blue
+FLAG_ISOLATED = 4
 
 VULN_LOW = 0.2  # per-episode vulnerabilities are uniform on [VULN_LOW, VULN_HIGH)
 VULN_HIGH = 0.8
@@ -143,7 +147,6 @@ class StateObservation:
 
     vulnerability: np.ndarray
     compromised_visible: np.ndarray
-    compromised_hidden: np.ndarray | None
     isolated: np.ndarray
     is_entry: np.ndarray
     is_hvn: np.ndarray | None
@@ -253,15 +256,13 @@ class CyberEnv:
 
     def observe(self, observer: str) -> StateObservation:
         s = self._require_state()
-        if observer not in (OBSERVER_BLUE, OBSERVER_FULL, OBSERVER_RED):
+        if observer not in (OBSERVER_BLUE, OBSERVER_RED):
             raise ValueError(f"unknown observer {observer!r}")
         blue = observer == OBSERVER_BLUE
         return StateObservation(
             vulnerability=s.vulnerability.copy(),
-            compromised_visible=(s.compromised.copy() if observer == OBSERVER_RED
-                                 else s.compromised & ~s.hidden),
-            compromised_hidden=(s.compromised & s.hidden
-                                if observer == OBSERVER_FULL else None),
+            compromised_visible=(s.compromised & ~s.hidden if blue
+                                 else s.compromised.copy()),
             isolated=s.isolated.copy(),
             is_entry=s.is_entry,
             is_hvn=None if blue else s.is_hvn,
@@ -393,7 +394,6 @@ class CyberEnv:
 @dataclass
 class TrajectoryStep:
     t: int
-    obs: StateObservation
     blue_action: BlueAction | None
     red_action: RedAction | None
     red_hits: tuple[int, ...]
@@ -401,12 +401,15 @@ class TrajectoryStep:
 
 @dataclass
 class EpisodeTrajectory:
-    """Full-observability record of one episode.
+    """One played episode and, when recorded, its full state at every step.
 
     ``edges`` lists the base edges as ``(i, j)``, ``i < j``, row-major.
     ``steps`` holds final_step + 1 entries: one per acted step plus a
-    terminal entry carrying the final state with no actions. It is empty
-    when the episode was played with ``rollout(..., record=False)``.
+    terminal entry with no actions. Row ``t`` of ``vulnerability``
+    (float64) and ``flags`` (uint8, ``FLAG_*`` bits), both of shape
+    ``(final_step + 1, node_count)``, is the state before step ``t``; the
+    last row is the final state. Under ``rollout(..., record=False)``
+    ``steps`` is empty and both arrays are None.
     """
 
     episode_id: str
@@ -422,18 +425,25 @@ class EpisodeTrajectory:
     edges: tuple[tuple[int, int], ...]
     total_blue_reward: float
     steps: list[TrajectoryStep] = field(default_factory=list)
+    vulnerability: np.ndarray | None = None
+    flags: np.ndarray | None = None
+
+
+def _snapshot(s: EpisodeState) -> tuple[np.ndarray, ...]:
+    return (s.vulnerability.copy(), s.compromised.copy(), s.hidden.copy(),
+            s.isolated.copy())
 
 
 def rollout(net: Network, blue_policy, red_policy, seed: int,
             cm: CostMatrix | None = None, entry_count: int = 1,
             episode_id: str | None = None,
             record: bool = True) -> EpisodeTrajectory:
-    """Play one full episode and record full-observability observations,
-    both actions, and the nodes red newly compromised at every step.
+    """Play one full episode and record the full state, both actions, and
+    the nodes red newly compromised at every step.
 
     With ``record=False`` the episode plays out identically (the same draws,
     outcome, final step and total reward) but no per-step record is kept:
-    the returned trajectory's ``steps`` is empty.
+    the returned trajectory's ``steps`` is empty and its arrays are None.
     """
     env = CyberEnv(net, cm=cm, entry_count=entry_count)
     state = env.reset(seed)
@@ -445,10 +455,12 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
     red_policy.begin_episode(ctx, red_rng)
 
     steps: list[TrajectoryStep] = []
+    snapshots: list[tuple[np.ndarray, ...]] = []
     total_reward = 0.0
     while not state.done:
         t = state.step
-        obs_full = env.observe(OBSERVER_FULL) if record else None
+        if record:
+            snapshots.append(_snapshot(state))
         blue_action = blue_policy.act(env.observe(OBSERVER_BLUE), blue_rng)
         red_action = red_policy.act(env.observe(OBSERVER_RED), red_rng)
         try:
@@ -460,18 +472,10 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
             ) from exc
         total_reward += result.blue_reward
         if record:
-            steps.append(TrajectoryStep(
-                t=t, obs=obs_full, blue_action=blue_action,
-                red_action=red_action, red_hits=result.red_hits,
-            ))
-    if record:
-        steps.append(TrajectoryStep(
-            t=state.step, obs=env.observe(OBSERVER_FULL),
-            blue_action=None, red_action=None, red_hits=(),
-        ))
+            steps.append(TrajectoryStep(t, blue_action, red_action, result.red_hits))
 
     target = state.placement.target_node if state.outcome == RED_WIN else None
-    return EpisodeTrajectory(
+    traj = EpisodeTrajectory(
         episode_id=episode_id or f"{net.name}-{seed}",
         network=net.name,
         seed=seed,
@@ -486,11 +490,16 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
         total_blue_reward=total_reward,
         steps=steps,
     )
+    if record:
+        snapshots.append(_snapshot(state))
+        steps.append(TrajectoryStep(state.step, None, None, ()))
+        traj.vulnerability, comp, hidden, iso = map(np.array, zip(*snapshots))
+        traj.flags = (FLAG_VISIBLE * (comp & ~hidden) + FLAG_HIDDEN * hidden
+                      + FLAG_ISOLATED * iso).astype(np.uint8)
+    return traj
 
 
-# Per-node flags of a step line, packed one bit each in this order.
-_FLAG_FIELDS = ("compromised_visible", "compromised_hidden", "isolated")
-_FLAG_LIMIT = 1 << len(_FLAG_FIELDS)
+_FLAG_LIMIT = (FLAG_VISIBLE | FLAG_HIDDEN | FLAG_ISOLATED) + 1
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -510,9 +519,8 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
     node count and the base edge list ``traj.edges``. Each step line holds
     ``t``, both actions, red's hits and ``changed``: a ``[node,
     vulnerability, flags]`` triple for every node whose vulnerability or
-    flags differ from the previous step (step 0 is diffed against zeros).
-    ``flags`` packs compromised-visible (1), compromised-hidden (2) and
-    isolated (4).
+    flags differ from the previous step (step 0 is diffed against zeros):
+    the rows of ``traj.vulnerability`` and ``traj.flags``.
     """
     steps = traj.steps
     if not steps:
@@ -528,14 +536,10 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
         "hvns": list(traj.hvns),
         "entries": list(traj.entries),
         "total_blue_reward": traj.total_blue_reward,
-        "node_count": int(steps[0].obs.vulnerability.size),
+        "node_count": int(traj.vulnerability.shape[1]),
         "edges": [list(e) for e in traj.edges],
     }
-    vuln = np.stack([s.obs.vulnerability for s in steps])
-    flags = np.zeros(vuln.shape, dtype=np.uint8)
-    for bit, name in enumerate(_FLAG_FIELDS):
-        bits = np.stack([getattr(s.obs, name) for s in steps]).astype(np.uint8)
-        flags |= bits << bit
+    vuln, flags = traj.vulnerability, traj.flags
     prev_vuln = np.zeros_like(vuln)
     prev_vuln[1:] = vuln[:-1]
     prev_flags = np.zeros_like(flags)
@@ -591,13 +595,13 @@ def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
 
 def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     """Decode a file written by ``trajectory_to_jsonl`` into the trajectory
-    that was encoded, observation arrays bit for bit. As in ``CyberEnv``,
-    ``is_entry`` and ``is_hvn`` are write-locked and shared between steps.
-    The header's edges must be ``[i, j]`` pairs with ``i < j`` in ascending
-    order, each listed once; ``seed`` an integer, ``hvns`` three distinct
-    nodes, the winner one the game writes, the target null or a node, and
-    ``total_blue_reward`` a finite number. Malformed content raises
-    ``ValueError`` naming the file and line."""
+    that was encoded, field for field. The header's edges must be ``[i, j]``
+    pairs with ``i < j`` in ascending order, each listed once; ``seed`` an
+    integer, ``final_step`` non-negative, ``hvns`` three distinct nodes, the
+    winner one the game writes, the target null or a node, and
+    ``total_blue_reward`` a finite number. Step line ``k`` must have ``t ==
+    k`` and both actions, the terminal line neither. Malformed content
+    raises ``ValueError`` naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = _json_object(path, 1, lines[0] if lines else "")
@@ -620,6 +624,9 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
         reward = header["total_blue_reward"]
         if type(reward) not in (int, float) or not math.isfinite(reward):
             raise ValueError(f"total_blue_reward {reward!r} is not a finite number")
+        final_step = json_int(header["final_step"], "final_step")
+        if final_step < 0:
+            raise ValueError(f"final_step {final_step} is negative")
         traj = EpisodeTrajectory(
             episode_id=header["episode_id"],
             network=header["network"],
@@ -628,7 +635,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
             red_id=header["agents"]["red"],
             outcome=winner,
             target_node=None if target is None else _node(target, n),
-            final_step=json_int(header["final_step"], "final_step"),
+            final_step=final_step,
             hvns=hvns,
             entries=tuple(_node(v, n) for v in header["entries"]),
             edges=edges,
@@ -640,7 +647,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
         raise ValueError(f"{path}: {len(lines) - 1} step lines, expected "
                          f"final_step + 1 = {traj.final_step + 1}")
 
-    records, counts, nodes, vulns, flags = [], [], [], [], []
+    counts, nodes, vulns, flags = [], [], [], []
     for lineno, line in enumerate(lines[1:], 2):
         rec = _json_object(path, lineno, line)
         try:
@@ -655,47 +662,34 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                                      f"[0, {_FLAG_LIMIT})")
                 flags.append(f)
             counts.append(len(changed))
-            red = rec["red_action"]
-            records.append((
-                json_int(rec["t"], "t"),
-                _action_from_json(BlueAction, BLUE_ACTION_KINDS, rec["blue_action"], n),
-                _action_from_json(RedAction, RED_ACTION_KINDS, red, n),
-                tuple(_node(v, n) for v in red["hits"]) if red is not None else (),
+            t = json_int(rec["t"], "t")
+            if t != len(traj.steps):
+                raise ValueError(f"t {t} is not the line's step index {len(traj.steps)}")
+            blue, red = rec["blue_action"], rec["red_action"]
+            terminal = t == final_step
+            if terminal and (blue is not None or red is not None):
+                raise ValueError("the terminal line carries an action")
+            if not terminal and (blue is None or red is None):
+                raise ValueError("a null action before the terminal line")
+            traj.steps.append(TrajectoryStep(
+                t=t,
+                blue_action=_action_from_json(BlueAction, BLUE_ACTION_KINDS, blue, n),
+                red_action=_action_from_json(RedAction, RED_ACTION_KINDS, red, n),
+                red_hits=() if red is None else tuple(_node(v, n) for v in red["hits"]),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise _line_error(path, lineno, exc) from None
 
     # Scatter the changes into per-step rows, then carry each node's value
     # forward from the last step that changed it.
-    rows = np.repeat(np.arange(len(records)), counts)
+    shape = (final_step + 1, n)
+    rows = np.repeat(np.arange(shape[0]), counts)
     cols = np.asarray(nodes, dtype=np.intp)
-    vuln = np.zeros((len(records), n))
+    vuln, packed, last = (np.zeros(shape, dtype) for dtype in (float, np.uint8, np.intp))
     vuln[rows, cols] = vulns
-    packed = np.zeros((len(records), n), dtype=np.uint8)
     packed[rows, cols] = flags
-    last = np.zeros((len(records), n), dtype=np.intp)
     last[rows, cols] = rows
     np.maximum.accumulate(last, axis=0, out=last)
-    vuln = vuln[last, np.arange(n)]
-    packed = packed[last, np.arange(n)]
-    visible, hidden, isolated = ((packed & (1 << bit)) != 0
-                                 for bit in range(len(_FLAG_FIELDS)))
-
-    is_entry, is_hvn = _mask(traj.entries, n), _mask(traj.hvns, n)
-    for k, (t, blue_action, red_action, hits) in enumerate(records):
-        traj.steps.append(TrajectoryStep(
-            t=t,
-            obs=StateObservation(
-                vulnerability=vuln[k],
-                compromised_visible=visible[k],
-                compromised_hidden=hidden[k],
-                isolated=isolated[k],
-                is_entry=is_entry,
-                is_hvn=is_hvn,
-                zero_day_budget=None,
-            ),
-            blue_action=blue_action,
-            red_action=red_action,
-            red_hits=hits,
-        ))
+    traj.vulnerability = vuln[last, np.arange(n)]
+    traj.flags = packed[last, np.arange(n)]
     return traj

@@ -29,6 +29,7 @@ from .transport import WeightingConfig, check_distribution, ntd_weighted
 DEFAULT_COEFFICIENTS = (-1.0, 0.0, 1.0)
 DEFAULT_FLOOR = 0.1
 DEFAULT_ENTRY_COUNT = 1
+HEDGING_MAX_ITERS = 300  # Lloyd iterations per hedging run, at most
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def hedging_clusters(vectors: np.ndarray, k: int, seed: int,
-                     branch_of=None, max_iters: int = 300) -> HedgingResult:
+                     branch_of=None) -> HedgingResult:
     """Single seeded Lloyd run over raw occupancy vectors.
 
     Plus-plus style seeding, Euclidean distance, ties to the lowest cluster
@@ -447,7 +448,7 @@ def hedging_clusters(vectors: np.ndarray, k: int, seed: int,
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(X, k, rng)
     assignments = np.zeros(len(X), dtype=int)
-    for _ in range(max_iters):
+    for _ in range(HEDGING_MAX_ITERS):
         dists = np.stack([np.square(X - c).sum(axis=1) for c in centers])
         new_assignments = dists.argmin(axis=0)
         for j in range(k):

@@ -413,6 +413,6 @@ def save_network(net: Network, path: str | Path) -> None:
     Path(path).write_text(network_to_json_str(net), encoding="utf-8")
 
 
-def load_network(path: str | Path, name: str | None = None) -> Network:
+def load_network(path: str | Path) -> Network:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Network.from_json(obj, name=name or Path(path).stem)
+    return Network.from_json(obj, name=Path(path).stem)

@@ -5,7 +5,8 @@ exhaustive vertex enumeration instead of the simplex, subtree imbalances
 instead of a flow solve on trees, Floyd-Warshall instead of per-node BFS,
 and central finite differences instead of dual potentials.
 ``trajectory_to_jsonl_v1`` is the trajectory encoder of schema 1, which
-wrote every step's full observation. ``sinkhorn_log_domain`` is the
+wrote every step's full observation, rendered here from the trajectory's
+vulnerability and flag rows. ``sinkhorn_log_domain`` is the
 Sinkhorn loop on log potentials, two n x n log-sum-exps per iteration,
 against which the scaling-domain loop with absorption is checked.
 ``sinkhorn_checked`` is the scaling-domain loop that tests for absorption
@@ -29,6 +30,7 @@ import json
 
 import numpy as np
 
+from nettom.cyberenv import FLAG_HIDDEN, FLAG_ISOLATED, FLAG_VISIBLE
 from nettom.sinkhorn import (
     _ABSORB_NORM_SQ,
     _CHECK_EVERY,
@@ -252,16 +254,18 @@ def dyadic_distribution(rng: np.random.Generator, n: int,
     return x
 
 
-def _obs_to_json_v1(obs, edges) -> dict:
-    live = [[i, j] for i, j in edges if not (obs.isolated[i] or obs.isolated[j])]
+def _state_to_json_v1(vulnerability, flags, traj) -> dict:
+    bits = flags.tolist()
+    isolated = [int(bool(f & FLAG_ISOLATED)) for f in bits]
+    nodes = range(len(bits))
     return {
-        "vulnerability": [float(x) for x in obs.vulnerability],
-        "compromised": [int(x) for x in obs.compromised_visible],
-        "hidden": [int(x) for x in obs.compromised_hidden],
-        "isolated": [int(x) for x in obs.isolated],
-        "is_entry": [int(x) for x in obs.is_entry],
-        "is_hvn": [int(x) for x in obs.is_hvn],
-        "edges": live,
+        "vulnerability": vulnerability.tolist(),
+        "compromised": [int(bool(f & FLAG_VISIBLE)) for f in bits],
+        "hidden": [int(bool(f & FLAG_HIDDEN)) for f in bits],
+        "isolated": isolated,
+        "is_entry": [int(v in traj.entries) for v in nodes],
+        "is_hvn": [int(v in traj.hvns) for v in nodes],
+        "edges": [[i, j] for i, j in traj.edges if not (isolated[i] or isolated[j])],
     }
 
 
@@ -291,10 +295,10 @@ def trajectory_to_jsonl_v1(traj) -> str:
         "total_blue_reward": traj.total_blue_reward,
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for step in traj.steps:
+    for step, vulnerability, flags in zip(traj.steps, traj.vulnerability, traj.flags):
         rec = {
             "t": step.t,
-            "obs": _obs_to_json_v1(step.obs, traj.edges),
+            "obs": _state_to_json_v1(vulnerability, flags, traj),
             "blue_action": _action_to_json_v1(step.blue_action),
             "red_action": _action_to_json_v1(step.red_action, step.red_hits),
         }

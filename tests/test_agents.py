@@ -274,7 +274,7 @@ class TestRedBehaviour:
         isolated[[1, 6]] = True
         obs = ce.StateObservation(
             vulnerability=np.full(n, 0.5), compromised_visible=compromised,
-            compromised_hidden=None, isolated=isolated,
+            isolated=isolated,
             is_entry=np.arange(n) == 0, is_hvn=None, zero_day_budget=0)
         red._replan(obs)
         assert red._path is None  # node 2 cannot reach the target

@@ -64,8 +64,7 @@ class TestReset:
         assert len(state.entries) == 3
         assert all(state.compromised[e] for e in state.entries)
         assert len({net.branch_of[e] for e in state.entries}) == 3
-        obs = env.observe(ce.OBSERVER_FULL)
-        assert obs.is_entry.sum() == 3
+        assert state.is_entry.sum() == 3
         # placements still avoid every entry
         assert not set(state.placement.hvns) & set(state.entries)
 
@@ -313,10 +312,7 @@ class TestObserve:
         state.compromised[8] = True
         state.hidden[8] = True
         blue = env.observe(ce.OBSERVER_BLUE)
-        full = env.observe(ce.OBSERVER_FULL)
         assert not blue.compromised_visible[8]
-        assert full.compromised_hidden[8]
-        assert blue.compromised_hidden is None
         assert blue.is_hvn is None
         assert blue.zero_day_budget is None
 
@@ -327,15 +323,17 @@ class TestObserve:
         state.compromised[rng.choice(30, 6, replace=False)] = True
         state.hidden[:] = state.compromised & (rng.random(30) < 0.5)
         state.isolated[rng.choice(30, 3, replace=False)] = True
+        assert state.hidden.any() and (state.compromised & ~state.hidden).any()
         blue = env.observe(ce.OBSERVER_BLUE)
-        full = env.observe(ce.OBSERVER_FULL)
-        assert (blue.vulnerability == full.vulnerability).all()
-        assert (blue.compromised_visible == full.compromised_visible).all()
-        assert (blue.isolated == full.isolated).all()
-        assert (blue.is_entry == full.is_entry).all()
+        red = env.observe(ce.OBSERVER_RED)
+        for obs in (blue, red):
+            assert (obs.vulnerability == state.vulnerability).all()
+            assert (obs.isolated == state.isolated).all()
+        assert (blue.compromised_visible == state.compromised & ~state.hidden).all()
+        assert (red.compromised_visible == state.compromised).all()
         # the per-episode masks are built once in reset and shared read-only
-        assert blue.is_entry is full.is_entry is state.is_entry
-        assert full.is_hvn is state.is_hvn
+        assert blue.is_entry is red.is_entry is state.is_entry
+        assert red.is_hvn is state.is_hvn
         assert not state.is_entry.flags.writeable
         assert not state.is_hvn.flags.writeable
 
@@ -348,8 +346,7 @@ class TestObserve:
         assert red.compromised_visible[8]
         assert red.zero_day_budget == state.zero_day_budget
 
-    @pytest.mark.parametrize("observer", [ce.OBSERVER_BLUE, ce.OBSERVER_RED,
-                                          ce.OBSERVER_FULL])
+    @pytest.mark.parametrize("observer", [ce.OBSERVER_BLUE, ce.OBSERVER_RED])
     def test_writes_to_an_observation_leave_the_state_alone(self, tree30,
                                                             observer):
         env = _env(tree30)
@@ -420,23 +417,28 @@ class TestRollout:
         net, cm = tree30
         traj = ce.rollout(net, ag.make_blue("blue.sleep"), _sp_red(), seed=9,
                           cm=cm)
-        assert len(traj.steps) == traj.final_step + 1
+        shape = (traj.final_step + 1, net.node_count)
+        assert len(traj.steps) == shape[0]
+        assert (traj.vulnerability.dtype, traj.vulnerability.shape) == (np.float64, shape)
+        assert (traj.flags.dtype, traj.flags.shape) == (np.uint8, shape)
+        # the first row is the state reset leaves: only the entry held, visibly
+        start = _env(tree30).reset(seed=9)
+        assert np.array_equal(traj.vulnerability[0], start.vulnerability)
+        assert np.array_equal(traj.flags[0], start.is_entry * ce.FLAG_VISIBLE)
         last = traj.steps[-1]
         assert last.blue_action is None and last.red_action is None
-        assert last.obs.is_hvn is not None
-        assert last.obs.compromised_visible[traj.target_node] or \
-            last.obs.compromised_hidden[traj.target_node]
+        assert traj.flags[-1, traj.target_node] & (ce.FLAG_VISIBLE | ce.FLAG_HIDDEN)
 
     def test_hits_recorded_match_compromise_diffs(self, tree30):
         net, cm = tree30
         traj = ce.rollout(net, ag.make_blue("blue.sleep"), _sp_red(), seed=10,
                           cm=cm)
-        for prev, nxt in zip(traj.steps, traj.steps[1:]):
-            comp_prev = prev.obs.compromised_visible | prev.obs.compromised_hidden
-            comp_next = nxt.obs.compromised_visible | nxt.obs.compromised_hidden
+        compromised = (traj.flags & (ce.FLAG_VISIBLE | ce.FLAG_HIDDEN)) != 0
+        for step, comp_prev, comp_next in zip(traj.steps, compromised,
+                                              compromised[1:]):
             newly = set(np.flatnonzero(comp_next & ~comp_prev))
             # sleep blue never cleans, so diffs are exactly red's hits
-            assert newly == set(prev.red_hits)
+            assert newly == set(step.red_hits)
 
     @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
     def test_unrecorded_rollout_plays_the_same_game(self, network):
@@ -451,6 +453,7 @@ class TestRollout:
                     for rec in (True, False))
                 key = (blue_id, red_kind)
                 assert lean.steps == [], key
+                assert lean.vulnerability is None and lean.flags is None, key
                 assert len(full.steps) == full.final_step + 1, key
                 assert lean.total_blue_reward == full.total_blue_reward, key
                 assert lean.outcome == full.outcome, key
@@ -459,11 +462,14 @@ class TestRollout:
 
     @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
     def test_round_trip_file(self, network, tmp_path):
-        """Every header field, action and hit, and every observation array
-        by dtype and bits, over every blue (isolate, restore, hardening and
-        scan change every kind of flag) against every red."""
+        """Every field of the trajectory read back equals the one written:
+        the two state arrays by dtype, shape and bytes, every other field
+        with ``==``, over every blue (isolate, restore, hardening and scan
+        change every kind of flag) against every red."""
         net, cm = gc.topology(network)
         path = tmp_path / "ep.jsonl"
+        arrays = {"vulnerability": np.float64, "flags": np.uint8}
+        matchups = 0
         for b, blue_id in enumerate(sorted(ag.BLUE_REGISTRY)):
             for r, red_kind in enumerate(sorted(ag.RED_REGISTRY)):
                 red = ag.parse_red_id(f"red.{red_kind}:alpha=0.5")
@@ -473,27 +479,27 @@ class TestRollout:
                 ce.write_trajectory(traj, path)
                 loaded = ce.read_trajectory(path)
                 key = (blue_id, red_kind)
+                shape = (traj.final_step + 1, net.node_count)
                 for name, value in vars(traj).items():
-                    if name != "steps":
-                        assert getattr(loaded, name) == value, (key, name)
-                assert len(loaded.steps) == len(traj.steps), key
-                for want, got in zip(traj.steps, loaded.steps):
-                    where = (key, want.t)
-                    assert (got.t, got.blue_action, got.red_action, got.red_hits) \
-                        == (want.t, want.blue_action, want.red_action,
-                            want.red_hits), where
-                    assert got.obs.zero_day_budget is None, where
-                    for name, arr in vars(want.obs).items():
-                        if not isinstance(arr, np.ndarray):
-                            continue
-                        back = getattr(got.obs, name)
-                        assert back.dtype == arr.dtype, (where, name)
-                        assert back.shape == arr.shape, (where, name)
-                        assert back.tobytes() == arr.tobytes(), (where, name)
+                    back = getattr(loaded, name)
+                    if name in arrays:
+                        assert value.dtype == back.dtype == arrays[name], (key, name)
+                        assert value.shape == back.shape == shape, (key, name)
+                        assert back.tobytes() == value.tobytes(), (key, name)
+                    else:
+                        assert back == value, (key, name)
+                matchups += 1
+        assert matchups == 90
+
+
+def _index(line: int) -> int:
+    """The list index of file line ``line``; -1 is the last line."""
+    return line - 1 if line > 0 else line
+
 
 def _set(line: int, path: tuple, value):
     def edit(lines):
-        obj = lines[line - 1]
+        obj = lines[_index(line)]
         for k in path[:-1]:
             obj = obj[k]
         obj[path[-1]] = value
@@ -501,12 +507,12 @@ def _set(line: int, path: tuple, value):
 
 
 def _delete(line: int, key: str):
-    return lambda lines: lines[line - 1].pop(key)
+    return lambda lines: lines[_index(line)].pop(key)
 
 
 def _replace(line: int, value):
     def edit(lines):
-        lines[line - 1] = value
+        lines[_index(line)] = value
     return edit
 
 
@@ -514,10 +520,17 @@ def _edges(change):
     return lambda lines: change(lines[0]["edges"])
 
 
+def _header_only(final_step: int):
+    def edit(lines):
+        del lines[1:]
+        lines[0]["final_step"] = final_step
+    return edit
+
+
 _BAD_EDGES = "edges are not [i, j] pairs with i < j, ascending, each once"
 
 # (edit of the decoded lines, line it names, message fragment); line 2 is
-# step 0, which lists every node of tree30.
+# step 0, which lists every node of tree30, and line -1 the terminal line.
 MALFORMED_TRAJECTORIES = {
     "header_missing_key": (_delete(1, "node_count"), 1, "missing key 'node_count'"),
     "header_not_object": (_replace(1, [2]), 1, "not a JSON object"),
@@ -548,10 +561,22 @@ MALFORMED_TRAJECTORIES = {
     "reward_nan": (_set(1, ("total_blue_reward",), float("nan")), 1,
                    "total_blue_reward nan is not a finite number"),
     "final_step_float": (_set(1, ("final_step",), 3.0), 1, "final_step must be an integer"),
+    "final_step_negative": (_header_only(-1), 1, "final_step -1 is negative"),
     "step_missing_changed": (_delete(3, "changed"), 3, "missing key 'changed'"),
     "step_missing_t": (_delete(2, "t"), 2, "missing key 't'"),
     "step_not_object": (_replace(3, [1, 0.5, 0]), 3, "not a JSON object"),
     "step_not_json": (_replace(4, "{"), 4, "not JSON"),
+    "step_t_not_index": (_set(3, ("t",), 7), 3, "t 7 is not the line's step index 1"),
+    "step_blue_action_null": (_set(3, ("blue_action",), None), 3,
+                              "a null action before the terminal line"),
+    "step_red_action_null": (_set(4, ("red_action",), None), 4,
+                             "a null action before the terminal line"),
+    "terminal_red_spread": (_set(-1, ("red_action",),
+                                 {"kind": ce.RED_SPREAD, "target": None, "hits": []}),
+                            -1, "the terminal line carries an action"),
+    "terminal_blue_scan": (_set(-1, ("blue_action",),
+                                {"kind": ce.BLUE_SCAN, "target": None}),
+                           -1, "the terminal line carries an action"),
     "node_outside": (_set(2, ("changed", 0, 0), 30), 2, "node 30 outside [0, 30)"),
     "node_negative": (_set(2, ("changed", 0, 0), -1), 2, "node -1 outside [0, 30)"),
     "node_float": (_set(2, ("changed", 0, 0), 1.0), 2, "node 1.0 outside [0, 30)"),
@@ -592,6 +617,8 @@ class TestTrajectoryFile:
         with pytest.raises(ValueError) as info:
             ce.read_trajectory(path)
         message = str(info.value)
+        if line < 0:
+            line += len(lines) + 1
         assert message.startswith(f"{path}:{line}: "), message
         assert fragment in message and "\n" not in message
 

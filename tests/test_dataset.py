@@ -14,12 +14,12 @@ def _fake_traj(final_step, hits_by_step, entries=(0,), outcome=ce.RED_WIN,
     for t in range(final_step):
         hits = tuple(hits_by_step.get(t, ()))
         steps.append(ce.TrajectoryStep(
-            t=t, obs=None,
+            t=t,
             blue_action=ce.BlueAction(ce.BLUE_DO_NOTHING),
             red_action=ce.RedAction(ce.RED_DO_NOTHING),
             red_hits=hits,
         ))
-    steps.append(ce.TrajectoryStep(t=final_step, obs=None, blue_action=None,
+    steps.append(ce.TrajectoryStep(t=final_step, blue_action=None,
                                    red_action=None, red_hits=()))
     return ce.EpisodeTrajectory(
         episode_id=episode_id, network="tree30", seed=0, blue_id="blue.sleep",
