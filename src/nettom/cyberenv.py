@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -409,7 +409,9 @@ class EpisodeTrajectory:
     (float64) and ``flags`` (uint8, ``FLAG_*`` bits), both of shape
     ``(final_step + 1, node_count)``, is the state before step ``t``; the
     last row is the final state. Under ``rollout(..., record=False)``
-    ``steps`` is empty and both arrays are None.
+    ``steps`` is empty and both arrays are None. Two trajectories are
+    equal when their arrays match by dtype, shape and values (None only
+    equals None) and every other field matches by ``==``.
     """
 
     episode_id: str
@@ -427,6 +429,21 @@ class EpisodeTrajectory:
     steps: list[TrajectoryStep] = field(default_factory=list)
     vulnerability: np.ndarray | None = None
     flags: np.ndarray | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, EpisodeTrajectory):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.name in ("vulnerability", "flags"):
+                if a is None or b is None:
+                    if a is not b:
+                        return False
+                elif a.dtype != b.dtype or not np.array_equal(a, b):
+                    return False
+            elif a != b:
+                return False
+        return True
 
 
 def _snapshot(s: EpisodeState) -> tuple[np.ndarray, ...]:
@@ -520,11 +537,23 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
     ``t``, both actions, red's hits and ``changed``: a ``[node,
     vulnerability, flags]`` triple for every node whose vulnerability or
     flags differ from the previous step (step 0 is diffed against zeros):
-    the rows of ``traj.vulnerability`` and ``traj.flags``.
+    the rows of ``traj.vulnerability`` and ``traj.flags``. A trajectory
+    without steps or arrays, with other than ``final_step + 1`` steps, or
+    with arrays not of shape ``(len(steps), node_count)`` raises
+    ``ValueError`` naming the episode.
     """
-    steps = traj.steps
+    steps, vuln, flags = traj.steps, traj.vulnerability, traj.flags
     if not steps:
         raise ValueError(f"episode {traj.episode_id}: no recorded steps to encode")
+    if vuln is None or flags is None:
+        raise ValueError(f"episode {traj.episode_id}: no recorded state arrays to encode")
+    if len(steps) != traj.final_step + 1:
+        raise ValueError(f"episode {traj.episode_id}: {len(steps)} steps, expected "
+                         f"final_step + 1 = {traj.final_step + 1}")
+    if vuln.ndim != 2 or vuln.shape[0] != len(steps) or flags.shape != vuln.shape:
+        raise ValueError(f"episode {traj.episode_id}: state arrays of shapes "
+                         f"{vuln.shape} and {flags.shape}, expected "
+                         f"({len(steps)}, node_count)")
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
         "episode_id": traj.episode_id,
@@ -536,10 +565,9 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
         "hvns": list(traj.hvns),
         "entries": list(traj.entries),
         "total_blue_reward": traj.total_blue_reward,
-        "node_count": int(traj.vulnerability.shape[1]),
+        "node_count": int(vuln.shape[1]),
         "edges": [list(e) for e in traj.edges],
     }
-    vuln, flags = traj.vulnerability, traj.flags
     prev_vuln = np.zeros_like(vuln)
     prev_vuln[1:] = vuln[:-1]
     prev_flags = np.zeros_like(flags)

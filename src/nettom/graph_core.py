@@ -4,9 +4,10 @@ Networks are immutable after construction: the adjacency matrix is
 write-locked and all derived structure (leaves, branches, neighbor lists)
 is precomputed. Generators are pure functions of (name, seed).
 
-One breadth-first search, ``_hops``, computes all hop-count geometry: the
-connectivity check, the branch labels, the all-pairs hop counts and the
-attacker's shortest paths.
+Two breadth-first searches compute the hop-count geometry. ``_hops``
+searches from one source: the connectivity check, the branch labels and
+the attacker's shortest paths. ``all_pairs_shortest_paths`` searches from
+every source at once, one bit per source, and builds the cost matrix.
 """
 
 from __future__ import annotations
@@ -271,17 +272,17 @@ def _build_layered(name, core_edges, n_core, branch_sizes, branch_core):
             nid += 1
             layers.append("subnet")
             edges.append((access[k % n_access], leaf))
-    net = Network(
+    # Entry is the lowest-numbered leaf (degree-1 node), i.e. the first
+    # subnet node of the first branch; it stays fixed across episodes of
+    # this network.
+    degree = np.bincount(np.ravel(edges), minlength=nid)
+    return Network(
         name=name,
         node_count=nid,
         edges=tuple(sorted(edges)),
-        entry_node=0,
+        entry_node=int(np.flatnonzero(degree == 1)[0]),
         node_layer=tuple(layers),
     )
-    # Entry is the lowest-numbered leaf, i.e. the first subnet node of the
-    # first branch; it stays fixed across episodes of this network.
-    entry = min(net.leaf_set)
-    return replace(net, entry_node=entry)
 
 
 def generate_tree_network(name: str, seed: int = 0) -> Network:
@@ -323,14 +324,51 @@ def generate_network(name: str, seed: int = 0) -> Network:
 
 
 def all_pairs_shortest_paths(net: Network) -> CostMatrix:
-    """Hop-count shortest paths: one breadth-first search per source row.
+    """Hop-count shortest paths by one level-synchronous breadth-first
+    search from every source at once (Then et al., "The More the Merrier:
+    Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014).
 
-    Every entry is finite because ``Network`` rejects disconnected graphs.
+    Each node has one row with one bit per source, packed into uint64
+    words. Row ``w`` of ``frontier`` holds the sources ``d`` hops from
+    ``w``: the OR of its neighbours' rows at ``d - 1``, less the sources
+    already reached. Bit ``k`` of every hop count is kept in plane ``k``,
+    a frontier-shaped array into which each level whose number has bit
+    ``k`` set ORs its frontier, so a level costs a few passes over the
+    n x ceil(n / 64) words and ``dist`` is unpacked from the planes once. ``np.packbits``
+    lays the bits out and ``np.unpackbits`` reads them back; the uint64
+    view only widens the OR and AND, so the layout never depends on the
+    byte order. The search fills ``dist[w, s]``, which on an undirected
+    graph is ``dist[s, w]``. Every entry is finite because ``Network``
+    rejects disconnected graphs.
     """
     n = net.node_count
-    dist = np.empty((n, n), dtype=np.int64)
-    for s in range(n):
-        dist[s] = _hops(net.neighbors, s)
+    # The arcs come grouped by their first node. No group is empty, since
+    # ``Network`` rejects disconnected graphs and graphs of fewer than 2
+    # nodes; on an empty group ``reduceat`` returns the row at the group's
+    # start, not zero.
+    head = net.adjacency.nonzero()[1]
+    starts = np.cumsum(net.degree) - net.degree
+    words = (n + 63) // 64
+    frontier = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1).view(np.uint64)
+    unreached = ~frontier
+    planes = []
+    for d in range(1, n):
+        frontier = np.bitwise_or.reduceat(frontier.take(head, axis=0), starts, axis=0)
+        frontier &= unreached
+        if not np.count_nonzero(frontier):
+            break
+        unreached ^= frontier
+        if d == 1 << len(planes):
+            planes.append(frontier)
+        else:
+            for k in range(len(planes)):
+                if d >> k & 1:
+                    planes[k] |= frontier
+    hops = np.zeros((n, n), dtype=np.min_scalar_type(d))
+    for k, plane in enumerate(planes):
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=n)
+        hops |= np.left_shift(bits, k, dtype=hops.dtype)
+    dist = hops.astype(np.int64)
     return CostMatrix(dist=dist, diameter=int(dist.max()))
 
 

@@ -2,8 +2,10 @@
 
 These deliberately use different algorithms from the production code:
 exhaustive vertex enumeration instead of the simplex, subtree imbalances
-instead of a flow solve on trees, Floyd-Warshall instead of per-node BFS,
-and central finite differences instead of dual potentials.
+instead of a flow solve on trees, Floyd-Warshall and one single-source
+BFS per row (``apsp_per_source``) instead of the bit-parallel search from
+every source at once, and central finite differences instead of dual
+potentials.
 ``trajectory_to_jsonl_v1`` is the trajectory encoder of schema 1, which
 wrote every step's full observation, rendered here from the trajectory's
 vulnerability and flag rows. ``sinkhorn_log_domain`` is the
@@ -31,6 +33,7 @@ import json
 import numpy as np
 
 from nettom.cyberenv import FLAG_HIDDEN, FLAG_ISOLATED, FLAG_VISIBLE
+from nettom.graph_core import _hops
 from nettom.sinkhorn import (
     _ABSORB_NORM_SQ,
     _CHECK_EVERY,
@@ -150,6 +153,15 @@ def floyd_warshall(adjacency: np.ndarray) -> np.ndarray:
     np.fill_diagonal(dist, 0.0)
     for k in range(n):
         dist = np.minimum(dist, dist[:, k][:, None] + dist[k][None, :])
+    return dist
+
+
+def apsp_per_source(net) -> np.ndarray:
+    """All-pairs hop counts, one breadth-first search (``_hops``) per row."""
+    n = net.node_count
+    dist = np.empty((n, n), dtype=np.int64)
+    for s in range(n):
+        dist[s] = _hops(net.neighbors, s)
     return dist
 
 

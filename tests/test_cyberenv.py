@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -480,6 +481,7 @@ class TestRollout:
                 loaded = ce.read_trajectory(path)
                 key = (blue_id, red_kind)
                 shape = (traj.final_step + 1, net.node_count)
+                assert loaded == traj, key
                 for name, value in vars(traj).items():
                     back = getattr(loaded, name)
                     if name in arrays:
@@ -594,12 +596,32 @@ MALFORMED_TRAJECTORIES = {
 }
 
 
+# (edit of a recorded tree30 trajectory, message fragment after its id)
+INCONSISTENT_TRAJECTORIES = {
+    "no_vulnerability": (lambda t: replace(t, vulnerability=None),
+                         "no recorded state arrays"),
+    "no_flags": (lambda t: replace(t, flags=None), "no recorded state arrays"),
+    "arrays_cut_to_3_rows": (
+        lambda t: replace(t, vulnerability=t.vulnerability[:3], flags=t.flags[:3]),
+        "state arrays of shapes (3, 30) and (3, 30), expected ("),
+    "flags_one_node_short": (lambda t: replace(t, flags=t.flags[:, :-1]),
+                             "state arrays of shapes ("),
+    "terminal_step_dropped": (
+        lambda t: replace(t, steps=t.steps[:-1], vulnerability=t.vulnerability[:-1],
+                          flags=t.flags[:-1]),
+        "steps, expected final_step + 1"),
+}
+
+
 class TestTrajectoryFile:
     @pytest.fixture(scope="class")
-    def lines(self, tree30):
+    def traj(self, tree30):
         net, cm = tree30
-        traj = ce.rollout(net, ag.make_blue("blue.msn_d"), _sp_red(), seed=11,
+        return ce.rollout(net, ag.make_blue("blue.msn_d"), _sp_red(), seed=11,
                           cm=cm)
+
+    @pytest.fixture(scope="class")
+    def lines(self, traj):
         return ce.trajectory_to_jsonl(traj).splitlines()
 
     def _write(self, tmp_path, lines):
@@ -648,6 +670,32 @@ class TestTrajectoryFile:
                           cm=cm, record=False)
         with pytest.raises(ValueError, match="no recorded steps"):
             ce.trajectory_to_jsonl(traj)
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_TRAJECTORIES))
+    def test_inconsistent_trajectory_not_encoded(self, traj, case):
+        edit, fragment = INCONSISTENT_TRAJECTORIES[case]
+        with pytest.raises(ValueError) as info:
+            ce.trajectory_to_jsonl(edit(traj))
+        message = str(info.value)
+        assert message.startswith(f"episode {traj.episode_id}: "), message
+        assert fragment in message and "\n" not in message
+
+    def test_equality_compares_arrays_by_dtype_shape_and_values(self, traj, tree30):
+        net, cm = tree30
+        assert traj == replace(traj, vulnerability=traj.vulnerability.copy(),
+                               flags=traj.flags.copy(), steps=list(traj.steps))
+        changed = traj.vulnerability.copy()
+        changed[-1, 0] += 0.5
+        for other in (replace(traj, vulnerability=changed),
+                      replace(traj, flags=traj.flags.astype(np.int64)),
+                      replace(traj, flags=traj.flags[:-1]),
+                      replace(traj, flags=None),
+                      replace(traj, total_blue_reward=traj.total_blue_reward + 1),
+                      replace(traj, steps=traj.steps[:-1])):
+            assert traj != other and other != traj
+        lean = ce.rollout(net, ag.make_blue("blue.msn_d"), _sp_red(), seed=11,
+                          cm=cm, record=False)
+        assert lean == replace(lean) and lean != traj
 
 
 class TestInvariants:

@@ -7,6 +7,7 @@ from nettom import graph_core as gc
 from nettom.errors import ConfigError
 
 from _oracles import (
+    apsp_per_source,
     branch_labels_union_find,
     floyd_warshall,
     random_connected_graph,
@@ -21,6 +22,18 @@ EXPECTED_NODES = {
     "tree30": 30, "tree40": 40, "tree50": 50, "tree70": 70, "tree90": 90,
     "forest72": 72, "optical54": 54,
 }
+
+
+def _check_all_pairs(net):
+    """``dist`` is the per-source oracle's matrix by dtype, shape and bytes,
+    equals Floyd-Warshall, is write-locked, and its maximum is the diameter."""
+    cm = gc.all_pairs_shortest_paths(net)
+    ref = apsp_per_source(net)
+    assert cm.dist.dtype == ref.dtype and cm.dist.shape == ref.shape
+    assert cm.dist.flags.c_contiguous and cm.dist.tobytes() == ref.tobytes()
+    assert (cm.dist == floyd_warshall(net.adjacency)).all()
+    assert not cm.dist.flags.writeable
+    assert cm.diameter == cm.dist.max()
 
 
 class TestGenerators:
@@ -52,8 +65,9 @@ class TestGenerators:
         # connected + symmetric/irreflexive adjacency are enforced at build
         assert not net.adjacency.diagonal().any()
         assert (net.adjacency == net.adjacency.T).all()
-        # entry is constant and every placement candidate is a leaf
-        assert net.entry_node in net.leaf_set
+        # entry is the lowest-numbered leaf and every placement candidate
+        # is a leaf
+        assert net.entry_node == min(net.leaf_set)
         assert len(net.leaf_set - {net.entry_node}) >= 3
 
     def test_neighbors_are_the_adjacency_rows(self):
@@ -82,14 +96,33 @@ class TestShortestPaths:
         assert cm.dist[1, 2] == 2
         assert cm.diameter == 2
 
+    @pytest.mark.parametrize("name", sorted(EXPECTED_NODES))
+    def test_matches_oracles_on_shipped_topologies(self, name):
+        _check_all_pairs(gc.generate_network(name))
+
     def test_matches_floyd_warshall_on_random_graphs(self):
+        # 2,000 graphs of criterion 1's shape
         rng = np.random.default_rng(5)
-        for _ in range(20):
+        for _ in range(2000):
             n = int(rng.integers(5, 31))
-            net = gc.Network.from_edges(random_connected_graph(rng, n))
-            cm = gc.all_pairs_shortest_paths(net)
-            ref = floyd_warshall(net.adjacency)
-            assert (cm.dist == ref).all()
+            _check_all_pairs(gc.Network.from_edges(random_connected_graph(rng, n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129])
+    def test_matches_oracles_across_word_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            _check_all_pairs(gc.Network.from_edges(random_connected_graph(rng, n)))
+
+    def test_matches_oracles_on_large_graphs(self):
+        # the longest search (diameter n - 1), the widest level, and cycles
+        rng = np.random.default_rng(7)
+        nets = [gc.Network.from_edges([(i, i + 1) for i in range(299)]),
+                gc.Network.from_edges([(0, i) for i in range(1, 300)])]
+        nets += [gc.Network.from_edges(random_connected_graph(rng, n))
+                 for n in (100, 150, 200, 250, 300)]
+        for net in nets:
+            _check_all_pairs(net)
+        assert [gc.all_pairs_shortest_paths(net).diameter for net in nets[:2]] == [299, 2]
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_NODES))
     def test_metric_axioms_exhaustive(self, name):
