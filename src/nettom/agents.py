@@ -53,6 +53,15 @@ from .transport import check_distribution
 #: in sequence, so pinning member ``index`` draws ``index + 1`` of them.
 MAX_SPECIES_MEMBERS = 100_000
 
+# The actions that take no target, built once: they are frozen, so every
+# policy and step can share them.
+_BLUE_UNTARGETED = {kind: BlueAction(kind) for kind in (BLUE_DO_NOTHING, BLUE_SCAN)}
+_RED_UNTARGETED = {kind: RedAction(kind)
+                   for kind in (RED_DO_NOTHING, RED_SPREAD, RED_INTRUDE)}
+_BLUE_IDLE = _BLUE_UNTARGETED[BLUE_DO_NOTHING]
+_SCAN = _BLUE_UNTARGETED[BLUE_SCAN]
+_RED_IDLE = _RED_UNTARGETED[RED_DO_NOTHING]
+
 
 @dataclass(frozen=True)
 class SpeciesSample:
@@ -149,7 +158,7 @@ class BlueSleep(_Policy):
     policy_id = "blue.sleep"
 
     def act(self, obs, rng):
-        return BlueAction(BLUE_DO_NOTHING)
+        return _BLUE_IDLE
 
 
 class BlueRandom(_Policy):
@@ -159,8 +168,8 @@ class BlueRandom(_Policy):
 
     def act(self, obs, rng):
         kind = BLUE_ACTION_KINDS[rng.integers(len(BLUE_ACTION_KINDS))]
-        if kind in (BLUE_DO_NOTHING, BLUE_SCAN):
-            return BlueAction(kind)
+        if kind in _BLUE_UNTARGETED:
+            return _BLUE_UNTARGETED[kind]
         return BlueAction(kind, int(rng.integers(len(obs.vulnerability))))
 
 
@@ -194,7 +203,7 @@ class BlueRandomSmart(_Policy):
         kind = kinds[rng.integers(len(kinds))]
         pool = pools[kind]
         if pool is None:
-            return BlueAction(kind)
+            return _BLUE_UNTARGETED[kind]
         return BlueAction(kind, int(pool[rng.integers(len(pool))]))
 
 
@@ -218,7 +227,7 @@ class BlueIsolate(_Policy):
         visible = obs.compromised_visible.nonzero()[0]
         if visible.size:
             return BlueAction(BLUE_MAKE_SAFE, int(visible[0]))
-        return BlueAction(BLUE_SCAN)
+        return _SCAN
 
 
 class BlueMsnD(_ThreatAware):
@@ -232,7 +241,7 @@ class BlueMsnD(_ThreatAware):
         threat = self._nearest_threat(obs)
         if threat is not None and threat[1] <= self.reach:
             return BlueAction(BLUE_MAKE_SAFE, threat[0])
-        return BlueAction(BLUE_SCAN)
+        return _SCAN
 
 
 class BlueMsnS(_ThreatAware):
@@ -254,7 +263,7 @@ class BlueMsnS(_ThreatAware):
         return BlueAction(self.defensive_kind, node)
 
     def _fallback(self, obs, rng):
-        return BlueAction(BLUE_SCAN)
+        return _SCAN
 
 
 class BlueRestore(BlueMsnS):
@@ -272,7 +281,7 @@ class BlueMsnRnv(BlueMsnS):
 
     def _fallback(self, obs, rng):
         if rng.integers(2) == 0:
-            return BlueAction(BLUE_SCAN)
+            return _SCAN
         return BlueAction(BLUE_REDUCE_VULN, int(obs.vulnerability.argmax()))
 
 
@@ -405,17 +414,17 @@ class RedRandomSimple(_RedBase):
         return self._emit(kind, obs, rng)
 
     def _emit(self, kind, obs, rng):
-        if kind in (RED_DO_NOTHING, RED_SPREAD, RED_INTRUDE):
-            return RedAction(kind)
+        if kind in _RED_UNTARGETED:
+            return _RED_UNTARGETED[kind]
         if kind == RED_RANDOM_MOVE:
             pool = _move_targets(obs, self._ctx)
             if pool.size == 0:
-                return RedAction(RED_DO_NOTHING)
+                return _RED_IDLE
             return RedAction(kind, int(pool[rng.integers(pool.size)]))
         # basic or zero-day attack
         pool = _attackable(obs, self._ctx).nonzero()[0]
         if pool.size == 0:
-            return RedAction(RED_DO_NOTHING)
+            return _RED_IDLE
         return RedAction(kind, self._pick_target(pool, obs, rng))
 
     def _pick_target(self, pool, obs, rng):
@@ -514,7 +523,7 @@ class RedHvtPreferenceSP(_RedBase):
             if pool.size:
                 return RedAction(RED_RANDOM_MOVE,
                                  int(pool[rng.integers(pool.size)]))
-        return RedAction(RED_DO_NOTHING)
+        return _RED_IDLE
 
     def _path_step(self, obs):
         nxt = self._next_on_path(obs)
@@ -522,7 +531,7 @@ class RedHvtPreferenceSP(_RedBase):
             self._replan(obs)
             nxt = self._next_on_path(obs)
         if nxt is None:
-            return RedAction(RED_DO_NOTHING)
+            return _RED_IDLE
         return RedAction(_strike_kind(obs), nxt)
 
     def _next_on_path(self, obs):

@@ -116,8 +116,10 @@ class RedAction:
 class EpisodeState:
     """Mutable per-episode state; written only by its owning environment.
 
-    ``is_entry`` and ``is_hvn`` are fixed for the episode and write-locked;
-    every observation shares them.
+    The per-node arrays are written in place and never rebound: the
+    episode's observations are views of them. ``is_entry`` and ``is_hvn``
+    are fixed for the episode and write-locked; every observation shares
+    them.
     """
 
     vulnerability: np.ndarray
@@ -143,6 +145,11 @@ class StateObservation:
     Fields absent from an observer's view are None: blue never sees hidden
     compromises, high-value labels, or red's zero-day budget; red sees its
     own compromises (hidden included) folded into ``compromised_visible``.
+
+    Every array is read-only, and one observation per observer serves a
+    whole episode (see ``CyberEnv.observe``). It is current only until the
+    next step or write to the state: call ``observe`` again before reading
+    it then, and copy what must outlive that.
     """
 
     vulnerability: np.ndarray
@@ -212,6 +219,13 @@ def _mask(nodes: tuple[int, ...], n: int) -> np.ndarray:
     return mask
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that cannot be written through; ``a`` stays writable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 class CyberEnv:
     """Owns one episode of the game; see the module docstring for rules."""
 
@@ -231,7 +245,7 @@ class CyberEnv:
         placement = place_high_value_nodes(net, derive_seed(seed, "hvn"),
                                            exclude=entries)
         is_entry, is_hvn = _mask(entries, n), _mask(placement.hvns, n)
-        self.state = EpisodeState(
+        s = self.state = EpisodeState(
             vulnerability=vuln,
             initial_vulnerability=vuln.copy(),
             compromised=is_entry.copy(),
@@ -245,7 +259,18 @@ class CyberEnv:
             is_hvn=is_hvn,
             rng=rng,
         )
-        return self.state
+        # The observations of this episode, bound once to the state's arrays
+        # (which the game only ever writes in place); ``observe`` refreshes
+        # blue's compromise buffer and red's budget.
+        seen_vuln, seen_isolated = _read_only(s.vulnerability), _read_only(s.isolated)
+        self._blue_seen = np.zeros(n, dtype=bool)
+        self._blue_obs = StateObservation(
+            seen_vuln, _read_only(self._blue_seen), seen_isolated, is_entry,
+            is_hvn=None, zero_day_budget=None)
+        self._red_obs = StateObservation(
+            seen_vuln, _read_only(s.compromised), seen_isolated, is_entry,
+            is_hvn=is_hvn, zero_day_budget=s.zero_day_budget)
+        return s
 
     # -- views ----------------------------------------------------------
 
@@ -255,19 +280,25 @@ class CyberEnv:
         return self.net.adjacency & alive[:, None] & alive[None, :]
 
     def observe(self, observer: str) -> StateObservation:
+        """The episode's observation for ``observer``, brought up to date.
+
+        Each call returns the same object for the same observer until the
+        next ``reset``. Its arrays are read-only views, bound at ``reset``,
+        of the state's arrays, except blue's ``compromised_visible``, a view
+        of a buffer refilled here, as is red's ``zero_day_budget``. So it
+        shows the state as of this call only: observe again after any step
+        or any write to the state.
+        """
         s = self._require_state()
-        if observer not in (OBSERVER_BLUE, OBSERVER_RED):
-            raise ValueError(f"unknown observer {observer!r}")
-        blue = observer == OBSERVER_BLUE
-        return StateObservation(
-            vulnerability=s.vulnerability.copy(),
-            compromised_visible=(s.compromised & ~s.hidden if blue
-                                 else s.compromised.copy()),
-            isolated=s.isolated.copy(),
-            is_entry=s.is_entry,
-            is_hvn=None if blue else s.is_hvn,
-            zero_day_budget=None if blue else s.zero_day_budget,
-        )
+        if observer == OBSERVER_BLUE:
+            # On bools, compromised > hidden is compromised & ~hidden.
+            np.greater(s.compromised, s.hidden, out=self._blue_seen)
+            return self._blue_obs
+        if observer == OBSERVER_RED:
+            obs = self._red_obs
+            obs.zero_day_budget = s.zero_day_budget
+            return obs
+        raise ValueError(f"unknown observer {observer!r}")
 
     # -- dynamics --------------------------------------------------------
 

@@ -22,6 +22,8 @@ every edge between non-core nodes. ``attackable_nodes_nn`` and
 ``move_targets_nn`` read the attack frontier from the n x n
 ``adjacency & live`` matrix, reduced over each row, which needs no
 symmetry; ``defence_probability_clip`` clamps with ``np.clip``.
+``observe_snapshot`` is the observation built afresh from copies of the
+state, against which the episode's read-only views are checked.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ import json
 
 import numpy as np
 
-from nettom.cyberenv import FLAG_HIDDEN, FLAG_ISOLATED, FLAG_VISIBLE
+from nettom.cyberenv import (
+    FLAG_HIDDEN,
+    FLAG_ISOLATED,
+    FLAG_VISIBLE,
+    OBSERVER_BLUE,
+    OBSERVER_RED,
+    StateObservation,
+)
 from nettom.graph_core import _hops
 from nettom.sinkhorn import (
     _ABSORB_NORM_SQ,
@@ -208,6 +217,24 @@ def move_targets_nn(adjacency, compromised_visible, isolated):
     reduction."""
     live = compromised_visible & ~isolated
     return np.flatnonzero(~isolated & (adjacency & live[None, :]).any(axis=1))
+
+
+def observe_snapshot(state, observer: str) -> StateObservation:
+    """``observer``'s view of ``state`` with its own copy of every per-node
+    array: blue sees ``compromised & ~hidden`` and neither the high-value
+    mask nor the zero-day budget; red sees every compromise."""
+    if observer not in (OBSERVER_BLUE, OBSERVER_RED):
+        raise ValueError(f"unknown observer {observer!r}")
+    blue = observer == OBSERVER_BLUE
+    return StateObservation(
+        vulnerability=state.vulnerability.copy(),
+        compromised_visible=(state.compromised & ~state.hidden if blue
+                             else state.compromised.copy()),
+        isolated=state.isolated.copy(),
+        is_entry=state.is_entry,
+        is_hvn=None if blue else state.is_hvn,
+        zero_day_budget=None if blue else state.zero_day_budget,
+    )
 
 
 def defence_probability_clip(dist_to_hvn: int, diameter: int) -> float:

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from nettom import agents as ag
 from nettom import cyberenv as ce
 from nettom import graph_core as gc
 
-from _oracles import attackable_nodes_nn, move_targets_nn
+from _oracles import attackable_nodes_nn, move_targets_nn, observe_snapshot
 
 
 def _env(tree30):
@@ -26,6 +26,22 @@ def _quiet_red():
 def _sp_red(index=0):
     return ag.make_red(ag.parse_red_id(
         f"red.hvt_pref_sp:alpha=0.01,seed=5,index={index}"))
+
+
+_OBSERVERS = (ce.OBSERVER_BLUE, ce.OBSERVER_RED)
+_STATE_ARRAYS = ("vulnerability", "compromised", "hidden", "isolated")
+
+
+def _assert_observation_matches(got, want, where=None):
+    """Every field of ``got`` equals ``want``'s: arrays by dtype and values,
+    the rest (None included) by type and value."""
+    for f in fields(ce.StateObservation):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype \
+                and np.array_equal(a, b), (where, f.name)
+        else:
+            assert type(a) is type(b) and a == b, (where, f.name)
 
 
 class TestReset:
@@ -358,28 +374,109 @@ class TestObserve:
         before = {k: v.copy() for k, v in vars(state).items()
                   if isinstance(v, np.ndarray)}
         budget = state.zero_day_budget
-        expected = env.observe(observer)
+        expected = observe_snapshot(state, observer)
         obs = env.observe(observer)
-        written = 0
-        for name, arr in vars(obs).items():
-            if not isinstance(arr, np.ndarray):
-                continue
-            if arr.flags.writeable:
-                arr[...] = ~arr if arr.dtype == bool else 0.123
-                written += 1
-            else:
+        arrays = {k: v for k, v in vars(obs).items() if isinstance(v, np.ndarray)}
+        assert len(arrays) == (4 if observer == ce.OBSERVER_BLUE else 5)
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            for write in (lambda: arr.__setitem__(..., arr[::-1]),
+                          lambda: arr.__setitem__(0, arr[-1]),
+                          lambda: arr.fill(arr[-1]),
+                          lambda: np.add(arr, arr, out=arr)):
                 with pytest.raises(ValueError):
-                    arr[...] = arr
-        assert written >= 2
+                    write()
         for name, arr in before.items():
             assert (getattr(state, name) == arr).all(), name
         assert state.zero_day_budget == budget
-        again = env.observe(observer)
-        for name, arr in vars(expected).items():
-            if isinstance(arr, np.ndarray):
-                assert (getattr(again, name) == arr).all(), name
-            else:
-                assert getattr(again, name) == arr, name
+        # The state itself stays writable: the game writes it in place.
+        for name in _STATE_ARRAYS:
+            assert getattr(state, name).flags.writeable, name
+        _assert_observation_matches(env.observe(observer), expected)
+
+    def test_one_observation_per_observer_and_episode(self, tree30):
+        env = _env(tree30)
+        env.reset(seed=6)
+        first = {o: env.observe(o) for o in _OBSERVERS}
+        assert first[ce.OBSERVER_BLUE] is not first[ce.OBSERVER_RED]
+        for _ in range(3):
+            env.step(ce.BlueAction(ce.BLUE_SCAN), ce.RedAction(ce.RED_SPREAD))
+            for o in _OBSERVERS:
+                assert env.observe(o) is first[o], o
+        kept = {o: observe_snapshot(env.state, o) for o in _OBSERVERS}
+        env.reset(seed=7)
+        for v in (5, 6, 7, 8):
+            env.step(ce.BlueAction(ce.BLUE_ISOLATE, v),
+                     ce.RedAction(ce.RED_DO_NOTHING))
+            env.step(ce.BlueAction(ce.BLUE_REDUCE_VULN, v),
+                     ce.RedAction(ce.RED_DO_NOTHING))
+        for o in _OBSERVERS:
+            fresh = env.observe(o)
+            for name in ("vulnerability", "compromised_visible", "isolated"):
+                assert not np.array_equal(getattr(fresh, name),
+                                          getattr(kept[o], name)), (o, name)
+            assert fresh is not first[o], o
+            _assert_observation_matches(fresh, observe_snapshot(env.state, o), o)
+            # The last episode's observation no longer follows any state.
+            _assert_observation_matches(first[o], kept[o], o)
+
+    def test_state_arrays_are_written_in_place(self, tree30):
+        """The observations are views bound at reset, so every action must
+        write the state's arrays in place: after an episode that plays every
+        blue and every red action kind, each is the object reset made. The
+        observation re-read after every step shows the stepped state."""
+        env = _env(tree30)
+        state = env.reset(seed=6)
+        bound = {name: getattr(state, name) for name in _STATE_ARRAYS}
+        first = {o: env.observe(o) for o in _OBSERVERS}
+        h0, h1, h2 = state.placement.hvns
+        net = tree30[0]
+        B, R = ce.BlueAction, ce.RedAction
+
+        def pick(mask):
+            nodes = np.flatnonzero(mask)
+            return int(nodes[0]) if nodes.size else 0
+
+        def attackable():
+            return ce.attackable_nodes(net.adjacency, state.compromised,
+                                       state.isolated, state.is_entry)
+
+        # The high-value nodes go offline first, so red cannot end the game.
+        script = [
+            lambda: (B(ce.BLUE_ISOLATE, h0), R(ce.RED_DO_NOTHING)),
+            lambda: (B(ce.BLUE_ISOLATE, h1), R(ce.RED_DO_NOTHING)),
+            lambda: (B(ce.BLUE_ISOLATE, h2), R(ce.RED_SPREAD)),
+            lambda: (B(ce.BLUE_DO_NOTHING), R(ce.RED_INTRUDE)),
+            lambda: (B(ce.BLUE_SCAN), R(ce.RED_BASIC_ATTACK, pick(attackable()))),
+            lambda: (B(ce.BLUE_MAKE_SAFE, pick(state.compromised & ~state.is_entry)),
+                     R(ce.RED_ZERO_DAY, pick(attackable()))),
+            lambda: (B(ce.BLUE_REDUCE_VULN, pick(state.compromised)),
+                     R(ce.RED_RANDOM_MOVE, pick(attackable()))),
+            lambda: (B(ce.BLUE_RESTORE, pick(state.compromised & ~state.is_entry)),
+                     R(ce.RED_INTRUDE)),
+            lambda: (B(ce.BLUE_SCAN), R(ce.RED_SPREAD)),
+            lambda: (B(ce.BLUE_RECONNECT, h2), R(ce.RED_DO_NOTHING)),
+        ]
+        played, changed = set(), set()
+        for make in script:
+            blue_action, red_action = make()
+            before = {o: observe_snapshot(state, o) for o in _OBSERVERS}
+            env.step(blue_action, red_action)
+            played.update((blue_action.kind, red_action.kind))
+            for o in _OBSERVERS:
+                obs = env.observe(o)
+                assert obs is first[o], o
+                _assert_observation_matches(obs, observe_snapshot(state, o), o)
+                changed.update((o, f.name) for f in fields(obs) if not np.array_equal(
+                    getattr(obs, f.name), getattr(before[o], f.name)))
+        assert played >= set(ce.BLUE_ACTION_KINDS) | set(ce.RED_ACTION_KINDS)
+        # The script moves every refreshed field of both observations.
+        assert changed == {(o, name) for o in _OBSERVERS for name in
+                           ("vulnerability", "compromised_visible", "isolated")} \
+            | {(ce.OBSERVER_RED, "zero_day_budget")}
+        assert not state.done
+        for name, arr in bound.items():
+            assert getattr(state, name) is arr, name
 
     def test_unknown_observer(self, tree30):
         env = _env(tree30)
@@ -756,26 +853,31 @@ class TestInvariants:
     @pytest.mark.parametrize("entry_count", [1, 2])
     @pytest.mark.parametrize("network", ["tree30", "forest72", "optical54"])
     def test_fast_forms_match_oracles(self, network, entry_count):
-        """On every step of fuzzed episodes: the attackable mask and the
-        random-move pool, read from the live nodes' rows, against the n x n
-        row reduction (``tests/_oracles.py``) for both observers; and the
-        step reward against the mask sums."""
+        """On every step of fuzzed episodes: each observation against one
+        built from copies of the state (``observe_snapshot``), the
+        attackable mask and the random-move pool, read from the live nodes'
+        rows, against the n x n row reduction (``tests/_oracles.py``) for
+        both observers; and the step reward against the mask sums."""
         net, cm = gc.topology(network)
-        blues = ["blue.random", "blue.random_smart", "blue.msn_s", "blue.isolate"]
-        reds = ["random_smart", "target_connected", "hvt_pref"]
+        blues = sorted(ag.BLUE_REGISTRY)
+        reds = ["random_smart", "target_connected", "hvt_simple", "hvt_pref"]
+        # One environment for every episode: each reset binds new views.
+        env = ce.CyberEnv(net, cm=cm, entry_count=entry_count)
         for k in range(12):
             blue = ag.make_blue(blues[k % len(blues)])
             red = ag.make_red(ag.RedPolicySpec(kind=reds[k % len(reds)], alpha=0.5))
-            env = ce.CyberEnv(net, cm=cm, entry_count=entry_count)
             state = env.reset(seed=3000 + k)
             rng = np.random.default_rng(k)
             ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
             blue.begin_episode(ctx, rng)
             red.begin_episode(ctx, rng)
-            while not state.done:
+            while True:
                 # The red observer's compromised mask is the state's.
                 for observer in (ce.OBSERVER_BLUE, ce.OBSERVER_RED):
                     obs = env.observe(observer)
+                    _assert_observation_matches(
+                        obs, observe_snapshot(state, observer),
+                        (k, state.step, observer))
                     seen, isolated = obs.compromised_visible, obs.isolated
                     assert np.array_equal(
                         ag._attackable(obs, ctx),
@@ -784,6 +886,8 @@ class TestInvariants:
                     assert np.array_equal(
                         ag._move_targets(obs, ctx),
                         move_targets_nn(net.adjacency, seen, isolated))
+                if state.done:
+                    break
                 result = env.step(blue.act(env.observe(ce.OBSERVER_BLUE), rng),
                                   red.act(env.observe(ce.OBSERVER_RED), rng))
                 want = -(ce.COST_COMPROMISED * float(state.compromised.sum())
