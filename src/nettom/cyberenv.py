@@ -274,11 +274,6 @@ class CyberEnv:
 
     # -- views ----------------------------------------------------------
 
-    def active_adjacency(self) -> np.ndarray:
-        """The live edges now: the base edges between non-isolated nodes."""
-        alive = ~self._require_state().isolated
-        return self.net.adjacency & alive[:, None] & alive[None, :]
-
     def observe(self, observer: str) -> StateObservation:
         """The episode's observation for ``observer``, brought up to date.
 
@@ -287,17 +282,21 @@ class CyberEnv:
         of the state's arrays, except blue's ``compromised_visible``, a view
         of a buffer refilled here, as is red's ``zero_day_budget``. So it
         shows the state as of this call only: observe again after any step
-        or any write to the state.
+        or any write to the state. Raises if the state's arrays were rebound.
         """
         s = self._require_state()
+        red = self._red_obs
+        if not (red.vulnerability.base is s.vulnerability
+                and red.compromised_visible.base is s.compromised
+                and red.isolated.base is s.isolated):
+            raise RuntimeError("state arrays were rebound; write them in place")
         if observer == OBSERVER_BLUE:
             # On bools, compromised > hidden is compromised & ~hidden.
             np.greater(s.compromised, s.hidden, out=self._blue_seen)
             return self._blue_obs
         if observer == OBSERVER_RED:
-            obs = self._red_obs
-            obs.zero_day_budget = s.zero_day_budget
-            return obs
+            red.zero_day_budget = s.zero_day_budget
+            return red
         raise ValueError(f"unknown observer {observer!r}")
 
     # -- dynamics --------------------------------------------------------

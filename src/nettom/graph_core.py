@@ -7,7 +7,8 @@ is precomputed. Generators are pure functions of (name, seed).
 Two breadth-first searches compute the hop-count geometry. ``_hops``
 searches from one source: the connectivity check, the branch labels and
 the attacker's shortest paths. ``all_pairs_shortest_paths`` searches from
-every source at once, one bit per source, and builds the cost matrix.
+every source at once, one bit per source, over the network's arcs, and
+builds the cost matrix from the search and those arcs.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Network:
 
     @property
     def branch_count(self) -> int:
-        return max(self.branch_of) + 1 if self.node_count else 0
+        return max(self.branch_of) + 1
 
     @classmethod
     def from_edges(cls, edges, entry_node=0, node_layer=None, name="custom"):
@@ -138,40 +139,23 @@ class Network:
 class CostMatrix:
     """All-pairs shortest-path hop counts plus the graph diameter.
 
-    The graph itself is read back from ``dist == 1`` once, for the exact
-    metric's flow over the edges: ``arc_tail``/``arc_head`` list both
-    directions of every edge in row-major order, ``bfs_order`` is the nodes
-    by hop distance from node 0, ``bfs_parent`` each node's smallest
-    neighbour one hop nearer to node 0 (node 0 is its own parent), and
-    ``bfs_up_arc``/``bfs_down_arc`` the index of the arc to and from that
-    parent (unused for node 0). All arrays are write-locked.
+    The graph comes from the network's arcs, for the exact metric's flow
+    over the edges: ``arc_tail``/``arc_head`` list both directions of every
+    edge in row-major order, ``bfs_order`` is the nodes by hop distance from
+    node 0, ``bfs_parent`` each node's smallest neighbour one hop nearer to
+    node 0 (node 0 is its own parent, with arcs 0), and ``bfs_up_arc``/
+    ``bfs_down_arc`` the index of the arc to and from that parent. Only
+    ``all_pairs_shortest_paths`` builds one; its arrays are write-locked.
     """
 
     dist: np.ndarray
     diameter: int
-
-    def __post_init__(self):
-        self.dist.setflags(write=False)
-        n = self.dist.shape[0]
-        adjacent = self.dist == 1
-        tail, head = np.nonzero(adjacent)
-        hops = self.dist[0]
-        nearer = adjacent & (hops[None, :] == hops[:, None] - 1)
-        if not nearer[1:].any(axis=1).all():
-            raise ValueError("dist is not the hop-count matrix of a connected graph")
-        parent = nearer.argmax(axis=1)
-        parent[0] = 0
-        keys = tail * n + head
-        nodes = np.arange(n)
-        up_arc = np.searchsorted(keys, nodes * n + parent)
-        down_arc = np.searchsorted(keys, parent * n + nodes)
-        derived = {"arc_tail": tail, "arc_head": head,
-                   "bfs_order": np.argsort(hops, kind="stable"),
-                   "bfs_parent": parent, "bfs_up_arc": up_arc,
-                   "bfs_down_arc": down_arc}
-        for name, value in derived.items():
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+    arc_tail: np.ndarray
+    arc_head: np.ndarray
+    bfs_order: np.ndarray
+    bfs_parent: np.ndarray
+    bfs_up_arc: np.ndarray
+    bfs_down_arc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -346,7 +330,7 @@ def all_pairs_shortest_paths(net: Network) -> CostMatrix:
     # ``Network`` rejects disconnected graphs and graphs of fewer than 2
     # nodes; on an empty group ``reduceat`` returns the row at the group's
     # start, not zero.
-    head = net.adjacency.nonzero()[1]
+    tail, head = net.adjacency.nonzero()
     starts = np.cumsum(net.degree) - net.degree
     words = (n + 63) // 64
     frontier = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1).view(np.uint64)
@@ -369,7 +353,21 @@ def all_pairs_shortest_paths(net: Network) -> CostMatrix:
         bits = np.unpackbits(plane.view(np.uint8), axis=1, count=n)
         hops |= np.left_shift(bits, k, dtype=hops.dtype)
     dist = hops.astype(np.int64)
-    return CostMatrix(dist=dist, diameter=int(dist.max()))
+    # Node 0's BFS tree over the same arcs: each node's up arc is the first
+    # of its group whose head is one hop nearer node 0; node 0 has none.
+    level = dist[0]
+    nearer = np.where(level[head] < level[tail], np.arange(head.size), head.size)
+    up_arc = np.minimum.reduceat(nearer, starts)
+    up_arc[0] = 0
+    parent = head[up_arc]
+    parent[0] = 0
+    arrays = {"dist": dist, "arc_tail": tail, "arc_head": head,
+              "bfs_order": np.argsort(level, kind="stable"),
+              "bfs_parent": parent, "bfs_up_arc": up_arc,
+              "bfs_down_arc": np.searchsorted(tail * n + head, parent * n + np.arange(n))}
+    for a in arrays.values():
+        a.setflags(write=False)
+    return CostMatrix(diameter=int(dist.max()), **arrays)
 
 
 @lru_cache(maxsize=None)

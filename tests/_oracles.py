@@ -23,7 +23,8 @@ every edge between non-core nodes. ``attackable_nodes_nn`` and
 ``adjacency & live`` matrix, reduced over each row, which needs no
 symmetry; ``defence_probability_clip`` clamps with ``np.clip``.
 ``observe_snapshot`` is the observation built afresh from copies of the
-state, against which the episode's read-only views are checked.
+state, against which the episode's read-only views are checked, and
+``active_adjacency`` the live-edge matrix of an episode.
 """
 
 from __future__ import annotations
@@ -235,6 +236,13 @@ def observe_snapshot(state, observer: str) -> StateObservation:
         is_hvn=None if blue else state.is_hvn,
         zero_day_budget=None if blue else state.zero_day_budget,
     )
+
+
+def active_adjacency(env) -> np.ndarray:
+    """The live edges of ``env``'s episode now: the base edges between
+    non-isolated nodes."""
+    alive = ~env.state.isolated
+    return env.net.adjacency & alive[:, None] & alive[None, :]
 
 
 def defence_probability_clip(dist_to_hvn: int, diameter: int) -> float:

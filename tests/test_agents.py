@@ -8,7 +8,7 @@ from nettom import cyberenv as ce
 from nettom import graph_core as gc
 from nettom.errors import ConfigError
 
-from _oracles import defence_probability_clip
+from _oracles import active_adjacency, defence_probability_clip
 
 
 def _ctx_and_env(tree30, seed=0):
@@ -137,7 +137,7 @@ class TestRedTargetSelection:
         net = ctx.net
         neighbors = list(net.neighbors[net.entry_node])
         pool = np.flatnonzero(ce.attackable_nodes(
-            env.active_adjacency(), state.compromised, state.isolated,
+            active_adjacency(env), state.compromised, state.isolated,
             state.is_entry))
         state.vulnerability[:] = 0.3
         state.vulnerability[pool[-1]] = 0.9
@@ -153,9 +153,9 @@ class TestRedTargetSelection:
     def test_degree_targeting(self, tree30):
         env, state, ctx = _ctx_and_env(tree30)
         pool = np.flatnonzero(ce.attackable_nodes(
-            env.active_adjacency(), state.compromised, state.isolated,
+            active_adjacency(env), state.compromised, state.isolated,
             state.is_entry))
-        degrees = env.active_adjacency()[pool].sum(axis=1)
+        degrees = active_adjacency(env)[pool].sum(axis=1)
         rng = np.random.default_rng(0)
         for kind, pick in (("target_connected", pool[int(np.argmax(degrees))]),
                            ("target_unconnected", pool[int(np.argmin(degrees))])):

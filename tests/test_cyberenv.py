@@ -9,7 +9,12 @@ from nettom import agents as ag
 from nettom import cyberenv as ce
 from nettom import graph_core as gc
 
-from _oracles import attackable_nodes_nn, move_targets_nn, observe_snapshot
+from _oracles import (
+    active_adjacency,
+    attackable_nodes_nn,
+    move_targets_nn,
+    observe_snapshot,
+)
 
 
 def _env(tree30):
@@ -91,12 +96,12 @@ class TestBlueActions:
         net, _ = tree30
         env = _env(tree30)
         env.reset(seed=2)
-        before = env.active_adjacency().copy()
+        before = active_adjacency(env).copy()
         v = 11
         env.apply_blue(ce.BlueAction(ce.BLUE_ISOLATE, v))
-        assert not env.active_adjacency()[v].any()
+        assert not active_adjacency(env)[v].any()
         env.apply_blue(ce.BlueAction(ce.BLUE_RECONNECT, v))
-        assert (env.active_adjacency() == before).all()
+        assert (active_adjacency(env) == before).all()
 
     def test_scan_reveals_all_hidden(self, tree30):
         env = _env(tree30)
@@ -140,9 +145,9 @@ class TestBlueActions:
     def test_reconnect_on_connected_node_is_noop(self, tree30):
         env = _env(tree30)
         env.reset(seed=2)
-        before = env.active_adjacency().copy()
+        before = active_adjacency(env).copy()
         env.apply_blue(ce.BlueAction(ce.BLUE_RECONNECT, 9))
-        assert (env.active_adjacency() == before).all()
+        assert (active_adjacency(env) == before).all()
 
     def test_invalid_node_rejected(self, tree30):
         env = _env(tree30)
@@ -478,6 +483,20 @@ class TestObserve:
         for name, arr in bound.items():
             assert getattr(state, name) is arr, name
 
+    @pytest.mark.parametrize("name", ["vulnerability", "compromised", "isolated"])
+    def test_rebound_state_array_raises(self, tree30, name):
+        """A rebound array would leave the observations viewing the old one,
+        so ``observe`` refuses to serve them, for either observer."""
+        env = _env(tree30)
+        state = env.reset(seed=6)
+        setattr(state, name, getattr(state, name).copy())
+        for o in _OBSERVERS:
+            with pytest.raises(RuntimeError, match="rebound"):
+                env.observe(o)
+        env.reset(seed=6)
+        for o in _OBSERVERS:
+            env.observe(o)
+
     def test_unknown_observer(self, tree30):
         env = _env(tree30)
         env.reset(seed=6)
@@ -811,7 +830,7 @@ class TestInvariants:
             ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
             state.compromised[:] = rng.random(n) < rng.random() * 0.5
             state.isolated[:] = rng.random(n) < rng.random() * 0.3
-            live_adj = env.active_adjacency()
+            live_adj = active_adjacency(env)
             mask = ce.attackable_nodes(net.adjacency, state.compromised,
                                        state.isolated, state.is_entry)
             assert np.array_equal(mask, ce.attackable_nodes(

@@ -136,11 +136,20 @@ class TestShortestPaths:
         assert (d <= through).all()
 
     def test_cost_matrix_reads_the_graph_back(self):
+        # every shipped topology, the smallest network, the deepest and the
+        # widest BFS tree, random small graphs, and large graphs in which
+        # node 0 has several neighbours
         rng = np.random.default_rng(6)
-        nets = [gc.generate_network(name) for name in ("tree30", "optical54")]
+        nets = [gc.generate_network(name) for name in sorted(EXPECTED_NODES)]
+        nets += [gc.Network.from_edges([(0, 1)]),
+                 gc.Network.from_edges([(i, i + 1) for i in range(299)]),
+                 gc.Network.from_edges([(0, i) for i in range(1, 300)])]
         nets += [gc.Network.from_edges(random_connected_graph(rng, int(rng.integers(5, 31))))
                  for _ in range(20)]
-        for net in nets:
+        large = [gc.Network.from_edges(random_connected_graph(rng, n))
+                 for n in (100, 150, 200, 250, 300)]
+        assert all(net.degree[0] > 1 for net in large)
+        for net in nets + large:
             cm = gc.all_pairs_shortest_paths(net)
             n, hops = net.node_count, cm.dist[0]
             arcs = list(zip(cm.arc_tail.tolist(), cm.arc_head.tolist()))
@@ -149,18 +158,15 @@ class TestShortestPaths:
             assert order[0] == 0 and sorted(order) == list(range(n))
             assert (np.diff(hops[order]) >= 0).all()
             assert cm.bfs_parent[0] == 0
+            assert cm.bfs_up_arc[0] == cm.bfs_down_arc[0] == 0
             for x in range(1, n):
                 par = int(cm.bfs_parent[x])
                 assert par == min(y for y in net.neighbors[x] if hops[y] == hops[x] - 1)
                 assert arcs[cm.bfs_up_arc[x]] == (x, par)
                 assert arcs[cm.bfs_down_arc[x]] == (par, x)
-            for name in ("arc_tail", "arc_head", "bfs_order", "bfs_parent",
+            for name in ("dist", "arc_tail", "arc_head", "bfs_order", "bfs_parent",
                          "bfs_up_arc", "bfs_down_arc"):
                 assert not getattr(cm, name).flags.writeable
-
-    def test_cost_matrix_rejects_non_hop_counts(self):
-        with pytest.raises(ValueError, match="hop-count"):
-            gc.CostMatrix(dist=np.array([[0, 2], [2, 0]]), diameter=2)
 
     @pytest.mark.parametrize("edges", [((2, 1), (0, 1)), ((1, 2), (0, 1)),
                                        ((1, 0), (1, 2))])
