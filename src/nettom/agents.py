@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,14 +63,6 @@ _SCAN = _BLUE_UNTARGETED[BLUE_SCAN]
 _RED_IDLE = _RED_UNTARGETED[RED_DO_NOTHING]
 
 
-@dataclass(frozen=True)
-class SpeciesSample:
-    """Simplex draws from one Dirichlet concentration value."""
-
-    alpha: float
-    members: tuple[tuple[float, ...], ...]
-
-
 def _dirichlet_rows(rng: np.random.Generator, alpha: float, count: int,
                     dim: int) -> np.ndarray:
     """Dirichlet(alpha * 1_dim) draws via normalized Gamma variates.
@@ -98,7 +90,8 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be positive and finite, got {alpha!r}")
 
 
-def sample_species(alpha: float, count: int, dim: int, seed: int) -> SpeciesSample:
+def sample_species(alpha: float, count: int, dim: int, seed: int
+                   ) -> tuple[tuple[float, ...], ...]:
     """Draw ``count`` i.i.d. members of the species, deterministically per seed."""
     _check_alpha(alpha)
     if not 1 <= count <= MAX_SPECIES_MEMBERS:
@@ -106,9 +99,7 @@ def sample_species(alpha: float, count: int, dim: int, seed: int) -> SpeciesSamp
             f"count must lie in [1, {MAX_SPECIES_MEMBERS}], got {count}")
     rng = np.random.default_rng(seed)
     rows = _dirichlet_rows(rng, alpha, count, dim)
-    return SpeciesSample(
-        alpha=alpha, members=tuple(tuple(float(x) for x in row) for row in rows)
-    )
+    return tuple(tuple(float(x) for x in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +652,8 @@ def parse_red_id(name: str) -> RedPolicySpec:
         if not 0 <= index < MAX_SPECIES_MEMBERS:
             raise ConfigError(f"{name!r}: index must be >= 0 and below "
                               f"{MAX_SPECIES_MEMBERS}, got {index}")
-        sample = sample_species(
-            alpha, index + 1, red_param_dim(kind), derive_seed(seed, "species", kind)
-        )
-        return RedPolicySpec(kind=kind, params=sample.members[index], label=name)
+        return replace(species_members(kind, alpha, index + 1, seed)[index],
+                       label=name)
     return RedPolicySpec(kind=kind, alpha=alpha, label=name)
 
 
@@ -680,7 +669,7 @@ def _id_number(name: str, key: str, text: str, kind):
 def species_members(kind: str, alpha: float, count: int, seed: int
                     ) -> list[RedPolicySpec]:
     """Fixed specs for the first ``count`` members of a seeded species."""
-    sample = sample_species(
+    members = sample_species(
         alpha, count, red_param_dim(kind), derive_seed(seed, "species", kind)
     )
     return [
@@ -689,5 +678,5 @@ def species_members(kind: str, alpha: float, count: int, seed: int
             params=member,
             label=f"red.{kind}:alpha={alpha:g},seed={seed},index={i}",
         )
-        for i, member in enumerate(sample.members)
+        for i, member in enumerate(members)
     ]

@@ -195,7 +195,7 @@ def main():
 def network(topology, seed, out):
     """Generate a topology and write its JSON description."""
     try:
-        net = graph_core.generate_network(topology, seed)
+        net = graph_core.generate_network(topology)
     except ConfigError as exc:
         raise _fail_usage(str(exc))
     out_dir = Path(out)
@@ -294,10 +294,14 @@ def dataset_cmd(config_path, out, jobs):
         raise _fail_usage(f"config.{exc}")
     if holdout and len({spec.kind for spec in ds_config.reds}) != 1:
         raise _fail_usage("config.holdout_reds needs a single red kind")
-    try:
-        manifest = dataset.build_dataset(ds_config, out, jobs=max(1, jobs))
-    except (ConfigError, ValueError) as exc:
-        raise _fail_data(str(exc))
+
+    def build(config, where):
+        try:
+            return dataset.build_dataset(config, where, jobs=max(1, jobs))
+        except (RuntimeError, ValueError) as exc:
+            raise _fail_data(str(exc))
+
+    manifest = build(ds_config, out)
     disjoint = dataset.past_pools_disjoint(manifest)
     n_train = sum(1 for v in manifest.split.values() if v == "train")
     click.echo(
@@ -314,9 +318,7 @@ def dataset_cmd(config_path, out, jobs):
             ds_config, reds=tuple(holdout_specs),
             master_seed=derive_seed(ds_config.master_seed, "holdout", "build"),
         )
-        test_manifest = dataset.build_dataset(
-            test_config, Path(out) / "test", jobs=max(1, jobs)
-        )
+        test_manifest = build(test_config, Path(out) / "test")
         click.echo(
             f"holdout: reds={holdout} samples={len(test_manifest.samples)}"
         )

@@ -38,7 +38,6 @@ import numpy as np
 
 from .graph_core import (
     CostMatrix,
-    HvnPlacement,
     Network,
     all_pairs_shortest_paths,
     entry_candidates,
@@ -117,9 +116,10 @@ class EpisodeState:
     """Mutable per-episode state; written only by its owning environment.
 
     The per-node arrays are written in place and never rebound: the
-    episode's observations are views of them. ``is_entry`` and ``is_hvn``
-    are fixed for the episode and write-locked; every observation shares
-    them.
+    episode's observations are views of them. ``is_entry`` is fixed for the
+    episode and write-locked; every observation shares it. ``hvns`` are the
+    episode's three high-value nodes and ``target`` the one red captured,
+    None until it does.
     """
 
     vulnerability: np.ndarray
@@ -129,22 +129,23 @@ class EpisodeState:
     isolated: np.ndarray
     zero_day_budget: int
     step: int
-    placement: HvnPlacement
+    hvns: tuple[int, int, int]
     entries: tuple[int, ...]
     is_entry: np.ndarray
-    is_hvn: np.ndarray
     rng: np.random.Generator
     done: bool = False
     outcome: str | None = None
+    target: int | None = None
 
 
 @dataclass
 class StateObservation:
     """Per-node features for one observer.
 
-    Fields absent from an observer's view are None: blue never sees hidden
-    compromises, high-value labels, or red's zero-day budget; red sees its
-    own compromises (hidden included) folded into ``compromised_visible``.
+    Blue never sees hidden compromises or red's zero-day budget (None in
+    its view); red sees its own compromises (hidden included) folded into
+    ``compromised_visible``. Neither sees the high-value nodes: the policies
+    that may know them read ``EpisodeContext.hvns``.
 
     Every array is read-only, and one observation per observer serves a
     whole episode (see ``CyberEnv.observe``). It is current only until the
@@ -156,14 +157,13 @@ class StateObservation:
     compromised_visible: np.ndarray
     isolated: np.ndarray
     is_entry: np.ndarray
-    is_hvn: np.ndarray | None
     zero_day_budget: int | None
 
 
 @dataclass(frozen=True)
 class EpisodeContext:
     """What a policy learns at episode start: topology, distances, and the
-    episode's high-value placement (blue defends those assets; attacking
+    episode's three high-value nodes (blue defends those assets; attacking
     agents with insider knowledge read them too)."""
 
     net: Network
@@ -211,14 +211,6 @@ def node_attackable(neighbors: tuple[tuple[int, ...], ...], v: int,
     return any(compromised[u] and not isolated[u] for u in neighbors[v])
 
 
-def _mask(nodes: tuple[int, ...], n: int) -> np.ndarray:
-    """A write-locked boolean mask of ``nodes``."""
-    mask = np.zeros(n, dtype=bool)
-    mask[list(nodes)] = True
-    mask.setflags(write=False)
-    return mask
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A view of ``a`` that cannot be written through; ``a`` stays writable."""
     view = a.view()
@@ -242,9 +234,9 @@ class CyberEnv:
         rng = np.random.default_rng(seed)
         vuln = rng.uniform(VULN_LOW, VULN_HIGH, size=n)
         entries = entry_candidates(net, self.entry_count)
-        placement = place_high_value_nodes(net, derive_seed(seed, "hvn"),
-                                           exclude=entries)
-        is_entry, is_hvn = _mask(entries, n), _mask(placement.hvns, n)
+        is_entry = np.zeros(n, dtype=bool)
+        is_entry[list(entries)] = True
+        is_entry.setflags(write=False)
         s = self.state = EpisodeState(
             vulnerability=vuln,
             initial_vulnerability=vuln.copy(),
@@ -253,10 +245,10 @@ class CyberEnv:
             isolated=np.zeros(n, dtype=bool),
             zero_day_budget=ZERO_DAY_START,
             step=0,
-            placement=placement,
+            hvns=place_high_value_nodes(net, derive_seed(seed, "hvn"),
+                                        exclude=entries),
             entries=entries,
             is_entry=is_entry,
-            is_hvn=is_hvn,
             rng=rng,
         )
         # The observations of this episode, bound once to the state's arrays
@@ -266,10 +258,10 @@ class CyberEnv:
         self._blue_seen = np.zeros(n, dtype=bool)
         self._blue_obs = StateObservation(
             seen_vuln, _read_only(self._blue_seen), seen_isolated, is_entry,
-            is_hvn=None, zero_day_budget=None)
+            zero_day_budget=None)
         self._red_obs = StateObservation(
             seen_vuln, _read_only(s.compromised), seen_isolated, is_entry,
-            is_hvn=is_hvn, zero_day_budget=s.zero_day_budget)
+            zero_day_budget=s.zero_day_budget)
         return s
 
     # -- views ----------------------------------------------------------
@@ -396,12 +388,11 @@ class CyberEnv:
             COST_COMPROMISED * float(np.count_nonzero(s.compromised))
             + COST_ISOLATED * float(np.count_nonzero(s.isolated))
         )
-        captured = [h for h in s.placement.hvns if s.compromised[h]]
+        captured = [h for h in s.hvns if s.compromised[h]]
         if captured:
             s.done = True
             s.outcome = RED_WIN
-            target = min(captured)
-            s.placement = s.placement.with_target(s.placement.hvns.index(target))
+            s.target = min(captured)
             reward -= RED_WIN_PENALTY
         elif s.step >= MAX_STEPS:
             s.done = True
@@ -494,7 +485,7 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
     """
     env = CyberEnv(net, cm=cm, entry_count=entry_count)
     state = env.reset(seed)
-    ctx = EpisodeContext(net=net, cm=env.cm, hvns=state.placement.hvns,
+    ctx = EpisodeContext(net=net, cm=env.cm, hvns=state.hvns,
                          entries=state.entries)
     blue_rng = rng_for(seed, "blue")
     red_rng = rng_for(seed, "red")
@@ -521,7 +512,6 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
         if record:
             steps.append(TrajectoryStep(t, blue_action, red_action, result.red_hits))
 
-    target = state.placement.target_node if state.outcome == RED_WIN else None
     traj = EpisodeTrajectory(
         episode_id=episode_id or f"{net.name}-{seed}",
         network=net.name,
@@ -529,9 +519,9 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
         blue_id=blue_policy.policy_id,
         red_id=red_policy.policy_id,
         outcome=state.outcome,
-        target_node=target,
+        target_node=state.target,
         final_step=state.step,
-        hvns=state.placement.hvns,
+        hvns=state.hvns,
         entries=state.entries,
         edges=net.edges,
         total_blue_reward=total_reward,

@@ -532,6 +532,15 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
         if not isinstance(obj[key], kind):
             raise TypeError(f"{key} must be {name}, got {obj[key]!r}")
     samples = [_sample_from_json(i, s) for i, s in enumerate(obj["samples"])]
+    red_split = obj["red_split"]
+    # One attacker's samples all sit on its side of the split.
+    for i, s in enumerate(obj["samples"]):
+        red = s["red_id"]
+        if red not in red_split:
+            raise ValueError(f"samples[{i}].red_id {red!r} is not in red_split")
+        if s["split"] != red_split[red]:
+            raise ValueError(f"samples[{i}].split {s['split']!r} is not "
+                             f"red_split[{red!r}] = {red_split[red]!r}")
     return DatasetManifest(
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],
@@ -545,6 +554,6 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
         games=obj["games"],
         samples=samples,
         split={s["sample_id"]: s["split"] for s in obj["samples"]},
-        red_split=obj["red_split"],
+        red_split=red_split,
         excluded=obj["excluded"],
     )

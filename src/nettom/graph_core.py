@@ -2,7 +2,7 @@
 
 Networks are immutable after construction: the adjacency matrix is
 write-locked and all derived structure (leaves, branches, neighbor lists)
-is precomputed. Generators are pure functions of (name, seed).
+is precomputed. Each shipped topology is a fixed template, named by its id.
 
 Two breadth-first searches compute the hop-count geometry. ``_hops``
 searches from one source: the connectivity check, the branch labels and
@@ -14,7 +14,7 @@ builds the cost matrix from the search and those arcs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,19 +24,26 @@ from .errors import ConfigError
 
 LAYERS = ("core", "edge", "aggregation", "access", "subnet")
 
-# Branch size tables for the layered tree templates. Only the node totals
-# and branch counts are externally constrained; the split into
-# edge/aggregation/access/subnet nodes is the published template below.
-_TREE_BRANCH_SIZES = {
-    "tree30": (8, 7, 7, 7),
-    "tree40": (7, 7, 7, 6, 6, 6),
-    "tree50": (13, 12, 12, 12),
-    "tree70": (9, 9, 9, 9, 9, 8, 8, 8),
-    "tree90": (23, 22, 22, 22),
+# The layered templates, in the order ``TOPOLOGIES`` lists them: the core
+# edges, the core node count, the branch sizes and the core node each branch
+# hangs off. Only the node totals and branch counts are externally
+# constrained; the split of a branch into edge/aggregation/access/subnet
+# nodes is the published template of ``_build_layered``.
+_TEMPLATES = {
+    "tree30": ((), 1, (8, 7, 7, 7), (0,) * 4),
+    "tree40": ((), 1, (7, 7, 7, 6, 6, 6), (0,) * 6),
+    "tree50": ((), 1, (13, 12, 12, 12), (0,) * 4),
+    "tree70": ((), 1, (9, 9, 9, 9, 9, 8, 8, 8), (0,) * 8),
+    "tree90": ((), 1, (23, 22, 22, 22), (0,) * 4),
+    # Four backbone core nodes, two branches hanging off each.
+    "forest72": (((0, 1), (1, 2), (2, 3)), 4, (9, 9, 9, 9, 8, 8, 8, 8),
+                 (0, 1, 2, 3) * 2),
+    # Four fully meshed core servers with ten small branches.
+    "optical54": (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 4, (5,) * 10,
+                  (0, 1, 2, 3, 0, 1, 2, 3, 0, 1)),
 }
 
-TREE_TOPOLOGIES = tuple(sorted(_TREE_BRANCH_SIZES))
-TOPOLOGIES = TREE_TOPOLOGIES + ("forest72", "optical54")
+TOPOLOGIES = tuple(_TEMPLATES)
 
 
 @dataclass(frozen=True)
@@ -158,25 +165,6 @@ class CostMatrix:
     bfs_down_arc: np.ndarray
 
 
-@dataclass(frozen=True)
-class HvnPlacement:
-    """The episode's three high-value nodes and, once known, the true target."""
-
-    hvns: tuple[int, int, int]
-    target_index: int | None = None
-
-    @property
-    def target_node(self) -> int:
-        if self.target_index is None:
-            raise ValueError("target_index is not set")
-        return self.hvns[self.target_index]
-
-    def with_target(self, index: int) -> "HvnPlacement":
-        if not 0 <= index < 3:
-            raise ValueError("target_index must be 0, 1 or 2")
-        return replace(self, target_index=index)
-
-
 def json_int(v, what: str) -> int:
     """``v`` if it is a JSON integer (not a float or a boolean)."""
     if type(v) is not int:
@@ -269,42 +257,14 @@ def _build_layered(name, core_edges, n_core, branch_sizes, branch_core):
     )
 
 
-def generate_tree_network(name: str, seed: int = 0) -> Network:
-    """Generate one of the five layered tree topologies.
-
-    The structure is a fixed template per topology id; the seed parameter is
-    accepted for interface uniformity and does not alter the template.
-    """
+def generate_network(name: str) -> Network:
+    """Generate one of ``TOPOLOGIES``, each a fixed template."""
     key = name.lower()
-    if key not in _TREE_BRANCH_SIZES:
+    if key not in _TEMPLATES:
         raise ConfigError(
-            f"unknown tree topology {name!r}; expected one of {', '.join(TREE_TOPOLOGIES)}"
+            f"unknown topology {name!r}; expected one of {', '.join(TOPOLOGIES)}"
         )
-    sizes = _TREE_BRANCH_SIZES[key]
-    return _build_layered(key, [], 1, sizes, [0] * len(sizes))
-
-
-def generate_network(name: str, seed: int = 0) -> Network:
-    """Generate any known topology (the five trees plus the two fixed extras).
-
-    Every topology is a fixed template; ``seed`` does not alter it.
-    """
-    key = name.lower()
-    if key in _TREE_BRANCH_SIZES:
-        return generate_tree_network(key, seed)
-    if key == "forest72":
-        # Four backbone core nodes, two branches hanging off each.
-        sizes = (9, 9, 9, 9, 8, 8, 8, 8)
-        core_edges = [(0, 1), (1, 2), (2, 3)]
-        return _build_layered(key, core_edges, 4, sizes, [b % 4 for b in range(8)])
-    if key == "optical54":
-        # Four fully meshed core servers with ten small branches.
-        sizes = (5,) * 10
-        core_edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        return _build_layered(key, core_edges, 4, sizes, [b % 4 for b in range(10)])
-    raise ConfigError(
-        f"unknown topology {name!r}; expected one of {', '.join(TOPOLOGIES)}"
-    )
+    return _build_layered(key, *_TEMPLATES[key])
 
 
 def all_pairs_shortest_paths(net: Network) -> CostMatrix:
@@ -401,7 +361,7 @@ def shortest_path(net: Network, source: int, target: int,
 
 
 def place_high_value_nodes(net: Network, rng_seed: int,
-                           exclude=()) -> HvnPlacement:
+                           exclude=()) -> tuple[int, int, int]:
     """Sample three distinct high-value leaves, uniformly, excluding the
     entry (and any extra footholds of the multi-entry variant)."""
     eligible = sorted(net.leaf_set - {net.entry_node} - set(exclude))
@@ -411,7 +371,7 @@ def place_high_value_nodes(net: Network, rng_seed: int,
         )
     rng = np.random.default_rng(rng_seed)
     picks = rng.choice(len(eligible), size=3, replace=False)
-    return HvnPlacement(hvns=tuple(int(eligible[i]) for i in picks))
+    return tuple(int(eligible[i]) for i in picks)
 
 
 def entry_candidates(net: Network, count: int) -> tuple[int, ...]:

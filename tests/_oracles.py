@@ -222,8 +222,8 @@ def move_targets_nn(adjacency, compromised_visible, isolated):
 
 def observe_snapshot(state, observer: str) -> StateObservation:
     """``observer``'s view of ``state`` with its own copy of every per-node
-    array: blue sees ``compromised & ~hidden`` and neither the high-value
-    mask nor the zero-day budget; red sees every compromise."""
+    array: blue sees ``compromised & ~hidden`` and not the zero-day budget;
+    red sees every compromise."""
     if observer not in (OBSERVER_BLUE, OBSERVER_RED):
         raise ValueError(f"unknown observer {observer!r}")
     blue = observer == OBSERVER_BLUE
@@ -233,7 +233,6 @@ def observe_snapshot(state, observer: str) -> StateObservation:
                              else state.compromised.copy()),
         isolated=state.isolated.copy(),
         is_entry=state.is_entry,
-        is_hvn=None if blue else state.is_hvn,
         zero_day_budget=None if blue else state.zero_day_budget,
     )
 

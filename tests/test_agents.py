@@ -15,26 +15,25 @@ def _ctx_and_env(tree30, seed=0):
     net, cm = tree30
     env = ce.CyberEnv(net, cm=cm)
     state = env.reset(seed)
-    ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
+    ctx = ce.EpisodeContext(net, cm, state.hvns, state.entries)
     return env, state, ctx
 
 
 class TestSpeciesSampling:
     def test_sparse_concentration_gives_near_one_hot(self):
-        sample = ag.sample_species(alpha=0.01, count=10_000, dim=3, seed=3)
-        peaks = np.array([max(m) for m in sample.members])
+        members = ag.sample_species(alpha=0.01, count=10_000, dim=3, seed=3)
+        peaks = np.array([max(m) for m in members])
         assert (peaks > 0.95).mean() >= 0.90
 
     def test_members_on_simplex(self):
-        sample = ag.sample_species(alpha=0.7, count=500, dim=6, seed=4)
-        for member in sample.members:
+        for member in ag.sample_species(alpha=0.7, count=500, dim=6, seed=4):
             assert all(x >= 0 for x in member)
             assert abs(sum(member) - 1.0) <= 1e-9
 
     def test_deterministic(self):
         a = ag.sample_species(0.01, 50, 3, seed=9)
         b = ag.sample_species(0.01, 50, 3, seed=9)
-        assert a.members == b.members
+        assert a == b
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -242,7 +241,7 @@ class TestRedBehaviour:
         net, cm = tree30
         env = ce.CyberEnv(net, cm=cm)
         state = env.reset(seed=1)
-        ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
+        ctx = ce.EpisodeContext(net, cm, state.hvns, state.entries)
         red = ag.make_red(ag.RedPolicySpec(kind="hvt_pref_sp",
                                            params=(1.0, 0.0, 0.0)))
         rng = np.random.default_rng(0)
@@ -275,7 +274,7 @@ class TestRedBehaviour:
         obs = ce.StateObservation(
             vulnerability=np.full(n, 0.5), compromised_visible=compromised,
             isolated=isolated,
-            is_entry=np.arange(n) == 0, is_hvn=None, zero_day_budget=0)
+            is_entry=np.arange(n) == 0, zero_day_budget=0)
         red._replan(obs)
         assert red._path is None  # node 2 cannot reach the target
         red._replan(obs)
@@ -331,7 +330,7 @@ class TestLegality:
         for trial in range(self.STATES_PER_POLICY):
             state = self._randomize(env, rng, net, trial)
             if trial % 50 == 0:
-                ctx = ce.EpisodeContext(net, cm, state.placement.hvns,
+                ctx = ce.EpisodeContext(net, cm, state.hvns,
                                         state.entries)
                 policy.begin_episode(ctx, rng)
             action = policy.act(env.observe(ce.OBSERVER_BLUE), rng)
@@ -348,7 +347,7 @@ class TestLegality:
         for trial in range(self.STATES_PER_POLICY):
             state = self._randomize(env, rng, net, trial)
             if trial % 50 == 0:
-                ctx = ce.EpisodeContext(net, cm, state.placement.hvns,
+                ctx = ce.EpisodeContext(net, cm, state.hvns,
                                         state.entries)
                 policy.begin_episode(ctx, rng)
             action = policy.act(env.observe(ce.OBSERVER_RED), rng)
@@ -505,7 +504,7 @@ class TestFastPaths:
         for trial in range(600):
             if trial % 50 == 0:
                 state = env.reset(seed=trial)
-                ctx = ce.EpisodeContext(net, cm, state.placement.hvns,
+                ctx = ce.EpisodeContext(net, cm, state.hvns,
                                         state.entries)
                 policy.begin_episode(ctx, rng)
             state.compromised[:] = rng.random(net.node_count) < rng.random() * 0.3

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nettom import agents as ag
+from nettom import cyberenv as ce
 from nettom import dataset as ds
 from nettom import graph_core as gc
 from nettom import sinkhorn
@@ -52,6 +54,47 @@ def _perfect_predictions(manifest_path, out_path):
         }))
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+class _OffNetworkBlue(ag.BlueSleep):
+    """Cleans a node that no shipped topology has, so every episode fails."""
+
+    policy_id = "blue.off_network"
+
+    def act(self, obs, rng):
+        return ce.BlueAction(ce.BLUE_MAKE_SAFE, 999)
+
+
+_PINNED_REDS = [f"red.hvt_pref_sp:alpha=0.01,seed=5,index={i}" for i in range(2)]
+
+
+def _failing_episode_args(tmp_path, command):
+    """The arguments of a ``command`` run whose first episode fails."""
+    out = ["--out", str(tmp_path / "out")]
+    if command == "simulate":
+        return ["simulate", "--blue", "blue.off_network", "--red", _PINNED_REDS[0],
+                "--network", "tree30", "--seed", "1"] + out
+    cfg = tmp_path / "c.json"
+    if command == "tournament":
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "blues": ["blue.off_network"],
+            "reds": _PINNED_REDS[:1], "networks": ["tree30"],
+            "episodes_per_cell": 1, "seed": 13}), encoding="utf-8")
+    else:
+        _write_dataset_config(cfg, reds=_PINNED_REDS, blues=["blue.off_network"])
+    return [command, "--config", str(cfg), "--jobs", "1"] + out
+
+
+@pytest.mark.parametrize("command", ["simulate", "tournament", "dataset"])
+def test_failed_episode_exits_1_with_one_line(runner, tmp_path, monkeypatch,
+                                              command):
+    monkeypatch.setitem(ag.BLUE_REGISTRY, "off_network", _OffNetworkBlue)
+    result = runner.invoke(main, _failing_episode_args(tmp_path, command))
+    assert result.exit_code == 1, result.output
+    assert result.exc_info[0] is SystemExit
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: episode "), lines
+    assert lines[0].endswith("needs a valid node, got 999")
 
 
 class TestNetworkCommand:
@@ -414,6 +457,13 @@ def _edit_truth_hvn(obj):
     return obj
 
 
+def _edit_split(obj):
+    """Put the first sample on the other side from its attacker."""
+    sample = obj["samples"][0]
+    sample["split"] = "val" if sample["split"] == "train" else "train"
+    return obj
+
+
 # Every case reaches `nettom score` through a 2-game tree30 build.
 MALFORMED_MANIFESTS = {
     "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
@@ -463,6 +513,9 @@ MALFORMED_MANIFESTS = {
                        "red_split must be an object, got []"),
     "excluded_object": (_edit_manifest(("excluded",), {}),
                         "excluded must be a list, got {}"),
+    "split_not_red_split": (_edit_split, "samples[0].split "),
+    "red_id_not_in_red_split": (_edit_manifest(("samples", 0, "red_id"), "red.x"),
+                                "samples[0].red_id 'red.x' is not in red_split"),
 }
 
 

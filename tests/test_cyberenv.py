@@ -54,10 +54,10 @@ class TestReset:
         env = _env(tree30)
         a = env.reset(seed=3)
         vuln_a = a.vulnerability.copy()
-        hvns_a = a.placement.hvns
+        hvns_a = a.hvns
         b = env.reset(seed=3)
         assert (b.vulnerability == vuln_a).all()
-        assert b.placement.hvns == hvns_a
+        assert b.hvns == hvns_a
 
     def test_entry_compromised_and_visible(self, tree30):
         net, _ = tree30
@@ -88,7 +88,7 @@ class TestReset:
         assert len({net.branch_of[e] for e in state.entries}) == 3
         assert state.is_entry.sum() == 3
         # placements still avoid every entry
-        assert not set(state.placement.hvns) & set(state.entries)
+        assert not set(state.hvns) & set(state.entries)
 
 
 class TestBlueActions:
@@ -282,7 +282,7 @@ class TestStep:
         rng = np.random.default_rng(0)
         red = _sp_red()
         red.begin_episode(ce.EpisodeContext(env.net, env.cm,
-                                            env.state.placement.hvns,
+                                            env.state.hvns,
                                             env.state.entries), rng)
         while not env.state.done:
             result = env.step(ce.BlueAction(ce.BLUE_DO_NOTHING),
@@ -292,13 +292,13 @@ class TestStep:
     def test_red_win_on_hvn_compromise(self, tree30):
         env = _env(tree30)
         state = env.reset(seed=4)
-        hvn = state.placement.hvns[1]
+        hvn = state.hvns[1]
         state.compromised[hvn] = True  # simulate the capture
         result = env.step(ce.BlueAction(ce.BLUE_DO_NOTHING),
                           ce.RedAction(ce.RED_DO_NOTHING))
         assert result.done
         assert state.outcome == ce.RED_WIN
-        assert state.placement.target_node == hvn
+        assert state.target == hvn
 
     def test_sleep_vs_do_nothing_runs_full_game(self, tree30):
         net, cm = tree30
@@ -335,7 +335,6 @@ class TestObserve:
         state.hidden[8] = True
         blue = env.observe(ce.OBSERVER_BLUE)
         assert not blue.compromised_visible[8]
-        assert blue.is_hvn is None
         assert blue.zero_day_budget is None
 
     def test_blue_view_is_masked_full_view(self, tree30):
@@ -353,11 +352,9 @@ class TestObserve:
             assert (obs.isolated == state.isolated).all()
         assert (blue.compromised_visible == state.compromised & ~state.hidden).all()
         assert (red.compromised_visible == state.compromised).all()
-        # the per-episode masks are built once in reset and shared read-only
+        # the entry mask is built once in reset and shared read-only
         assert blue.is_entry is red.is_entry is state.is_entry
-        assert red.is_hvn is state.is_hvn
         assert not state.is_entry.flags.writeable
-        assert not state.is_hvn.flags.writeable
 
     def test_red_sees_own_hidden_compromises(self, tree30):
         env = _env(tree30)
@@ -382,7 +379,7 @@ class TestObserve:
         expected = observe_snapshot(state, observer)
         obs = env.observe(observer)
         arrays = {k: v for k, v in vars(obs).items() if isinstance(v, np.ndarray)}
-        assert len(arrays) == (4 if observer == ce.OBSERVER_BLUE else 5)
+        assert len(arrays) == 4
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
             for write in (lambda: arr.__setitem__(..., arr[::-1]),
@@ -434,7 +431,7 @@ class TestObserve:
         state = env.reset(seed=6)
         bound = {name: getattr(state, name) for name in _STATE_ARRAYS}
         first = {o: env.observe(o) for o in _OBSERVERS}
-        h0, h1, h2 = state.placement.hvns
+        h0, h1, h2 = state.hvns
         net = tree30[0]
         B, R = ce.BlueAction, ce.RedAction
 
@@ -827,7 +824,7 @@ class TestInvariants:
         n = net.node_count
         for trial in range(300):
             state = env.reset(seed=trial) if trial % 50 == 0 else env.state
-            ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
+            ctx = ce.EpisodeContext(net, cm, state.hvns, state.entries)
             state.compromised[:] = rng.random(n) < rng.random() * 0.5
             state.isolated[:] = rng.random(n) < rng.random() * 0.3
             live_adj = active_adjacency(env)
@@ -858,7 +855,7 @@ class TestInvariants:
             env = ce.CyberEnv(net, cm=cm)
             state = env.reset(seed=2000 + k)
             rng = np.random.default_rng(k)
-            ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
+            ctx = ce.EpisodeContext(net, cm, state.hvns, state.entries)
             blue.begin_episode(ctx, rng)
             red.begin_episode(ctx, rng)
             while not state.done:
@@ -887,7 +884,7 @@ class TestInvariants:
             red = ag.make_red(ag.RedPolicySpec(kind=reds[k % len(reds)], alpha=0.5))
             state = env.reset(seed=3000 + k)
             rng = np.random.default_rng(k)
-            ctx = ce.EpisodeContext(net, cm, state.placement.hvns, state.entries)
+            ctx = ce.EpisodeContext(net, cm, state.hvns, state.entries)
             blue.begin_episode(ctx, rng)
             red.begin_episode(ctx, rng)
             while True:

@@ -39,23 +39,23 @@ def _check_all_pairs(net):
 class TestGenerators:
     @pytest.mark.parametrize("name", sorted(EXPECTED_NODES))
     def test_node_counts(self, name):
-        net = gc.generate_network(name, seed=0)
+        net = gc.generate_network(name)
         assert net.node_count == EXPECTED_NODES[name]
         assert len(net.node_layer) == net.node_count
 
     @pytest.mark.parametrize("name,branches", sorted(EXPECTED_BRANCHES.items()))
     def test_branch_counts(self, name, branches):
-        assert gc.generate_tree_network(name, seed=0).branch_count == branches
+        assert gc.generate_network(name).branch_count == branches
 
     def test_deterministic_per_name_and_seed(self):
-        a = gc.generate_tree_network("tree30", seed=7)
-        b = gc.generate_tree_network("tree30", seed=7)
+        a = gc.generate_network("tree30")
+        b = gc.generate_network("tree30")
         assert a.edges == b.edges
         assert a.entry_node == b.entry_node
 
     def test_unknown_topology(self):
         with pytest.raises(ConfigError):
-            gc.generate_tree_network("tree31", seed=0)
+            gc.generate_network("tree31")
         with pytest.raises(ConfigError):
             gc.generate_network("ring99")
 
@@ -80,7 +80,7 @@ class TestGenerators:
                                           for row in net.adjacency)
 
     def test_layers_present(self):
-        net = gc.generate_tree_network("tree50")
+        net = gc.generate_network("tree50")
         assert set(net.node_layer) == set(gc.LAYERS)
 
 
@@ -239,13 +239,11 @@ class TestPlacement:
             [(0, 1), (0, 2), (0, 3), (0, 4)], entry_node=1
         )
         for seed in (0, 1, 99):
-            placement = gc.place_high_value_nodes(net, seed)
-            assert sorted(placement.hvns) == [2, 3, 4]
+            assert sorted(gc.place_high_value_nodes(net, seed)) == [2, 3, 4]
 
     def test_deterministic(self, tree30):
         net, _ = tree30
-        assert (gc.place_high_value_nodes(net, 1).hvns
-                == gc.place_high_value_nodes(net, 1).hvns)
+        assert gc.place_high_value_nodes(net, 1) == gc.place_high_value_nodes(net, 1)
 
     def test_too_few_leaves(self, path3):
         net, _ = path3
@@ -253,12 +251,12 @@ class TestPlacement:
             gc.place_high_value_nodes(net, 0)
 
     def test_uniform_over_eligible_leaves(self):
-        net = gc.generate_tree_network("tree50")
+        net = gc.generate_network("tree50")
         eligible = sorted(net.leaf_set - {net.entry_node})
         counts = {leaf: 0 for leaf in eligible}
         n_draws = 10_000
         for seed in range(n_draws):
-            for h in gc.place_high_value_nodes(net, seed).hvns:
+            for h in gc.place_high_value_nodes(net, seed):
                 counts[h] += 1
         p = 3 / len(eligible)
         expect = n_draws * p
@@ -269,16 +267,10 @@ class TestPlacement:
     def test_distinct_and_excludes_entry(self, tree30):
         net, _ = tree30
         for seed in range(50):
-            placement = gc.place_high_value_nodes(net, seed)
-            assert len(set(placement.hvns)) == 3
-            assert net.entry_node not in placement.hvns
-            assert all(h in net.leaf_set for h in placement.hvns)
-
-    def test_requires_target(self, tree30):
-        net, _ = tree30
-        placement = gc.place_high_value_nodes(net, 3)
-        with pytest.raises(ValueError, match="target_index"):
-            placement.target_node
+            hvns = gc.place_high_value_nodes(net, seed)
+            assert len(set(hvns)) == 3
+            assert net.entry_node not in hvns
+            assert all(h in net.leaf_set for h in hvns)
 
 
 class TestRemoteness:

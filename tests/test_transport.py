@@ -242,7 +242,7 @@ class TestNtd:
     def test_geometry_sensitivity(self):
         # three equal-shape paths: the prediction whose wrong segment stays
         # close to the truth must score strictly better than the remote one
-        net = gc.generate_tree_network("tree50")
+        net = gc.generate_network("tree50")
         cm = gc.all_pairs_shortest_paths(net)
         entry = net.entry_node
         leaves = sorted(net.leaf_set - {entry})
