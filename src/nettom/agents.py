@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -611,9 +611,10 @@ def parse_red_id(name: str) -> RedPolicySpec:
     """Parse a red agent id string into a spec.
 
     Grammar: ``red.<kind>[:key=value,...]`` with keys ``alpha``, ``seed``,
-    ``index`` and ``probs`` (colon-separated floats). ``alpha`` alone names
-    the species; adding ``seed`` and ``index`` pins the index-th member of
-    the seeded draw sequence.
+    ``index`` and ``probs`` (colon-separated floats), each given at most
+    once. ``probs`` stands alone; ``alpha`` alone (or with an integer
+    ``seed``) names the species; adding ``seed`` and ``index`` pins the
+    index-th member of the seeded draw sequence.
     """
     body = name.removeprefix("red.")
     kind, _, argstr = body.partition(":")
@@ -635,8 +636,12 @@ def parse_red_id(name: str) -> RedPolicySpec:
                 f"unknown agent argument {key!r} in {name!r}; expected one of "
                 + ", ".join(_RED_ID_KEYS)
             )
+        if key in kv:
+            raise ConfigError(f"{name!r}: {key}= is given twice")
         kv[key] = value.strip()
     if "probs" in kv:
+        if len(kv) > 1:
+            raise ConfigError(f"{name!r}: probs=... takes no other argument")
         params = tuple(
             _id_number(name, "probs", x, float) for x in kv["probs"].split(":")
         )
@@ -644,17 +649,17 @@ def parse_red_id(name: str) -> RedPolicySpec:
     if "alpha" not in kv:
         raise ConfigError(f"red policy {name!r} needs alpha=... or probs=...")
     alpha = _id_number(name, "alpha", kv["alpha"], float)
-    if "index" in kv:
-        if "seed" not in kv:
-            raise ConfigError(f"{name!r}: index=... requires seed=...")
-        index = _id_number(name, "index", kv["index"], int)
-        seed = _id_number(name, "seed", kv["seed"], int)
-        if not 0 <= index < MAX_SPECIES_MEMBERS:
-            raise ConfigError(f"{name!r}: index must be >= 0 and below "
-                              f"{MAX_SPECIES_MEMBERS}, got {index}")
-        return replace(species_members(kind, alpha, index + 1, seed)[index],
-                       label=name)
-    return RedPolicySpec(kind=kind, alpha=alpha, label=name)
+    seed = _id_number(name, "seed", kv["seed"], int) if "seed" in kv else None
+    if "index" not in kv:
+        return RedPolicySpec(kind=kind, alpha=alpha, label=name)
+    if seed is None:
+        raise ConfigError(f"{name!r}: index=... requires seed=...")
+    index = _id_number(name, "index", kv["index"], int)
+    if not 0 <= index < MAX_SPECIES_MEMBERS:
+        raise ConfigError(f"{name!r}: index must be >= 0 and below "
+                          f"{MAX_SPECIES_MEMBERS}, got {index}")
+    [spec] = _member_specs(kind, alpha, seed, index + 1, [index], label=name)
+    return spec
 
 
 def _id_number(name: str, key: str, text: str, kind):
@@ -666,17 +671,19 @@ def _id_number(name: str, key: str, text: str, kind):
         ) from None
 
 
-def species_members(kind: str, alpha: float, count: int, seed: int
-                    ) -> list[RedPolicySpec]:
-    """Fixed specs for the first ``count`` members of a seeded species."""
+def _member_specs(kind: str, alpha: float, seed: int, count: int, indices,
+                  label: str | None = None) -> list[RedPolicySpec]:
+    """Specs for members ``indices`` of the first ``count`` of a seeded
+    species, labelled ``label`` or else by their own member ids."""
     members = sample_species(
         alpha, count, red_param_dim(kind), derive_seed(seed, "species", kind)
     )
-    return [
-        RedPolicySpec(
-            kind=kind,
-            params=member,
-            label=f"red.{kind}:alpha={alpha:g},seed={seed},index={i}",
-        )
-        for i, member in enumerate(members)
-    ]
+    return [RedPolicySpec(kind=kind, params=members[i], label=label
+                          or f"red.{kind}:alpha={alpha:g},seed={seed},index={i}")
+            for i in indices]
+
+
+def species_members(kind: str, alpha: float, count: int, seed: int
+                    ) -> list[RedPolicySpec]:
+    """Fixed specs for the first ``count`` members of a seeded species."""
+    return _member_specs(kind, alpha, seed, count, range(count))

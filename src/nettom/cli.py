@@ -163,7 +163,7 @@ def _load_config(path: str, table: dict[str, Key]) -> dict:
 def _read_distribution(path: str, n: int, name: str) -> np.ndarray:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        values = evalkit.number_vector(data, name)
+        values = graph_core.number_vector(data, name)
     except (OSError, TypeError, ValueError) as exc:
         raise _fail_data(f"cannot read distribution {path}: {exc}")
     try:
@@ -303,7 +303,7 @@ def dataset_cmd(config_path, out, jobs):
 
     manifest = build(ds_config, out)
     disjoint = dataset.past_pools_disjoint(manifest)
-    n_train = sum(1 for v in manifest.split.values() if v == "train")
+    n_train = sum(manifest.red_split[s.red_id] == "train" for s in manifest.samples)
     click.echo(
         f"games={len(manifest.games)} samples={len(manifest.samples)} "
         f"(train={n_train}, val={len(manifest.samples) - n_train}) "

@@ -27,10 +27,10 @@ import numpy as np
 from .agents import RedPolicySpec, make_blue, make_red
 from .cyberenv import RED_WIN, EpisodeTrajectory, rollout, write_trajectory
 from .errors import ConfigError, DataError, SampleExclusionError
-from .graph_core import json_int, topology
+from .graph_core import json_int, number_vector, topology
 from .seeding import derive_seed, rng_for
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 DEFAULT_GAMMAS = (0.5, 0.95, 0.999)
 
@@ -84,7 +84,6 @@ class DatasetManifest:
     split_ratio: float
     games: dict[str, dict]
     samples: list[ToMSample]
-    split: dict[str, str] = field(default_factory=dict)  # sample_id -> train/val
     red_split: dict[str, str] = field(default_factory=dict)  # red label -> side
     excluded: list[dict] = field(default_factory=list)
 
@@ -361,7 +360,6 @@ def build_dataset(config: DatasetConfig, out_dir: str | Path,
     red_split = split_by_agent(
         [g.red.policy_id for g in games], config.split_ratio, config.master_seed
     )
-    split = {s.sample_id: red_split[s.red_id] for s in all_samples}
 
     manifest = DatasetManifest(
         schema_version=MANIFEST_SCHEMA_VERSION,
@@ -383,7 +381,6 @@ def build_dataset(config: DatasetConfig, out_dir: str | Path,
             for g in games
         },
         samples=all_samples,
-        split=split,
         red_split=red_split,
         excluded=all_excluded,
     )
@@ -434,7 +431,6 @@ def manifest_to_json(manifest: DatasetManifest) -> dict:
                 "hvns": list(s.hvns),
                 "target_index": s.target_index,
                 "entry": s.entry,
-                "split": manifest.split[s.sample_id],
             }
             for s in manifest.samples
         ],
@@ -459,16 +455,13 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"malformed manifest: {exc!r}") from None
 
 
-def _sample_from_json(i: int, s: dict) -> ToMSample:
+def _sample_from_json(i: int, s: dict, gamma_keys: list[str]) -> ToMSample:
     for key in ("sample_id", "game_id", "network", "blue_id", "red_id",
                 "current_episode_id"):
         if not isinstance(s[key], str):
             raise TypeError(f"samples[{i}].{key} must be a string, got {s[key]!r}")
     for key in ("t", "truth_hvn", "target_index", "entry"):
         json_int(s[key], f"samples[{i}].{key}")
-    if s["split"] not in ("train", "val"):
-        raise ValueError(f"samples[{i}].split must be 'train' or 'val', "
-                         f"got {s['split']!r}")
     hvns = s["hvns"]
     if not isinstance(hvns, list) or len(hvns) != 3:
         raise ValueError(f"samples[{i}].hvns must be three integers, got {hvns!r}")
@@ -482,6 +475,9 @@ def _sample_from_json(i: int, s: dict) -> ToMSample:
     if s["truth_hvn"] != hvns[s["target_index"]]:
         raise ValueError(f"samples[{i}].truth_hvn {s['truth_hvn']!r} is not "
                          f"hvns[{s['target_index']}] = {hvns[s['target_index']]!r}")
+    if set(s["truth_sr"]) != set(gamma_keys):
+        raise ValueError(f"samples[{i}].truth_sr keys {sorted(s['truth_sr'])} "
+                         f"are not the manifest's discounts {gamma_keys}")
     for k, ref in enumerate(s["past"]):
         if not isinstance(ref["episode_id"], str):
             raise TypeError(f"samples[{i}].past[{k}].episode_id must be a string, "
@@ -500,7 +496,8 @@ def _sample_from_json(i: int, s: dict) -> ToMSample:
         current_episode_id=s["current_episode_id"],
         t=s["t"],
         truth_hvn=s["truth_hvn"],
-        truth_sr={k: tuple(v) for k, v in s["truth_sr"].items()},
+        truth_sr={k: number_vector(v, f"samples[{i}].truth_sr[{k}]")
+                  for k, v in s["truth_sr"].items()},
         past=tuple(
             PastRef(episode_id=p["episode_id"], step_indices=tuple(p["steps"]))
             for p in s["past"]
@@ -531,21 +528,31 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
                             ("excluded", list, "a list")):
         if not isinstance(obj[key], kind):
             raise TypeError(f"{key} must be {name}, got {obj[key]!r}")
-    samples = [_sample_from_json(i, s) for i, s in enumerate(obj["samples"])]
+    gammas = _gammas_from_json(obj["gammas"])
+    gamma_keys = [gamma_key(g) for g in gammas]
+    samples = [_sample_from_json(i, s, gamma_keys)
+               for i, s in enumerate(obj["samples"])]
     red_split = obj["red_split"]
-    # One attacker's samples all sit on its side of the split.
-    for i, s in enumerate(obj["samples"]):
-        red = s["red_id"]
-        if red not in red_split:
-            raise ValueError(f"samples[{i}].red_id {red!r} is not in red_split")
-        if s["split"] != red_split[red]:
-            raise ValueError(f"samples[{i}].split {s['split']!r} is not "
-                             f"red_split[{red!r}] = {red_split[red]!r}")
+    for red, side in red_split.items():
+        if side not in ("train", "val"):
+            raise ValueError(f"red_split[{red!r}] must be 'train' or 'val', "
+                             f"got {side!r}")
+    # A sample's side is its attacker's, and no past episode leaks: none is
+    # named by two samples or is some sample's current episode.
+    seen = {s.current_episode_id for s in samples}
+    for i, s in enumerate(samples):
+        if s.red_id not in red_split:
+            raise ValueError(f"samples[{i}].red_id {s.red_id!r} is not in red_split")
+        for k, ref in enumerate(s.past):
+            if ref.episode_id in seen:
+                raise ValueError(f"samples[{i}].past[{k}].episode_id {ref.episode_id!r} "
+                                 "is already a current or past episode")
+            seen.add(ref.episode_id)
     return DatasetManifest(
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],
         networks=obj["networks"],
-        gammas=_gammas_from_json(obj["gammas"]),
+        gammas=gammas,
         n_c=obj["n_c"],
         n_p=obj["n_p"],
         n_past=obj["n_past"],
@@ -553,7 +560,6 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
         split_ratio=obj["split_ratio"],
         games=obj["games"],
         samples=samples,
-        split={s["sample_id"]: s["split"] for s in obj["samples"]},
         red_split=red_split,
         excluded=obj["excluded"],
     )

@@ -22,7 +22,7 @@ import numpy as np
 from .cyberenv import BLUE_WIN
 from .dataset import DatasetManifest, ToMSample, gamma_key, map_jobs, run_episode
 from .errors import ConfigError, DataError
-from .graph_core import entry_candidates, topology
+from .graph_core import entry_candidates, number_vector, topology
 from .seeding import derive_seed
 from .transport import WeightingConfig, check_distribution, ntd_weighted
 
@@ -166,16 +166,6 @@ class PredictionRecord:
     sample_id: str
     pred_hvn: tuple[float, ...]
     pred_sr: dict[str, tuple[float, ...]]
-
-
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def number_vector(value, label: str) -> tuple[float, ...]:
-    """A JSON list of numbers (not booleans) as a tuple of floats."""
-    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
-        raise TypeError(f"{label} must be a list of numbers")
-    return tuple(map(float, value))
 
 
 def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:

@@ -172,6 +172,16 @@ def json_int(v, what: str) -> int:
     return v
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def number_vector(value, label: str) -> tuple[float, ...]:
+    """A JSON list of numbers (not booleans) as a tuple of floats."""
+    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise TypeError(f"{label} must be a list of numbers")
+    return tuple(map(float, value))
+
+
 def _hops(neighbors, source: int, blocked=frozenset()) -> list[int]:
     """Hop counts from ``source`` by a breadth-first search that never
     enters ``blocked``; -1 marks the nodes it cannot reach.
@@ -394,11 +404,6 @@ def entry_candidates(net: Network, count: int) -> tuple[int, ...]:
     if len(picks) < count:
         raise ValueError(f"cannot pick {count} entry nodes on {net.name}")
     return tuple(picks)
-
-
-def entry_remoteness(net: Network, cm: CostMatrix) -> np.ndarray:
-    """Per-node distance to the entry node only (the single-anchor variant)."""
-    return cm.dist[net.entry_node].astype(float)
 
 
 def network_to_json_str(net: Network) -> str:

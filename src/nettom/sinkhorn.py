@@ -89,18 +89,6 @@ def _log_kernel(cm, lam: float) -> np.ndarray:
     return -cm.dist.astype(float) / lam
 
 
-def kernel_matrix(cm, lam: float) -> np.ndarray:
-    """Elementwise ``exp(-dist/lam)``; unit diagonal, entries in [0, 1].
-
-    This is the kernel ``sinkhorn_plan`` starts from. For extreme
-    ``dist/lam`` ratios the far entries underflow to zero in float
-    arithmetic; the iteration recovers them when it absorbs the scalings
-    and rebuilds the kernel.
-    """
-    _check_positive("lam", lam)
-    return np.exp(_log_kernel(cm, lam))
-
-
 def _smooth(x: np.ndarray, n: int) -> np.ndarray:
     """Mix with the uniform distribution so every coordinate is positive."""
     out = (1.0 - _SMOOTHING_EPS) * x + _SMOOTHING_EPS / n

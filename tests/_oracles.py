@@ -50,7 +50,6 @@ from nettom.sinkhorn import (
     SinkhornResult,
     _log_kernel,
     _smooth,
-    kernel_matrix,
 )
 from nettom.transport import _MAX_PIVOTS, check_distribution
 
@@ -435,7 +434,7 @@ def sinkhorn_checked(P: np.ndarray, Q: np.ndarray, cm, params,
     q = _smooth(Q, n)
     lam = params.lam
     logK = _log_kernel(cm, lam)
-    K = kernel_matrix(cm, lam)
+    K = np.exp(logK)
     f = np.zeros(n)
     g = np.zeros(n)
     Kv = K.sum(axis=1)

@@ -145,7 +145,7 @@ def test_criterion_05_weighting_neutrality_and_sensitivity(tree30):
 
         truth = decayed_path(truth_leaf)
         pred = decayed_path(far_leaf)  # error mass far from the entry
-        remoteness = gc.entry_remoteness(net, cm)
+        remoteness = cm.dist[net.entry_node].astype(float)
         plus = tp.ntd_weighted(pred, truth, cm, tp.WeightingConfig(
             features=(remoteness,), coefficients=(1.0,), floor=0.1))
         minus = tp.ntd_weighted(pred, truth, cm, tp.WeightingConfig(
@@ -376,7 +376,7 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
             schema_version=1, master_seed=0, networks=["tree30"],
             gammas=(0.5,), n_c=3, n_p=8, n_past=4, past_k=5,
             split_ratio=0.75, games={}, samples=samples,
-            split={s.sample_id: "val" for s in samples}, red_split={},
+            red_split={},
         )
         hvt = ek.score_hvt(perfect, manifest)
         assert hvt.weighted_f1 == 1.0
@@ -406,7 +406,7 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
             schema_version=1, master_seed=0, networks=["tree30"],
             gammas=(0.5,), n_c=3, n_p=8, n_past=4, past_k=5,
             split_ratio=0.75, games={}, samples=big_samples,
-            split={s.sample_id: "val" for s in big_samples}, red_split={},
+            red_split={},
         )
         score = ek.score_hvt(random_preds, big_manifest)
         assert abs(score.weighted_f1 - 1 / 3) <= 0.02

@@ -1,4 +1,5 @@
 import bisect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -428,6 +429,12 @@ class TestRegistry:
         ("red.hvt_pref_sp:probs=1:0", "expected (3,)"),
         ("red.hvt_pref_sp:alpha=0.01,seed=5,index=100000",
          "index must be >= 0 and below 100000"),
+        ("red.hvt_pref_sp:alpha=0.01,seed=abc", "seed='abc' is not a valid int"),
+        ("red.hvt_pref_sp:probs=0.2:0.3:0.5,alpha=xyz,index=-4",
+         "probs=... takes no other argument"),
+        ("red.hvt_pref_sp:alpha=0.01,alpha=0.5", "alpha= is given twice"),
+        ("red.hvt_pref_sp:alpha=0.01,seed=5,index=3,index=4",
+         "index= is given twice"),
     ])
     def test_bad_argument_values_rejected(self, red_id, message):
         with pytest.raises(ConfigError) as info:
@@ -448,6 +455,17 @@ class TestRegistry:
         # seed= without index= still names the species, as documented.
         spec = ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,seed=5")
         assert spec.params is None and spec.alpha == 0.01
+
+    def test_pinned_member_builds_one_spec(self, monkeypatch):
+        name = "red.hvt_pref_sp:alpha=0.01,seed=5,index=500"
+        expected = replace(ag.species_members("hvt_pref_sp", 0.01, 501, 5)[500],
+                           label=name)
+        built = []
+        check = ag.RedPolicySpec.__post_init__
+        monkeypatch.setattr(ag.RedPolicySpec, "__post_init__",
+                            lambda spec: built.append(spec) or check(spec))
+        assert ag.parse_red_id(name) == expected
+        assert len(built) == 1
 
     def test_species_members_are_labelled(self):
         members = ag.species_members("hvt_pref_sp", 0.01, 3, seed=5)

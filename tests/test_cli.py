@@ -457,11 +457,20 @@ def _edit_truth_hvn(obj):
     return obj
 
 
-def _edit_split(obj):
-    """Put the first sample on the other side from its attacker."""
-    sample = obj["samples"][0]
-    sample["split"] = "val" if sample["split"] == "train" else "train"
+def _edit_red_split(obj):
+    """Put the first attacker on neither side of the split."""
+    obj["red_split"][next(iter(obj["red_split"]))] = "nope"
     return obj
+
+
+def _reuse_episode(source):
+    """An edit that names, as the second sample's first past episode, the
+    episode that ``source(samples)`` picks."""
+    def edit(obj):
+        samples = obj["samples"]
+        samples[1]["past"][0]["episode_id"] = source(samples)
+        return obj
+    return edit
 
 
 # Every case reaches `nettom score` through a 2-game tree30 build.
@@ -492,8 +501,16 @@ MALFORMED_MANIFESTS = {
                       "samples[0].sample_id must be a string, got 5"),
     "t_string": (_edit_manifest(("samples", 0, "t"), "x"),
                  "samples[0].t must be an integer, got 'x'"),
-    "split_unknown": (_edit_manifest(("samples", 0, "split"), "nope"),
-                      "samples[0].split must be 'train' or 'val', got 'nope'"),
+    "schema_1": (_edit_manifest(("schema_version",), 1),
+                 "unsupported manifest schema 1"),
+    "split_unknown": (_edit_red_split, "must be 'train' or 'val', got 'nope'"),
+    "truth_sr_entry_object": (_edit_manifest(("samples", 0, "truth_sr", "0.5", 0), {}),
+                              "samples[0].truth_sr[0.5] must be a list of numbers"),
+    "truth_sr_entry_bool": (_edit_manifest(("samples", 0, "truth_sr", "0.5", 0), True),
+                            "samples[0].truth_sr[0.5] must be a list of numbers"),
+    "truth_sr_unknown_gamma": (_edit_manifest(("samples", 0, "truth_sr", "0.7"), [1.0]),
+                               "samples[0].truth_sr keys ['0.5', '0.7', '0.95'] "
+                               "are not the manifest's discounts ['0.5', '0.95']"),
     "hvns_string": (_edit_manifest(("samples", 0, "hvns", 0), "a"),
                     "samples[0].hvns entry must be an integer, got 'a'"),
     "hvns_repeated": (_edit_manifest(("samples", 0, "hvns"), [1, 1, 2]),
@@ -513,7 +530,10 @@ MALFORMED_MANIFESTS = {
                        "red_split must be an object, got []"),
     "excluded_object": (_edit_manifest(("excluded",), {}),
                         "excluded must be a list, got {}"),
-    "split_not_red_split": (_edit_split, "samples[0].split "),
+    "past_shared": (_reuse_episode(lambda samples: samples[0]["past"][0]["episode_id"]),
+                    "samples[1].past[0].episode_id 'g00000-c0-p0' is already"),
+    "past_is_current": (_reuse_episode(lambda samples: samples[0]["current_episode_id"]),
+                        "samples[1].past[0].episode_id 'g00000-c0' is already"),
     "red_id_not_in_red_split": (_edit_manifest(("samples", 0, "red_id"), "red.x"),
                                 "samples[0].red_id 'red.x' is not in red_split"),
 }

@@ -260,11 +260,10 @@ class TestBuildPipeline:
         assert len(manifest.samples) + len(manifest.excluded) == 8
         for s in manifest.samples:
             assert set(s.truth_sr) == {"0.5", "0.95"}
-            assert manifest.split[s.sample_id] in ("train", "val")
+            assert manifest.red_split[s.red_id] in ("train", "val")
         loaded = ds.read_manifest(tmp_path / "d" / "manifest.json")
-        assert [s.sample_id for s in loaded.samples] \
-            == [s.sample_id for s in manifest.samples]
-        assert loaded.split == manifest.split
+        assert loaded.samples == manifest.samples
+        assert loaded.red_split == manifest.red_split
 
     def test_workers_return_no_trajectories(self, tmp_path, monkeypatch):
         calls = []

@@ -16,7 +16,7 @@ def _synthetic_manifest(samples, gammas=(0.5,)):
         schema_version=1, master_seed=0, networks=["tree30"],
         gammas=tuple(gammas), n_c=3, n_p=8, n_past=4, past_k=5,
         split_ratio=0.75, games={}, samples=samples,
-        split={s.sample_id: "val" for s in samples}, red_split={},
+        red_split={},
     )
 
 

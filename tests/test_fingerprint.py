@@ -68,20 +68,21 @@ def _cyclic120() -> tuple[gc.Network, gc.CostMatrix]:
 
 def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
     return tr.WeightingConfig(
-        features=(gc.entry_remoteness(net, cm), np.asarray(net.degree, dtype=float)),
+        features=(cm.dist[net.entry_node].astype(float),
+                  np.asarray(net.degree, dtype=float)),
         coefficients=(-1.0, 1.0),
         floor=0.1,
     )
 
 
-EXPECTED_DATASET = "6b902e547e8e428f32fea0aea9fba03a7c8846950700c2028316c8207144774e"
+EXPECTED_DATASET = "8646f02bc8f1a87a2105f2469a4e79273d4d6ad2d56ab689726b8791f9d7ebab"
 EXPECTED_TOURNAMENT = {
     1: "8820f0b41aaff760e18ae75fe7693807531b4d74123aa21d3a81ed433dd14db6",
     3: "aded1ec7b652e934b4b576d09cf34be9e2fd4436ebe1983dd98003dba210849e",
 }
 EXPECTED_SIMULATE = "5de75f775ea8613c9fec18609c54e5bae472b4f58814e885c65ffbb601de7897"
 # The dataset and simulate trees as trajectory schema 1 wrote them.
-EXPECTED_DATASET_V1 = "5106648a380fa2c8ab947d36d8033a5157468548e330f45e24c7d00d3cf10c69"
+EXPECTED_DATASET_V1 = "609b4634a339dc468101496e94decdb7ecf8b03590e7e29d767896ec4a7f64d9"
 EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "6f03b992c89bf2b9f4f2894166baa445f550b3d823f64eeb934a6395561a00b8"
 EXPECTED_PLANS = "572d5ddae2965b4c247d97cccc8d624a6aca1ae845b26ea4ad970ef2d4dda930"

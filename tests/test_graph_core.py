@@ -273,14 +273,6 @@ class TestPlacement:
             assert all(h in net.leaf_set for h in hvns)
 
 
-class TestRemoteness:
-    def test_entry_variant(self, tree30):
-        net, cm = tree30
-        r = gc.entry_remoteness(net, cm)
-        assert r[net.entry_node] == 0
-        assert (r == cm.dist[net.entry_node]).all()
-
-
 class TestSerialization:
     def test_round_trip(self, tree30):
         net, _ = tree30

@@ -24,26 +24,27 @@ def _params(cm, lam_mult, **kw):
 
 
 class TestKernel:
+    """The kernel ``sinkhorn_plan`` starts from: ``exp(-dist/lam)``."""
+
     def test_unit_diagonal(self, tree30):
         _, cm = tree30
-        K = sk.kernel_matrix(cm, lam=0.7)
+        K = np.exp(sk._log_kernel(cm, lam=0.7))
         assert (K.diagonal() == 1.0).all()
         assert (K > 0).all() and (K <= 1.0).all()
 
     def test_path_entry(self, path3):
         _, cm = path3
-        K = sk.kernel_matrix(cm, lam=1.0)
+        K = np.exp(sk._log_kernel(cm, lam=1.0))
         assert K[0, 2] == pytest.approx(np.exp(-2.0), rel=1e-15)
 
     def test_large_lam_limit_is_all_ones(self, tree30):
         _, cm = tree30
-        K = sk.kernel_matrix(cm, lam=1e6)
+        K = np.exp(sk._log_kernel(cm, lam=1e6))
         assert np.abs(K - 1.0).max() < 1e-4
 
-    def test_rejects_nonpositive_lam(self, tree30):
-        _, cm = tree30
+    def test_rejects_nonpositive_lam(self):
         with pytest.raises(ValueError, match="positive"):
-            sk.kernel_matrix(cm, lam=0.0)
+            sk.SinkhornParams(lam=0.0)
         with pytest.raises(ValueError, match="positive"):
             sk.SinkhornParams(lam=-1.0)
 

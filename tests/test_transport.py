@@ -495,7 +495,7 @@ class TestNtdWeighted:
 
         truth = decayed_path(truth_leaf)
         pred = decayed_path(far_leaf)
-        feature = gc.entry_remoteness(net, cm)
+        feature = cm.dist[net.entry_node].astype(float)
         plus = tp.ntd_weighted(pred, truth, cm, tp.WeightingConfig(
             features=(feature,), coefficients=(1.0,), floor=0.1))
         minus = tp.ntd_weighted(pred, truth, cm, tp.WeightingConfig(
