@@ -61,6 +61,8 @@ _RED_UNTARGETED = {kind: RedAction(kind)
 _BLUE_IDLE = _BLUE_UNTARGETED[BLUE_DO_NOTHING]
 _SCAN = _BLUE_UNTARGETED[BLUE_SCAN]
 _RED_IDLE = _RED_UNTARGETED[RED_DO_NOTHING]
+# The blue actions aimed at a visible, non-isolated compromise.
+_ON_VISIBLE = (BLUE_MAKE_SAFE, BLUE_RESTORE, BLUE_ISOLATE)
 
 
 def _dirichlet_rows(rng: np.random.Generator, alpha: float, count: int,
@@ -90,16 +92,16 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be positive and finite, got {alpha!r}")
 
 
-def sample_species(alpha: float, count: int, dim: int, seed: int
-                   ) -> tuple[tuple[float, ...], ...]:
-    """Draw ``count`` i.i.d. members of the species, deterministically per seed."""
+def sample_species(alpha: float, count: int, dim: int, seed: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. members of the species, deterministically per
+    seed, as the rows of one read-only ``(count, dim)`` array."""
     _check_alpha(alpha)
     if not 1 <= count <= MAX_SPECIES_MEMBERS:
         raise ConfigError(
             f"count must lie in [1, {MAX_SPECIES_MEMBERS}], got {count}")
-    rng = np.random.default_rng(seed)
-    rows = _dirichlet_rows(rng, alpha, count, dim)
-    return tuple(tuple(float(x) for x in row) for row in rows)
+    rows = _dirichlet_rows(np.random.default_rng(seed), alpha, count, dim)
+    rows.flags.writeable = False
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +176,17 @@ class BlueRandomSmart(_Policy):
     policy_id = "blue.random_smart"
 
     def act(self, obs, rng):
-        n = len(obs.vulnerability)
-        all_visible = obs.compromised_visible.nonzero()[0]
         visible = (obs.compromised_visible & ~obs.isolated).nonzero()[0]
-        coast_clear = all_visible.size == 0
-        isolated = obs.isolated.nonzero()[0] if coast_clear else \
-            np.empty(0, dtype=int)
-        pools = {
-            BLUE_DO_NOTHING: None,
-            BLUE_SCAN: None,
-            BLUE_MAKE_SAFE: visible,
-            BLUE_RESTORE: visible,
-            BLUE_REDUCE_VULN: np.arange(n),
-            BLUE_ISOLATE: visible,
-            BLUE_RECONNECT: isolated,
-        }
-        kinds = [k for k in BLUE_ACTION_KINDS
-                 if pools[k] is None or len(pools[k]) > 0]
+        isolated = visible[:0] if obs.compromised_visible.any() else \
+            obs.isolated.nonzero()[0]
+        kinds = [k for k in BLUE_ACTION_KINDS if (visible.size or k not in _ON_VISIBLE)
+                 and (isolated.size or k != BLUE_RECONNECT)]
         kind = kinds[rng.integers(len(kinds))]
-        pool = pools[kind]
-        if pool is None:
+        if kind in _BLUE_UNTARGETED:
             return _BLUE_UNTARGETED[kind]
+        if kind == BLUE_REDUCE_VULN:
+            return BlueAction(kind, int(rng.integers(len(obs.vulnerability))))
+        pool = isolated if kind == BLUE_RECONNECT else visible
         return BlueAction(kind, int(pool[rng.integers(len(pool))]))
 
 
@@ -359,9 +351,9 @@ def _move_targets(obs: StateObservation, ctx: EpisodeContext) -> np.ndarray:
     """Nodes a random move may relocate to: non-isolated neighbours of a
     live (compromised, non-isolated) node, read from the live nodes' rows of
     the symmetric base adjacency."""
-    live = obs.compromised_visible & ~obs.isolated
-    frontier = ctx.net.adjacency[live.nonzero()[0]].any(axis=0)
-    return (~obs.isolated & frontier).nonzero()[0]
+    live = obs.compromised_visible > obs.isolated
+    frontier = np.logical_or.reduce(ctx.net.adjacency[live], axis=0)
+    return (frontier > obs.isolated).nonzero()[0]
 
 
 def _live_degree(obs: StateObservation, ctx: EpisodeContext,
@@ -678,7 +670,7 @@ def _member_specs(kind: str, alpha: float, seed: int, count: int, indices,
     members = sample_species(
         alpha, count, red_param_dim(kind), derive_seed(seed, "species", kind)
     )
-    return [RedPolicySpec(kind=kind, params=members[i], label=label
+    return [RedPolicySpec(kind=kind, params=tuple(members[i].tolist()), label=label
                           or f"red.{kind}:alpha={alpha:g},seed={seed},index={i}")
             for i in indices]
 

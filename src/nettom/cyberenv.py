@@ -193,9 +193,9 @@ def attackable_nodes(adjacency: np.ndarray, compromised: np.ndarray,
     matrix are: the frontier is the union of the live nodes' rows, which
     are their columns.
     """
-    live = compromised & ~isolated
-    reachable = adjacency[live.nonzero()[0]].any(axis=0)
-    return ~isolated & ~compromised & (reachable | is_entry)
+    reachable = np.logical_or.reduce(adjacency[compromised > isolated], axis=0)
+    reachable |= is_entry
+    return reachable > (isolated | compromised)
 
 
 def node_attackable(neighbors: tuple[tuple[int, ...], ...], v: int,
@@ -537,16 +537,6 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
 
 
 _FLAG_LIMIT = (FLAG_VISIBLE | FLAG_HIDDEN | FLAG_ISOLATED) + 1
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _action_to_json(action, hits: tuple[int, ...] | None = None) -> dict | None:
-    if action is None:
-        return None
-    out = {"kind": action.kind, "target": action.target}
-    if hits is not None:
-        out["hits"] = list(hits)
-    return out
 
 
 def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
@@ -559,8 +549,9 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
     flags differ from the previous step (step 0 is diffed against zeros):
     the rows of ``traj.vulnerability`` and ``traj.flags``. A trajectory
     without steps or arrays, with other than ``final_step + 1`` steps, or
-    with arrays not of shape ``(len(steps), node_count)`` raises
-    ``ValueError`` naming the episode.
+    with arrays not of shape ``(len(steps), node_count)`` or a non-finite
+    vulnerability raises ``ValueError`` naming the episode. Step lines are
+    written as ``json`` with sorted keys would write them.
     """
     steps, vuln, flags = traj.steps, traj.vulnerability, traj.flags
     if not steps:
@@ -574,6 +565,8 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
         raise ValueError(f"episode {traj.episode_id}: state arrays of shapes "
                          f"{vuln.shape} and {flags.shape}, expected "
                          f"({len(steps)}, node_count)")
+    if not np.isfinite(vuln).all():
+        raise ValueError(f"episode {traj.episode_id}: a vulnerability is not finite")
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
         "episode_id": traj.episode_id,
@@ -593,17 +586,22 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
     prev_flags = np.zeros_like(flags)
     prev_flags[1:] = flags[:-1]
     rows, nodes = np.nonzero((vuln != prev_vuln) | (flags != prev_flags))
-    changed = [list(c) for c in zip(nodes.tolist(), vuln[rows, nodes].tolist(),
-                                    flags[rows, nodes].tolist())]
+    changed = [f"[{v},{x!r},{f}]" for v, x, f in zip(
+        nodes.tolist(), vuln[rows, nodes].tolist(), flags[rows, nodes].tolist())]
     bounds = np.searchsorted(rows, np.arange(len(steps) + 1)).tolist()
-    lines = [_encode(header)]
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for k, step in enumerate(steps):
-        lines.append(_encode({
-            "t": step.t,
-            "blue_action": _action_to_json(step.blue_action),
-            "red_action": _action_to_json(step.red_action, step.red_hits),
-            "changed": changed[bounds[k]:bounds[k + 1]],
-        }))
+        blue, red = step.blue_action, step.red_action
+        if blue is not None:
+            target = "null" if blue.target is None else blue.target
+            blue = f'{{"kind":"{blue.kind}","target":{target}}}'
+        if red is not None:
+            target = "null" if red.target is None else red.target
+            hits = ",".join(map(str, step.red_hits))
+            red = f'{{"hits":[{hits}],"kind":"{red.kind}","target":{target}}}'
+        part = ",".join(changed[bounds[k]:bounds[k + 1]])
+        lines.append(f'{{"blue_action":{blue or "null"},"changed":[{part}],'
+                     f'"red_action":{red or "null"},"t":{step.t}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -648,8 +646,9 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     integer, ``final_step`` non-negative, ``hvns`` three distinct nodes, the
     winner one the game writes, the target null or a node, and
     ``total_blue_reward`` a finite number. Step line ``k`` must have ``t ==
-    k`` and both actions, the terminal line neither. Malformed content
-    raises ``ValueError`` naming the file and line."""
+    k`` and both actions, the terminal line neither, and every changed
+    vulnerability a finite float. Malformed content raises ``ValueError``
+    naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = _json_object(path, 1, lines[0] if lines else "")
@@ -704,6 +703,8 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                 nodes.append(_node(v, n))
                 if type(x) is not float:
                     raise ValueError(f"vulnerability {x!r} is not a float")
+                if not math.isfinite(x):
+                    raise ValueError(f"vulnerability {x!r} is not finite")
                 vulns.append(x)
                 if type(f) is not int or not 0 <= f < _FLAG_LIMIT:
                     raise ValueError(f"flags {f!r} is not an integer in "

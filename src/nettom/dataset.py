@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, SampleExclusionError
 from .graph_core import json_int, number_vector, topology
 from .seeding import derive_seed, rng_for
 
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 
 DEFAULT_GAMMAS = (0.5, 0.95, 0.999)
 
@@ -56,19 +56,27 @@ class PastRef:
 
 @dataclass(frozen=True)
 class ToMSample:
+    """A sample of game ``game_id``; ``sample_id`` is also its current episode's id."""
+
     sample_id: str
     game_id: str
     network: str
     blue_id: str
     red_id: str
-    current_episode_id: str
     t: int
-    truth_hvn: int
     truth_sr: dict[str, tuple[float, ...]]
     past: tuple[PastRef, ...]
     hvns: tuple[int, int, int]
     target_index: int
     entry: int
+
+    @property
+    def current_episode_id(self) -> str:
+        return self.sample_id
+
+    @property
+    def truth_hvn(self) -> int:
+        return self.hvns[self.target_index]
 
 
 @dataclass
@@ -290,9 +298,7 @@ def assemble_samples(currents, pools, n_past: int, past_k: int,
             network=cur.network,
             blue_id=cur.blue_id,
             red_id=cur.red_id,
-            current_episode_id=cur.episode_id,
             t=t,
-            truth_hvn=cur.target_node,
             truth_sr=truth_sr,
             past=past,
             hvns=cur.hvns,
@@ -417,12 +423,7 @@ def manifest_to_json(manifest: DatasetManifest) -> dict:
             {
                 "sample_id": s.sample_id,
                 "game_id": s.game_id,
-                "network": s.network,
-                "blue_id": s.blue_id,
-                "red_id": s.red_id,
-                "current_episode_id": s.current_episode_id,
                 "t": s.t,
-                "truth_hvn": s.truth_hvn,
                 "truth_sr": {k: list(v) for k, v in s.truth_sr.items()},
                 "past": [
                     {"episode_id": p.episode_id, "steps": list(p.step_indices)}
@@ -455,12 +456,12 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"malformed manifest: {exc!r}") from None
 
 
-def _sample_from_json(i: int, s: dict, gamma_keys: list[str]) -> ToMSample:
-    for key in ("sample_id", "game_id", "network", "blue_id", "red_id",
-                "current_episode_id"):
-        if not isinstance(s[key], str):
-            raise TypeError(f"samples[{i}].{key} must be a string, got {s[key]!r}")
-    for key in ("t", "truth_hvn", "target_index", "entry"):
+def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict) -> ToMSample:
+    if not isinstance(s["sample_id"], str):
+        raise TypeError(f"samples[{i}].sample_id must be a string, got {s['sample_id']!r}")
+    if s["game_id"] not in games:
+        raise ValueError(f"samples[{i}].game_id {s['game_id']!r} is not in games")
+    for key in ("t", "target_index", "entry"):
         json_int(s[key], f"samples[{i}].{key}")
     hvns = s["hvns"]
     if not isinstance(hvns, list) or len(hvns) != 3:
@@ -472,9 +473,6 @@ def _sample_from_json(i: int, s: dict, gamma_keys: list[str]) -> ToMSample:
     if s["target_index"] not in (0, 1, 2):
         raise ValueError(f"samples[{i}].target_index must be 0, 1 or 2, "
                          f"got {s['target_index']!r}")
-    if s["truth_hvn"] != hvns[s["target_index"]]:
-        raise ValueError(f"samples[{i}].truth_hvn {s['truth_hvn']!r} is not "
-                         f"hvns[{s['target_index']}] = {hvns[s['target_index']]!r}")
     if set(s["truth_sr"]) != set(gamma_keys):
         raise ValueError(f"samples[{i}].truth_sr keys {sorted(s['truth_sr'])} "
                          f"are not the manifest's discounts {gamma_keys}")
@@ -487,15 +485,14 @@ def _sample_from_json(i: int, s: dict, gamma_keys: list[str]) -> ToMSample:
                 for t in ref["steps"]):
             raise ValueError(f"samples[{i}].past[{k}].steps must be a list of "
                              f"non-negative integers, got {ref['steps']!r}")
+    game = games[s["game_id"]]
     return ToMSample(
         sample_id=s["sample_id"],
         game_id=s["game_id"],
-        network=s["network"],
-        blue_id=s["blue_id"],
-        red_id=s["red_id"],
-        current_episode_id=s["current_episode_id"],
+        network=game["network"],
+        blue_id=game["blue"],
+        red_id=game["red"],
         t=s["t"],
-        truth_hvn=s["truth_hvn"],
         truth_sr={k: number_vector(v, f"samples[{i}].truth_sr[{k}]")
                   for k, v in s["truth_sr"].items()},
         past=tuple(
@@ -528,26 +525,36 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
                             ("excluded", list, "a list")):
         if not isinstance(obj[key], kind):
             raise TypeError(f"{key} must be {name}, got {obj[key]!r}")
+    games, names = obj["games"], ("blue", "red", "network")
+    for game_id, game in games.items():
+        if (not isinstance(game, dict) or set(game) != {*names, "base_seed"}
+                or not all(isinstance(game[k], str) for k in names)
+                or type(game["base_seed"]) is not int):
+            raise ValueError(f"games[{game_id!r}] must hold string blue, red and network "
+                             f"and integer base_seed, got {game!r}")
     gammas = _gammas_from_json(obj["gammas"])
     gamma_keys = [gamma_key(g) for g in gammas]
-    samples = [_sample_from_json(i, s, gamma_keys)
+    samples = [_sample_from_json(i, s, gamma_keys, games)
                for i, s in enumerate(obj["samples"])]
     red_split = obj["red_split"]
+    reds = {game["red"] for game in games.values()}
+    if set(red_split) != reds:
+        raise ValueError(f"red_split names {sorted(red_split)}, not the games' "
+                         f"attackers {sorted(reds)}")
     for red, side in red_split.items():
         if side not in ("train", "val"):
             raise ValueError(f"red_split[{red!r}] must be 'train' or 'val', "
                              f"got {side!r}")
-    # A sample's side is its attacker's, and no past episode leaks: none is
-    # named by two samples or is some sample's current episode.
-    seen = {s.current_episode_id for s in samples}
+    # Every sample is its own current episode, and no episode is named twice:
+    # no sample id repeats, and no past episode leaks between samples.
+    seen: set[str] = set()
     for i, s in enumerate(samples):
-        if s.red_id not in red_split:
-            raise ValueError(f"samples[{i}].red_id {s.red_id!r} is not in red_split")
-        for k, ref in enumerate(s.past):
-            if ref.episode_id in seen:
-                raise ValueError(f"samples[{i}].past[{k}].episode_id {ref.episode_id!r} "
-                                 "is already a current or past episode")
-            seen.add(ref.episode_id)
+        for where, episode_id in [("sample_id", s.sample_id)] + [
+                (f"past[{k}].episode_id", ref.episode_id) for k, ref in enumerate(s.past)]:
+            if episode_id in seen:
+                raise ValueError(f"samples[{i}].{where} {episode_id!r} is already "
+                                 "a current or past episode")
+            seen.add(episode_id)
     return DatasetManifest(
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],
@@ -558,7 +565,7 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
         n_past=obj["n_past"],
         past_k=obj["past_k"],
         split_ratio=obj["split_ratio"],
-        games=obj["games"],
+        games=games,
         samples=samples,
         red_split=red_split,
         excluded=obj["excluded"],

@@ -364,8 +364,7 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
             sample = ds.ToMSample(
                 sample_id=f"s{i}", game_id="g00000", network="tree30",
                 blue_id="blue.msn_d", red_id=f"red.r{i % 3}",
-                current_episode_id=f"s{i}", t=0, truth_hvn=truth,
-                truth_sr=sr, past=(), hvns=hvns,
+                t=0, truth_sr=sr, past=(), hvns=hvns,
                 target_index=hvns.index(truth), entry=entry,
             )
             samples.append(sample)
@@ -393,8 +392,7 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
             sample = ds.ToMSample(
                 sample_id=f"r{i}", game_id="g00000", network="tree30",
                 blue_id="blue.msn_d", red_id="red.r0",
-                current_episode_id=f"r{i}", t=0, truth_hvn=truth,
-                truth_sr=base_sr, past=(), hvns=hvns,
+                t=0, truth_sr=base_sr, past=(), hvns=hvns,
                 target_index=hvns.index(truth), entry=entry,
             )
             big_samples.append(sample)

@@ -34,7 +34,7 @@ class TestSpeciesSampling:
     def test_deterministic(self):
         a = ag.sample_species(0.01, 50, 3, seed=9)
         b = ag.sample_species(0.01, 50, 3, seed=9)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -450,10 +450,9 @@ def _edit_manifest(path, value):
     return edit
 
 
-def _edit_truth_hvn(obj):
-    """Name another of the sample's HVNs as its truth."""
-    sample = obj["samples"][0]
-    sample["truth_hvn"] = sample["hvns"][(sample["target_index"] + 1) % 3]
+def _repeat_sample_id(obj):
+    """Give the second sample the first one's id."""
+    obj["samples"][1]["sample_id"] = obj["samples"][0]["sample_id"]
     return obj
 
 
@@ -503,6 +502,8 @@ MALFORMED_MANIFESTS = {
                  "samples[0].t must be an integer, got 'x'"),
     "schema_1": (_edit_manifest(("schema_version",), 1),
                  "unsupported manifest schema 1"),
+    "schema_2": (_edit_manifest(("schema_version",), 2),
+                 "unsupported manifest schema 2"),
     "split_unknown": (_edit_red_split, "must be 'train' or 'val', got 'nope'"),
     "truth_sr_entry_object": (_edit_manifest(("samples", 0, "truth_sr", "0.5", 0), {}),
                               "samples[0].truth_sr[0.5] must be a list of numbers"),
@@ -517,7 +518,6 @@ MALFORMED_MANIFESTS = {
                       "samples[0].hvns [1, 1, 2] are not distinct"),
     "target_index_9": (_edit_manifest(("samples", 0, "target_index"), 9),
                        "samples[0].target_index must be 0, 1 or 2, got 9"),
-    "truth_hvn_not_target": (_edit_truth_hvn, "samples[0].truth_hvn "),
     "past_step_string": (_edit_manifest(("samples", 0, "past", 0, "steps"), ["x"]),
                          "samples[0].past[0].steps entry must be an integer"),
     "past_step_negative": (_edit_manifest(("samples", 0, "past", 0, "steps"), [-1]),
@@ -532,10 +532,26 @@ MALFORMED_MANIFESTS = {
                         "excluded must be a list, got {}"),
     "past_shared": (_reuse_episode(lambda samples: samples[0]["past"][0]["episode_id"]),
                     "samples[1].past[0].episode_id 'g00000-c0-p0' is already"),
-    "past_is_current": (_reuse_episode(lambda samples: samples[0]["current_episode_id"]),
+    "past_is_current": (_reuse_episode(lambda samples: samples[0]["sample_id"]),
                         "samples[1].past[0].episode_id 'g00000-c0' is already"),
-    "red_id_not_in_red_split": (_edit_manifest(("samples", 0, "red_id"), "red.x"),
-                                "samples[0].red_id 'red.x' is not in red_split"),
+    "sample_id_repeated": (_repeat_sample_id,
+                           "samples[1].sample_id 'g00000-c0' is already"),
+    "game_id_unknown": (_edit_manifest(("samples", 0, "game_id"), "g99999"),
+                        "samples[0].game_id 'g99999' is not in games"),
+    "game_entry_not_object": (_edit_manifest(("games", "g00000"), 1),
+                              "games['g00000'] must hold string blue, red and network "
+                              "and integer base_seed, got 1"),
+    "game_red_not_string": (_edit_manifest(("games", "g00000", "red"), 5),
+                            "games['g00000'] must hold string blue, red and network"),
+    "game_base_seed_string": (_edit_manifest(("games", "g00000", "base_seed"), "7"),
+                              "games['g00000'] must hold string blue, red and network"),
+    "red_id_not_in_red_split": (_edit_manifest(("games", "g00000", "red"), "red.x"),
+                                "not the games' attackers "
+                                "['red.hvt_pref_sp:alpha=0.01,seed=5,index=1', 'red.x']"),
+    "red_split_extra_attacker": (_edit_manifest(("red_split", "red.y"), "train"),
+                                 "red_split names ['red.hvt_pref_sp:alpha=0.01,seed=5,"
+                                 "index=0', 'red.hvt_pref_sp:alpha=0.01,seed=5,index=1', "
+                                 "'red.y'], not the games' attackers"),
 }
 
 
@@ -674,8 +690,8 @@ class TestScoreCommand:
         preds = tmp_path / "preds.jsonl"
         _perfect_predictions(manifest_path, preds)
         obj = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for sample in obj["samples"]:
-            sample["network"] = "ring9"
+        for game in obj["games"].values():
+            game["network"] = "ring9"
         manifest_path.write_text(json.dumps(obj), encoding="utf-8")
         result = self._score(runner, tmp_path, preds, manifest_path)
         assert result.exit_code == 1

@@ -579,7 +579,8 @@ class TestRollout:
         """Every field of the trajectory read back equals the one written:
         the two state arrays by dtype, shape and bytes, every other field
         with ``==``, over every blue (isolate, restore, hardening and scan
-        change every kind of flag) against every red."""
+        change every kind of flag) against every red. Every line is written
+        as ``json`` with sorted keys writes it."""
         net, cm = gc.topology(network)
         path = tmp_path / "ep.jsonl"
         arrays = {"vulnerability": np.float64, "flags": np.uint8}
@@ -593,6 +594,9 @@ class TestRollout:
                 ce.write_trajectory(traj, path)
                 loaded = ce.read_trajectory(path)
                 key = (blue_id, red_kind)
+                for line in path.read_text(encoding="utf-8").splitlines():
+                    assert json.dumps(json.loads(line), sort_keys=True,
+                                      separators=(",", ":")) == line, key
                 shape = (traj.final_step + 1, net.node_count)
                 assert loaded == traj, key
                 for name, value in vars(traj).items():
@@ -699,6 +703,8 @@ MALFORMED_TRAJECTORIES = {
     "flag_bool": (_set(2, ("changed", 0, 2), True), 2, "flags True is not an integer"),
     "flag_too_big": (_set(2, ("changed", 0, 2), 8), 2, "flags 8 is not an integer in [0, 8)"),
     "vulnerability_string": (_set(2, ("changed", 0, 1), "0.5"), 2, "is not a float"),
+    "vulnerability_infinity": (_set(2, ("changed", 0, 1), float("inf")), 2,
+                               "vulnerability inf is not finite"),
     "change_not_triple": (_set(2, ("changed", 0), [0, 0.5]), 2, "not enough values"),
     "action_not_object": (_set(3, ("blue_action",), 7), 3, "not subscriptable"),
     "hit_outside": (_set(3, ("red_action", "hits"), [-1]), 3, "node -1 outside [0, 30)"),
@@ -709,8 +715,15 @@ MALFORMED_TRAJECTORIES = {
 }
 
 
+def _nan_vulnerability(traj):
+    vulnerability = traj.vulnerability.copy()
+    vulnerability[1, 0] = np.nan
+    return replace(traj, vulnerability=vulnerability)
+
+
 # (edit of a recorded tree30 trajectory, message fragment after its id)
 INCONSISTENT_TRAJECTORIES = {
+    "vulnerability_nan": (_nan_vulnerability, "a vulnerability is not finite"),
     "no_vulnerability": (lambda t: replace(t, vulnerability=None),
                          "no recorded state arrays"),
     "no_flags": (lambda t: replace(t, flags=None), "no recorded state arrays"),

@@ -24,8 +24,7 @@ def _sample(sample_id, truth_hvn, hvns, truth_sr, entry, t=0):
     return ds.ToMSample(
         sample_id=sample_id, game_id="g00000", network="tree30",
         blue_id="blue.msn_d", red_id="red.x",
-        current_episode_id=sample_id, t=t, truth_hvn=truth_hvn,
-        truth_sr=truth_sr, past=(), hvns=hvns,
+        t=t, truth_sr=truth_sr, past=(), hvns=hvns,
         target_index=hvns.index(truth_hvn), entry=entry,
     )
 

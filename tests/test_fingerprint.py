@@ -75,14 +75,14 @@ def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
     )
 
 
-EXPECTED_DATASET = "8646f02bc8f1a87a2105f2469a4e79273d4d6ad2d56ab689726b8791f9d7ebab"
+EXPECTED_DATASET = "47595019d49472d88fb6569e50bcb5fd2607ee3a8e769f7da13b9c9737937c23"
 EXPECTED_TOURNAMENT = {
     1: "8820f0b41aaff760e18ae75fe7693807531b4d74123aa21d3a81ed433dd14db6",
     3: "aded1ec7b652e934b4b576d09cf34be9e2fd4436ebe1983dd98003dba210849e",
 }
 EXPECTED_SIMULATE = "5de75f775ea8613c9fec18609c54e5bae472b4f58814e885c65ffbb601de7897"
 # The dataset and simulate trees as trajectory schema 1 wrote them.
-EXPECTED_DATASET_V1 = "609b4634a339dc468101496e94decdb7ecf8b03590e7e29d767896ec4a7f64d9"
+EXPECTED_DATASET_V1 = "b610b88c3bbd774b78014d2587db6e4f088039ceed0c4a7b0fee773757bbfa03"
 EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "6f03b992c89bf2b9f4f2894166baa445f550b3d823f64eeb934a6395561a00b8"
 EXPECTED_PLANS = "572d5ddae2965b4c247d97cccc8d624a6aca1ae845b26ea4ad970ef2d4dda930"

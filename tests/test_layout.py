@@ -1,6 +1,7 @@
-"""A guard against dead public code: every public top-level function or
-class of ``src/nettom`` is named on some other line of the package or of
-the benchmark, so a helper that only tests call lives in the tests."""
+"""A guard against dead code: every top-level function or class of
+``src/nettom``, public or private, is named on some other line of the
+package or of the benchmark, so a helper that only tests call lives in the
+tests, and a private helper that nothing calls is deleted."""
 
 import ast
 import re
@@ -40,13 +41,12 @@ def _word_lines() -> dict[str, set[tuple[str, int]]]:
     return places
 
 
-def _public_definitions():
-    """(module, name, path, line) of every public top-level function or class."""
+def _definitions():
+    """(module, name, path, line) of every top-level function or class."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield path.stem, node.name, str(path), node.lineno
 
 
@@ -54,7 +54,7 @@ def test_every_public_definition_is_named_elsewhere():
     places = _word_lines()
     unused = [
         f"{module}.{name}"
-        for module, name, path, lineno in _public_definitions()
+        for module, name, path, lineno in _definitions()
         if f"{module}.{name}" not in ALLOWED
         and not places.get(name, set()) - {(path, lineno)}
     ]
@@ -62,5 +62,5 @@ def test_every_public_definition_is_named_elsewhere():
 
 
 def test_allow_list_names_live_definitions():
-    defined = {f"{module}.{name}" for module, name, _, _ in _public_definitions()}
+    defined = {f"{module}.{name}" for module, name, _, _ in _definitions()}
     assert set(ALLOWED) <= defined
