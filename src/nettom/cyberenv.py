@@ -320,11 +320,9 @@ class CyberEnv:
             s.isolated[v] = False
         return s
 
-    def apply_red(self, action: RedAction, rng: np.random.Generator | None = None
-                  ) -> tuple[int, ...]:
+    def apply_red(self, action: RedAction) -> tuple[int, ...]:
         """Apply a red action; returns the nodes newly compromised by it."""
         s = self._require_state()
-        rng = rng if rng is not None else s.rng
         kind, v = action.kind, action.target
         if kind not in RED_ACTION_KINDS:
             raise ValueError(f"unknown red action {kind!r}")
@@ -337,7 +335,7 @@ class CyberEnv:
         hits: list[int] = []
         if kind == RED_BASIC_ATTACK:
             if self._can_attack(v):
-                self._roll_attack(v, rng, hits)
+                self._roll_attack(v, hits)
         elif kind == RED_ZERO_DAY:
             if s.zero_day_budget > 0 and self._can_attack(v):
                 s.zero_day_budget -= 1
@@ -346,7 +344,7 @@ class CyberEnv:
                 hits.append(v)
         elif kind == RED_SPREAD:
             for t in self._attackable_mask().nonzero()[0]:
-                self._roll_attack(int(t), rng, hits)
+                self._roll_attack(int(t), hits)
         elif kind == RED_INTRUDE:
             live = s.compromised & ~s.isolated
             if live.any():
@@ -354,7 +352,7 @@ class CyberEnv:
             else:
                 targets = self._attackable_mask().nonzero()[0]
             for t in targets:
-                self._roll_attack(int(t), rng, hits)
+                self._roll_attack(int(t), hits)
         return tuple(hits)
 
     def _can_attack(self, v: int) -> bool:
@@ -367,11 +365,11 @@ class CyberEnv:
         return attackable_nodes(self.net.adjacency, s.compromised,
                                 s.isolated, s.is_entry)
 
-    def _roll_attack(self, v: int, rng: np.random.Generator, hits: list[int]) -> None:
+    def _roll_attack(self, v: int, hits: list[int]) -> None:
         s = self.state
-        if rng.random() < s.vulnerability[v]:
+        if s.rng.random() < s.vulnerability[v]:
             s.compromised[v] = True
-            s.hidden[v] = rng.random() < HIDDEN_PROB
+            s.hidden[v] = s.rng.random() < HIDDEN_PROB
             hits.append(v)
 
     def step(self, blue_action: BlueAction, red_action: RedAction) -> StepResult:

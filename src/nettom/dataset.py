@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .agents import RedPolicySpec, make_blue, make_red
-from .cyberenv import RED_WIN, EpisodeTrajectory, rollout, write_trajectory
+from .cyberenv import MAX_STEPS, RED_WIN, EpisodeTrajectory, rollout, write_trajectory
 from .errors import ConfigError, DataError, SampleExclusionError
 from .graph_core import json_int, number_vector, topology
 from .seeding import derive_seed, rng_for
+from .transport import check_distribution
 
 MANIFEST_SCHEMA_VERSION = 3
 
@@ -110,27 +111,33 @@ class DatasetConfig:
     split_ratio: float = 0.75
 
     def __post_init__(self):
-        """Reject sizes and discounts the build could only fail on late;
-        each message starts with the field it names."""
+        """Reject unpinned attackers, then the build's sizes and discounts."""
         for i, spec in enumerate(self.reds):
             if spec.params is None:
                 raise ConfigError(f"reds[{i}]: dataset attackers must be pinned "
                                   "members (give seed= and index=, or probs=)")
-        if self.n_c < 1:
-            raise ConfigError(f"n_c: must be >= 1, got {self.n_c}")
-        if not 1 <= self.n_past <= self.n_p:
-            raise ConfigError(
-                f"n_past: must lie in [1, n_p={self.n_p}], got {self.n_past}"
-            )
-        if self.past_k < 1:
-            raise ConfigError(f"past_k: must be >= 1, got {self.past_k}")
-        for g in self.gammas:
-            if not 0.0 < g < 1.0:
-                raise ConfigError(f"gammas: {g!r} must lie strictly between 0 and 1")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(
-                f"split_ratio: {self.split_ratio!r} must lie strictly between 0 and 1"
-            )
+        check_build_numbers(self.n_c, self.n_p, self.n_past, self.past_k,
+                            self.gammas, self.split_ratio)
+
+
+def check_build_numbers(n_c, n_p, n_past, past_k, gammas, split_ratio) -> None:
+    """The size and discount rules of a build, checked on a config before it
+    runs and on a manifest when it is read; each message starts with its field."""
+    if n_c < 1:
+        raise ConfigError(f"n_c: must be >= 1, got {n_c}")
+    if not 1 <= n_past <= n_p:
+        raise ConfigError(f"n_past: must lie in [1, n_p={n_p}], got {n_past}")
+    if past_k < 1:
+        raise ConfigError(f"past_k: must be >= 1, got {past_k}")
+    if not gammas:
+        raise ConfigError("gammas: must be non-empty")
+    for k, g in enumerate(gammas):
+        if not 0.0 < g < 1.0:
+            raise ConfigError(f"gammas: {g!r} must lie strictly between 0 and 1")
+        if g in gammas[:k]:
+            raise ConfigError(f"gammas: {g!r} is repeated")
+    if not 0.0 < split_ratio < 1.0:
+        raise ConfigError(f"split_ratio: {split_ratio!r} must lie strictly between 0 and 1")
 
 
 def build_game_set(blues, reds, networks, master_seed: int = 0) -> list[GameConfig]:
@@ -203,8 +210,6 @@ def map_jobs(fn, tasks, jobs: int) -> list:
 def subsample_indices(final_step: int, k: int) -> tuple[int, ...]:
     """k evenly spaced observation indices over [0, final_step], endpoints
     included; short episodes return every index."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if k == 1:
         return (0,)
     if final_step + 1 <= k:
@@ -258,8 +263,6 @@ def assemble_samples(currents, pools, n_past: int, past_k: int,
     target, so others are excluded (their files stay on disk). Past
     trajectories come from the current episode's private pool only.
     """
-    if not 1 <= n_past:
-        raise ValueError("n_past must be >= 1")
     samples = []
     excluded = []
     for cur, pool in zip(currents, pools):
@@ -456,36 +459,56 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"malformed manifest: {exc!r}") from None
 
 
-def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict) -> ToMSample:
+def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict,
+                      nets: dict, n_past: int, past_k: int) -> ToMSample:
+    """Sample ``i``, held to the rules that built it on its game's topology."""
     if not isinstance(s["sample_id"], str):
         raise TypeError(f"samples[{i}].sample_id must be a string, got {s['sample_id']!r}")
     if s["game_id"] not in games:
         raise ValueError(f"samples[{i}].game_id {s['game_id']!r} is not in games")
     for key in ("t", "target_index", "entry"):
         json_int(s[key], f"samples[{i}].{key}")
+    game = games[s["game_id"]]
+    net = nets[game["network"]]
+    if s["t"] not in (0, 1):
+        raise ValueError(f"samples[{i}].t must be 0 or 1, got {s['t']!r}")
+    if s["entry"] != net.entry_node:
+        raise ValueError(f"samples[{i}].entry must be {net.name}'s entry node "
+                         f"{net.entry_node}, got {s['entry']!r}")
     hvns = s["hvns"]
     if not isinstance(hvns, list) or len(hvns) != 3:
         raise ValueError(f"samples[{i}].hvns must be three integers, got {hvns!r}")
     for h in hvns:
         json_int(h, f"samples[{i}].hvns entry")
-    if len(set(hvns)) != 3:
-        raise ValueError(f"samples[{i}].hvns {hvns!r} are not distinct")
+    if len(set(hvns)) != 3 or not set(hvns) <= net.leaf_set - {net.entry_node}:
+        raise ValueError(f"samples[{i}].hvns {hvns!r} are not distinct leaves of "
+                         f"{net.name} other than its entry")
     if s["target_index"] not in (0, 1, 2):
         raise ValueError(f"samples[{i}].target_index must be 0, 1 or 2, "
                          f"got {s['target_index']!r}")
     if set(s["truth_sr"]) != set(gamma_keys):
         raise ValueError(f"samples[{i}].truth_sr keys {sorted(s['truth_sr'])} "
                          f"are not the manifest's discounts {gamma_keys}")
+    truth_sr = {}
+    for k, v in s["truth_sr"].items():
+        truth_sr[k] = number_vector(v, f"samples[{i}].truth_sr[{k}]")
+        try:
+            check_distribution(truth_sr[k], net.node_count, "truth_sr")
+        except ValueError as exc:
+            raise ValueError(f"samples[{i}] gamma {k}: {exc}") from None
+    if type(s["past"]) is not list or len(s["past"]) != n_past:
+        raise ValueError(f"samples[{i}].past must list n_past={n_past} episodes")
     for k, ref in enumerate(s["past"]):
         if not isinstance(ref["episode_id"], str):
             raise TypeError(f"samples[{i}].past[{k}].episode_id must be a string, "
                             f"got {ref['episode_id']!r}")
-        if not isinstance(ref["steps"], list) or any(
-                json_int(t, f"samples[{i}].past[{k}].steps entry") < 0
-                for t in ref["steps"]):
-            raise ValueError(f"samples[{i}].past[{k}].steps must be a list of "
-                             f"non-negative integers, got {ref['steps']!r}")
-    game = games[s["game_id"]]
+        steps = ref["steps"]
+        if type(steps) is not list or not 0 < len(steps) <= past_k or any(
+                json_int(t, f"samples[{i}].past[{k}].steps entry") > MAX_STEPS
+                for t in steps) or steps[0] != 0 or sorted(set(steps)) != steps:
+            raise ValueError(f"samples[{i}].past[{k}].steps must be a list of non-negative "
+                             f"integers rising strictly from 0, at most past_k={past_k} "
+                             f"of them and none above {MAX_STEPS}, got {steps!r}")
     return ToMSample(
         sample_id=s["sample_id"],
         game_id=s["game_id"],
@@ -493,30 +516,15 @@ def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict) -> To
         blue_id=game["blue"],
         red_id=game["red"],
         t=s["t"],
-        truth_sr={k: number_vector(v, f"samples[{i}].truth_sr[{k}]")
-                  for k, v in s["truth_sr"].items()},
+        truth_sr=truth_sr,
         past=tuple(
             PastRef(episode_id=p["episode_id"], step_indices=tuple(p["steps"]))
             for p in s["past"]
         ),
-        hvns=tuple(s["hvns"]),
+        hvns=tuple(hvns),
         target_index=s["target_index"],
         entry=s["entry"],
     )
-
-
-def _gammas_from_json(gammas) -> tuple[float, ...]:
-    """The manifest's discounts: a non-empty list of distinct numbers, each
-    strictly between 0 and 1, as a build writes them."""
-    if not isinstance(gammas, list) or not gammas:
-        raise ValueError(f"gammas must be a non-empty list, got {gammas!r}")
-    for k, g in enumerate(gammas):
-        if isinstance(g, bool) or not isinstance(g, (int, float)) or not 0 < g < 1:
-            raise ValueError(f"gammas[{k}] must be a number strictly between "
-                             f"0 and 1, got {g!r}")
-        if g in gammas[:k]:
-            raise ValueError(f"gammas[{k}] {g!r} is repeated")
-    return tuple(float(g) for g in gammas)
 
 
 def _manifest_from_json(obj: dict) -> DatasetManifest:
@@ -532,9 +540,19 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
                 or type(game["base_seed"]) is not int):
             raise ValueError(f"games[{game_id!r}] must hold string blue, red and network "
                              f"and integer base_seed, got {game!r}")
-    gammas = _gammas_from_json(obj["gammas"])
+    for key in ("master_seed", "n_c", "n_p", "n_past", "past_k"):
+        json_int(obj[key], key)
+    gammas = number_vector(obj["gammas"], "gammas")
+    if type(obj["split_ratio"]) not in (int, float):
+        raise TypeError(f"split_ratio must be a number, got {obj['split_ratio']!r}")
+    check_build_numbers(obj["n_c"], obj["n_p"], obj["n_past"], obj["past_k"],
+                        gammas, obj["split_ratio"])
+    nets = {game["network"]: topology(game["network"])[0] for game in games.values()}
+    if type(obj["networks"]) is not list or set(obj["networks"]) != set(nets):
+        raise ValueError(f"networks {obj['networks']!r} are not the games' "
+                         f"topologies {sorted(nets)}")
     gamma_keys = [gamma_key(g) for g in gammas]
-    samples = [_sample_from_json(i, s, gamma_keys, games)
+    samples = [_sample_from_json(i, s, gamma_keys, games, nets, obj["n_past"], obj["past_k"])
                for i, s in enumerate(obj["samples"])]
     red_split = obj["red_split"]
     reds = {game["red"] for game in games.values()}

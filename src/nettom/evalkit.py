@@ -339,6 +339,9 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
     the entry and the true target); a zero coefficient makes the feature
     vector constant, which the weight combiner maps to all-ones, so the
     neutral column equals the unweighted metric exactly.
+
+    Only the predictions are checked here: a manifest from ``build_dataset``
+    or ``read_manifest`` already holds each sample to its game's topology.
     """
     pairs = _match(preds, manifest)
     gamma_keys = ([gamma_key(g) for g in gammas] if gammas is not None
@@ -353,10 +356,6 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
                     f"{key} absent from the manifest"
                 )
         net, cm = topology(sample.network)
-        for node in (sample.entry, sample.truth_hvn):
-            if not (isinstance(node, int) and 0 <= node < net.node_count):
-                raise DataError(f"sample {sample.sample_id}: node {node!r} is "
-                                f"not on {sample.network}")
         remoteness = _sample_remoteness(sample)
         for key in gamma_keys:
             if key not in record.pred_sr:
@@ -371,19 +370,15 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
             if abs(total - 1.0) > 1e-9:
                 pred = pred / total
             try:
-                truth = check_distribution(sample.truth_sr.get(key, ()),
-                                           net.node_count, "truth_sr")
                 pred = check_distribution(pred, net.node_count, "pred_sr")
             except ValueError as exc:
-                raise DataError(
-                    f"sample {sample.sample_id} gamma {key}: {exc}"
-                ) from None
+                raise DataError(f"sample {sample.sample_id} gamma {key}: {exc}") from None
             for coef in coefficients:
                 config = WeightingConfig(
                     features=(remoteness,), coefficients=(float(coef),),
                     floor=floor,
                 )
-                value = ntd_weighted(pred, truth, cm, config)
+                value = ntd_weighted(pred, sample.truth_sr[key], cm, config)
                 rows.append(SrScoreRow(
                     sample_id=sample.sample_id,
                     network=sample.network,

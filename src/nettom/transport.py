@@ -7,9 +7,8 @@ vector so that chosen node features emphasize or de-emphasize regions of
 the network.
 
 Distributions are plain numpy vectors indexed by node id. Callers must
-pass normalized inputs; :func:`normalize` is provided but never applied
-implicitly, so accidental mass loss in a caller surfaces as an error here
-rather than being papered over.
+pass normalized inputs; nothing here rescales them, so accidental mass loss
+in a caller surfaces as an error rather than being papered over.
 
 One primal network simplex solves the exact problem as a min-cost flow
 over the graph's own edges, both directions at cost 1 (the Beckmann form
@@ -95,17 +94,6 @@ def check_distribution(x: np.ndarray, n: int, name: str = "distribution") -> np.
     raise ValueError(
         f"{name} sums to {float(x.sum())!r}; normalize explicitly before calling"
     )
-
-
-def normalize(x: np.ndarray) -> np.ndarray:
-    """Scale a non-negative vector to sum 1. Rejects all-zero input."""
-    x = np.asarray(x, dtype=float)
-    if (x < 0).any():
-        raise ValueError("cannot normalize a vector with negative entries")
-    total = x.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize an all-zero vector")
-    return x / total
 
 
 # ---------------------------------------------------------------------------

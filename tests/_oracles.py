@@ -299,6 +299,17 @@ def dyadic_distribution(rng: np.random.Generator, n: int,
     return x
 
 
+def normalize(x: np.ndarray) -> np.ndarray:
+    """Scale a non-negative vector to sum 1. Rejects all-zero input."""
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise ValueError("cannot normalize a vector with negative entries")
+    total = x.sum()
+    if total <= 0:
+        raise ValueError("cannot normalize an all-zero vector")
+    return x / total
+
+
 def _state_to_json_v1(vulnerability, flags, traj) -> dict:
     bits = flags.tolist()
     isolated = [int(bool(f & FLAG_ISOLATED)) for f in bits]

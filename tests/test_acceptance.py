@@ -24,6 +24,7 @@ from _oracles import (
     active_adjacency,
     brute_force_transport_cost,
     dyadic_distribution,
+    normalize,
     random_connected_graph,
 )
 from conftest import delta
@@ -194,8 +195,8 @@ def test_criterion_07_gradient_check():
             params = sk.SinkhornParams(lam=0.5 * cm.diameter,
                                        max_iters=200_000,
                                        convergence_tol=1e-12)
-            p = tp.normalize(rng.uniform(0.05, 1.0, size=n))
-            q = tp.normalize(rng.uniform(0.05, 1.0, size=n))
+            p = normalize(rng.uniform(0.05, 1.0, size=n))
+            q = normalize(rng.uniform(0.05, 1.0, size=n))
             analytic = sk.ntd_loss_grad(p, q, cm, params)
             h = 1e-5
             fd = np.zeros(n)
@@ -205,8 +206,8 @@ def test_criterion_07_gradient_check():
                 down = p.copy()
                 down[i] -= h
                 fd[i] = (
-                    sk.ntd_loss(tp.normalize(up), q, cm, params)
-                    - sk.ntd_loss(tp.normalize(down), q, cm, params)
+                    sk.ntd_loss(normalize(up), q, cm, params)
+                    - sk.ntd_loss(normalize(down), q, cm, params)
                 ) / (2 * h)
             fd -= fd.mean()
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)

@@ -353,7 +353,7 @@ class TestLegality:
                 policy.begin_episode(ctx, rng)
             action = policy.act(env.observe(ce.OBSERVER_RED), rng)
             assert action.kind in ce.RED_ACTION_KINDS
-            env.apply_red(action, rng)
+            env.apply_red(action)
 
     @staticmethod
     def _randomize(env, rng, net, trial):

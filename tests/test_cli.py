@@ -335,6 +335,8 @@ class TestDatasetCommand:
           "reds": ["red.hvt_pref_sp:alpha=0.01,seed=5,index=0",
                    "red.target_vulnerable:probs=0:1:0:0:0:0"]},
          "config.holdout_reds needs a single red kind"),
+        ({"gammas": []}, "config.gammas: must be non-empty"),
+        ({"gammas": [0.5, 0.5]}, "config.gammas: 0.5 is repeated"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
@@ -462,6 +464,22 @@ def _edit_red_split(obj):
     return obj
 
 
+def _set_other_hvn(value):
+    """An edit that sets a high-value node of the first sample, other than
+    its target, to ``value(sample)``."""
+    def edit(obj):
+        sample = obj["samples"][0]
+        sample["hvns"][(sample["target_index"] + 1) % 3] = value(sample)
+        return obj
+    return edit
+
+
+def _keep_one_past(obj):
+    """Keep only the first sample's first past episode."""
+    obj["samples"][0]["past"] = obj["samples"][0]["past"][:1]
+    return obj
+
+
 def _reuse_episode(source):
     """An edit that names, as the second sample's first past episode, the
     episode that ``source(samples)`` picks."""
@@ -477,25 +495,41 @@ MALFORMED_MANIFESTS = {
     "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
     "sample_not_object": (_edit_manifest(("samples",), [1]), "malformed manifest"),
     "gammas_string": (_edit_manifest(("gammas",), "x"), "malformed manifest"),
-    "gammas_empty": (_edit_manifest(("gammas",), []),
-                     "gammas must be a non-empty list, got []"),
+    "gammas_empty": (_edit_manifest(("gammas",), []), "gammas: must be non-empty"),
     "gammas_repeated": (_edit_manifest(("gammas",), [0.5, 0.5, 0.95, 0.999]),
-                        "gammas[1] 0.5 is repeated"),
+                        "gammas: 0.5 is repeated"),
     "gammas_bool": (_edit_manifest(("gammas", 0), True),
-                    "gammas[0] must be a number strictly between 0 and 1, got True"),
+                    "gammas must be a list of numbers"),
     "gammas_above_one": (_edit_manifest(("gammas", 0), 1.5),
-                         "gammas[0] must be a number strictly between 0 and 1, got 1.5"),
+                         "gammas: 1.5 must lie strictly between 0 and 1"),
     "gammas_zero": (_edit_manifest(("gammas", 1), 0),
-                    "gammas[1] must be a number strictly between 0 and 1, got 0"),
+                    "gammas: 0.0 must lie strictly between 0 and 1"),
     "gammas_nan": (_edit_manifest(("gammas", 1), float("nan")),
-                   "gammas[1] must be a number strictly between 0 and 1, got nan"),
+                   "gammas: nan must lie strictly between 0 and 1"),
     "gammas_entry_string": (_edit_manifest(("gammas", 0), "0.5"),
-                            "gammas[0] must be a number strictly between 0 and 1, "
-                            "got '0.5'"),
+                            "gammas must be a list of numbers"),
     "truth_sr_wrong_length": (_edit_manifest(("samples", 0, "truth_sr", "0.5"), [1.0]),
                               "truth_sr has shape (1,), expected (30,)"),
     "entry_off_network": (_edit_manifest(("samples", 0, "entry"), 999),
-                          "node 999 is not on tree30"),
+                          "samples[0].entry must be tree30's entry node 5, got 999"),
+    "entry_not_topology_entry": (_edit_manifest(("samples", 0, "entry"), 0),
+                                 "samples[0].entry must be tree30's entry node 5, got 0"),
+    "hvn_off_network": (_set_other_hvn(lambda sample: 999),
+                        "are not distinct leaves of tree30 other than its entry"),
+    "hvn_is_entry": (_set_other_hvn(lambda sample: sample["entry"]),
+                     "are not distinct leaves of tree30 other than its entry"),
+    "t_seven": (_edit_manifest(("samples", 0, "t"), 7),
+                "samples[0].t must be 0 or 1, got 7"),
+    "n_c_string": (_edit_manifest(("n_c",), "x"), "n_c must be an integer, got 'x'"),
+    "master_seed_list": (_edit_manifest(("master_seed",), [1]),
+                         "master_seed must be an integer, got [1]"),
+    "split_ratio_null": (_edit_manifest(("split_ratio",), None),
+                         "split_ratio must be a number, got None"),
+    "n_past_zero": (_edit_manifest(("n_past",), 0), "n_past: must lie in [1, n_p=2], got 0"),
+    "past_k_negative": (_edit_manifest(("past_k",), -3), "past_k: must be >= 1, got -3"),
+    "networks_not_games": (_edit_manifest(("networks",), ["ring9"]),
+                           "networks ['ring9'] are not the games' topologies ['tree30']"),
+    "past_count_not_n_past": (_keep_one_past, "samples[0].past must list n_past=2 episodes"),
     "sample_id_int": (_edit_manifest(("samples", 0, "sample_id"), 5),
                       "samples[0].sample_id must be a string, got 5"),
     "t_string": (_edit_manifest(("samples", 0, "t"), "x"),
@@ -522,6 +556,17 @@ MALFORMED_MANIFESTS = {
                          "samples[0].past[0].steps entry must be an integer"),
     "past_step_negative": (_edit_manifest(("samples", 0, "past", 0, "steps"), [-1]),
                            "samples[0].past[0].steps must be a list of non-negative"),
+    # Each steps row breaks one rule only: the bound, the order, the count.
+    "past_steps_beyond_max": (_edit_manifest(("samples", 0, "past", 0, "steps"), [0, 1000000]),
+                              "samples[0].past[0].steps must be a list of non-negative "
+                              "integers rising strictly from 0, at most past_k=3 of them "
+                              "and none above 500, got [0, 1000000]"),
+    "past_steps_unsorted": (_edit_manifest(("samples", 0, "past", 0, "steps"), [0, 4, 2]),
+                            "samples[0].past[0].steps must be a list of non-negative "
+                            "integers rising strictly from 0"),
+    "past_steps_over_past_k": (_edit_manifest(("samples", 0, "past", 0, "steps"),
+                                              [0, 1, 2, 3]),
+                               "samples[0].past[0].steps must be a list of non-negative"),
     "past_episode_id_int": (_edit_manifest(("samples", 0, "past", 0, "episode_id"), 3),
                             "samples[0].past[0].episode_id must be a string, got 3"),
     "games_list": (_edit_manifest(("games",), [1]),

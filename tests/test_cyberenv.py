@@ -194,7 +194,6 @@ class TestRedActions:
         net, _ = tree30
         env = _env(tree30)
         neighbor = net.neighbors[net.entry_node][0]
-        rng = np.random.default_rng(12)
         successes = 0
         trials = 10_000
         state = env.reset(seed=3)
@@ -202,7 +201,7 @@ class TestRedActions:
             state.compromised[neighbor] = False
             state.vulnerability[neighbor] = 0.5
             successes += bool(
-                env.apply_red(ce.RedAction(ce.RED_BASIC_ATTACK, neighbor), rng)
+                env.apply_red(ce.RedAction(ce.RED_BASIC_ATTACK, neighbor))
             )
         assert abs(successes / trials - 0.5) <= 0.02
 

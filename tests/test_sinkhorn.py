@@ -9,6 +9,7 @@ from nettom import transport as tp
 
 from _oracles import (
     dyadic_distribution,
+    normalize,
     random_connected_graph,
     sinkhorn_checked,
     sinkhorn_log_domain,
@@ -275,10 +276,10 @@ class TestSinkhornPlan:
         net, cm = tree30
         rng = np.random.default_rng(2)
         for case in range(100):
-            p = tp.normalize(
+            p = normalize(
                 dyadic_distribution(rng, net.node_count,
                                     support=int(rng.integers(2, 8))) + 0.0)
-            q = tp.normalize(
+            q = normalize(
                 dyadic_distribution(rng, net.node_count,
                                     support=int(rng.integers(2, 8))) + 0.0)
             trace: list[tuple[float, float]] = []
@@ -370,8 +371,8 @@ class TestGradient:
             params = sk.SinkhornParams(lam=0.5 * cm.diameter,
                                        max_iters=100_000,
                                        convergence_tol=1e-12)
-            p = tp.normalize(rng.uniform(0.05, 1.0, size=n))
-            q = tp.normalize(rng.uniform(0.05, 1.0, size=n))
+            p = normalize(rng.uniform(0.05, 1.0, size=n))
+            q = normalize(rng.uniform(0.05, 1.0, size=n))
             analytic = sk.ntd_loss_grad(p, q, cm, params)
             h = 1e-5
             fd = np.zeros(n)
@@ -381,8 +382,8 @@ class TestGradient:
                 down = p.copy()
                 down[i] -= h
                 fd[i] = (
-                    sk.ntd_loss(tp.normalize(up), q, cm, params)
-                    - sk.ntd_loss(tp.normalize(down), q, cm, params)
+                    sk.ntd_loss(normalize(up), q, cm, params)
+                    - sk.ntd_loss(normalize(down), q, cm, params)
                 ) / (2 * h)
             fd -= fd.mean()
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
@@ -391,8 +392,8 @@ class TestGradient:
     def test_centered_to_zero_sum(self, tree30):
         net, cm = tree30
         rng = np.random.default_rng(8)
-        p = tp.normalize(rng.uniform(0.05, 1.0, size=net.node_count))
-        q = tp.normalize(rng.uniform(0.05, 1.0, size=net.node_count))
+        p = normalize(rng.uniform(0.05, 1.0, size=net.node_count))
+        q = normalize(rng.uniform(0.05, 1.0, size=net.node_count))
         grad = sk.ntd_loss_grad(p, q, cm, _params(cm, 0.5, convergence_tol=1e-12))
         assert abs(grad.sum()) < 1e-9
 
@@ -400,8 +401,8 @@ class TestGradient:
         # duals are defined up to a shared constant; centering removes it
         net, cm = tree30
         rng = np.random.default_rng(9)
-        p = tp.normalize(rng.uniform(0.05, 1.0, size=net.node_count))
-        q = tp.normalize(rng.uniform(0.05, 1.0, size=net.node_count))
+        p = normalize(rng.uniform(0.05, 1.0, size=net.node_count))
+        q = normalize(rng.uniform(0.05, 1.0, size=net.node_count))
         params = _params(cm, 0.5, convergence_tol=1e-12)
         res = sk.sinkhorn_plan(p, q, cm, params)
         grad = sk.ntd_loss_grad(p, q, cm, params)
@@ -411,8 +412,8 @@ class TestGradient:
     def test_requires_convergence(self, tree30):
         net, cm = tree30
         rng = np.random.default_rng(10)
-        p = tp.normalize(rng.uniform(0.05, 1.0, size=net.node_count))
-        q = tp.normalize(rng.uniform(0.05, 1.0, size=net.node_count))
+        p = normalize(rng.uniform(0.05, 1.0, size=net.node_count))
+        q = normalize(rng.uniform(0.05, 1.0, size=net.node_count))
         with pytest.raises(RuntimeError, match="converged"):
             sk.ntd_loss_grad(p, q, cm,
                              sk.SinkhornParams(lam=0.01 * cm.diameter,
