@@ -267,7 +267,8 @@ def tournament(config_path, out, jobs):
     try:
         table = evalkit.run_tournament(**config, jobs=max(1, jobs))
     except ConfigError as exc:
-        raise _fail_usage(str(exc))
+        # run_tournament's messages start with the config key they check.
+        raise _fail_usage(f"config.{exc}")
     except (DataError, RuntimeError, ValueError) as exc:
         raise _fail_data(str(exc))
     paths = evalkit.write_tournament_reports(table, out)

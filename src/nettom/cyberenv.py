@@ -622,6 +622,12 @@ def _line_error(path, lineno: int, exc: Exception) -> ValueError:
     return ValueError(f"{path}:{lineno}: {why}")
 
 
+def _json_list(v, what: str) -> list:
+    if type(v) is not list:
+        raise ValueError(f"{what} must be a list, got {v!r}")
+    return v
+
+
 def _node(v, n: int) -> int:
     if type(v) is not int or not 0 <= v < n:
         raise ValueError(f"node {v!r} outside [0, {n})")
@@ -640,13 +646,15 @@ def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
 def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     """Decode a file written by ``trajectory_to_jsonl`` into the trajectory
     that was encoded, field for field. The header's edges must be ``[i, j]``
-    pairs with ``i < j`` in ascending order, each listed once; ``seed`` an
-    integer, ``final_step`` non-negative, ``hvns`` three distinct nodes, the
-    winner one the game writes, the target null or a node, and
-    ``total_blue_reward`` a finite number. Step line ``k`` must have ``t ==
-    k`` and both actions, the terminal line neither, and every changed
-    vulnerability a finite float. Malformed content raises ``ValueError``
-    naming the file and line."""
+    pairs with ``i < j`` in ascending order, each listed once; the episode,
+    network and agent ids strings, ``seed`` an integer, ``final_step``
+    non-negative, ``hvns`` three distinct nodes, ``entries`` a non-empty list
+    of distinct nodes, the winner one the game writes, the target null or a
+    node, and ``total_blue_reward`` a finite number. Step line ``k`` must
+    have ``t == k`` and both actions, the terminal line neither, ``changed``
+    and red's ``hits`` lists, and every changed vulnerability a finite
+    float. Malformed content raises ``ValueError`` naming the file and
+    line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = _json_object(path, 1, lines[0] if lines else "")
@@ -655,7 +663,14 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
         raise ValueError(f"{path}: unsupported trajectory schema {version!r}")
     try:
         n = json_int(header["node_count"], "node_count")
-        edges = tuple((_node(i, n), _node(j, n)) for i, j in header["edges"])
+        for key, value in (("episode_id", header["episode_id"]),
+                           ("network", header["network"]),
+                           ("agents.blue", header["agents"]["blue"]),
+                           ("agents.red", header["agents"]["red"])):
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
+        edges = tuple((_node(i, n), _node(j, n))
+                      for i, j in _json_list(header["edges"], "edges"))
         if any(i >= j for i, j in edges) or edges != tuple(sorted(set(edges))):
             raise ValueError("edges are not [i, j] pairs with i < j, ascending, "
                              "each once")
@@ -672,6 +687,11 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
         final_step = json_int(header["final_step"], "final_step")
         if final_step < 0:
             raise ValueError(f"final_step {final_step} is negative")
+        entries = header["entries"]
+        if (type(entries) is not list or not entries
+                or len({_node(v, n) for v in entries}) != len(entries)):
+            raise ValueError(f"entries {entries!r} are not a non-empty list of "
+                             "distinct nodes")
         traj = EpisodeTrajectory(
             episode_id=header["episode_id"],
             network=header["network"],
@@ -682,7 +702,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
             target_node=None if target is None else _node(target, n),
             final_step=final_step,
             hvns=hvns,
-            entries=tuple(_node(v, n) for v in header["entries"]),
+            entries=tuple(entries),
             edges=edges,
             total_blue_reward=float(reward),
         )
@@ -696,7 +716,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     for lineno, line in enumerate(lines[1:], 2):
         rec = _json_object(path, lineno, line)
         try:
-            changed = rec["changed"]
+            changed = _json_list(rec["changed"], "changed")
             for v, x, f in changed:
                 nodes.append(_node(v, n))
                 if type(x) is not float:
@@ -722,7 +742,8 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                 t=t,
                 blue_action=_action_from_json(BlueAction, BLUE_ACTION_KINDS, blue, n),
                 red_action=_action_from_json(RedAction, RED_ACTION_KINDS, red, n),
-                red_hits=() if red is None else tuple(_node(v, n) for v in red["hits"]),
+                red_hits=() if red is None else tuple(
+                    _node(v, n) for v in _json_list(red["hits"], "hits")),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise _line_error(path, lineno, exc) from None

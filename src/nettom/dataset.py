@@ -18,6 +18,7 @@ same config reproduces every file byte for byte.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,11 +112,12 @@ class DatasetConfig:
     split_ratio: float = 0.75
 
     def __post_init__(self):
-        """Reject unpinned attackers, then the build's sizes and discounts."""
+        """Reject unpinned attackers, a bad game grid, then bad sizes and discounts."""
         for i, spec in enumerate(self.reds):
             if spec.params is None:
                 raise ConfigError(f"reds[{i}]: dataset attackers must be pinned "
                                   "members (give seed= and index=, or probs=)")
+        build_game_set(self.blues, self.reds, self.networks)
         check_build_numbers(self.n_c, self.n_p, self.n_past, self.past_k,
                             self.gammas, self.split_ratio)
 
@@ -141,27 +143,32 @@ def check_build_numbers(n_c, n_p, n_past, past_k, gammas, split_ratio) -> None:
 
 
 def build_game_set(blues, reds, networks, master_seed: int = 0) -> list[GameConfig]:
-    """Full Cartesian product of defenders x attackers x topologies, in
-    stable lexicographic order (blues outermost, networks innermost)."""
-    blues = list(blues)
-    reds = list(reds)
-    networks = list(networks)
-    if not blues or not reds or not networks:
-        raise ConfigError("every game factor set must be non-empty")
-    games = []
-    idx = 0
-    for blue in blues:
-        for red in reds:
-            for network in networks:
-                games.append(GameConfig(
-                    game_id=f"g{idx:05d}",
-                    blue=blue,
-                    red=red,
-                    network=network,
-                    base_seed=derive_seed(master_seed, "game", idx),
-                ))
-                idx += 1
-    return games
+    """The game grid: every defender x attacker x topology, in stable
+    lexicographic order (blues outermost, networks innermost).
+
+    Each factor must be non-empty and name each member once, a blue by its
+    policy, a red by its ``policy_id`` and a network by its topology; every
+    blue and network must be known. Messages start with the factor."""
+    blues, reds, networks = list(blues), list(reds), list(networks)
+    for factor, members, identity in (
+            ("blues", blues, lambda blue: make_blue(blue).policy_id),
+            ("reds", reds, lambda red: red.policy_id),
+            ("networks", networks, lambda network: topology(network)[0].name)):
+        if not members:
+            raise ConfigError(f"{factor}: must be non-empty")
+        seen: set[str] = set()
+        for i, member in enumerate(members):
+            try:
+                key = identity(member)
+            except ConfigError as exc:
+                raise ConfigError(f"{factor}[{i}]: {exc}") from None
+            if key in seen:
+                raise ConfigError(f"{factor}: {key!r} is repeated")
+            seen.add(key)
+    return [GameConfig(game_id=f"g{idx:05d}", blue=blue, red=red, network=network,
+                       base_seed=derive_seed(master_seed, "game", idx))
+            for idx, (blue, red, network) in enumerate(
+                itertools.product(blues, reds, networks))]
 
 
 def _episode_jobs(game: GameConfig, n_c: int, n_p: int):
@@ -540,6 +547,11 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
                 or type(game["base_seed"]) is not int):
             raise ValueError(f"games[{game_id!r}] must hold string blue, red and network "
                              f"and integer base_seed, got {game!r}")
+    for k, entry in enumerate(obj["excluded"]):
+        if (not isinstance(entry, dict) or set(entry) != {"episode", "reason"}
+                or not all(isinstance(v, str) for v in entry.values())):
+            raise ValueError(f"excluded[{k}] must hold string episode and reason, "
+                             f"got {entry!r}")
     for key in ("master_seed", "n_c", "n_p", "n_past", "past_k"):
         json_int(obj[key], key)
     gammas = number_vector(obj["gammas"], "gammas")
@@ -564,15 +576,18 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
             raise ValueError(f"red_split[{red!r}] must be 'train' or 'val', "
                              f"got {side!r}")
     # Every sample is its own current episode, and no episode is named twice:
-    # no sample id repeats, and no past episode leaks between samples.
+    # no sample id repeats, no past episode leaks between samples, and no
+    # excluded current episode is also a sample's.
+    named = [(f"samples[{i}].{where}", episode_id) for i, s in enumerate(samples)
+             for where, episode_id in [("sample_id", s.sample_id)] + [
+                 (f"past[{k}].episode_id", ref.episode_id) for k, ref in enumerate(s.past)]]
+    named += [(f"excluded[{k}].episode", e["episode"])
+              for k, e in enumerate(obj["excluded"])]
     seen: set[str] = set()
-    for i, s in enumerate(samples):
-        for where, episode_id in [("sample_id", s.sample_id)] + [
-                (f"past[{k}].episode_id", ref.episode_id) for k, ref in enumerate(s.past)]:
-            if episode_id in seen:
-                raise ValueError(f"samples[{i}].{where} {episode_id!r} is already "
-                                 "a current or past episode")
-            seen.add(episode_id)
+    for where, episode_id in named:
+        if episode_id in seen:
+            raise ValueError(f"{where} {episode_id!r} is already a current or past episode")
+        seen.add(episode_id)
     return DatasetManifest(
         schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .cyberenv import BLUE_WIN
-from .dataset import DatasetManifest, ToMSample, gamma_key, map_jobs, run_episode
+from .dataset import (DatasetManifest, ToMSample, build_game_set, gamma_key, map_jobs,
+                      run_episode)
 from .errors import ConfigError, DataError
 from .graph_core import entry_candidates, number_vector, topology
 from .seeding import derive_seed
@@ -86,42 +87,28 @@ def run_tournament(blues, reds, networks, episodes_per_cell: int, seed: int,
     Attacker specs naming only a species draw a fresh member per episode,
     so a cell's numbers describe the species, not one lucky draw.
     """
-    blues = list(blues)
-    reds = list(reds)
-    networks = list(networks)
-    if not blues or not reds or not networks:
-        raise ConfigError("tournament needs non-empty blue, red and network sets")
+    games = build_game_set(blues, reds, networks)
     if episodes_per_cell < 1:
-        raise ConfigError("episodes_per_cell must be >= 1")
-    for network in networks:
-        net, _ = topology(network)
+        raise ConfigError(f"episodes_per_cell: must be >= 1, got {episodes_per_cell}")
+    for network in dict.fromkeys(game.network for game in games):
         try:
-            entry_candidates(net, entry_count)
+            entry_candidates(topology(network)[0], entry_count)
         except ValueError as exc:
-            raise ConfigError(f"entry_count={entry_count}: {exc}") from None
+            raise ConfigError(f"entry_count: {exc}") from None
 
-    tasks = []
-    cell_keys = []
-    for blue in blues:
-        for red in reds:
-            for network in networks:
-                cell_keys.append((blue, red.policy_id, network))
-                tasks.extend(
-                    (network, blue, red,
-                     derive_seed(seed, "tournament", blue, red.policy_id,
-                                 network, e),
-                     entry_count)
-                    for e in range(episodes_per_cell)
-                )
+    tasks = [(g.network, g.blue, g.red,
+              derive_seed(seed, "tournament", g.blue, g.red.policy_id, g.network, e),
+              entry_count)
+             for g in games for e in range(episodes_per_cell)]
     results = map_jobs(_tournament_episode, tasks, jobs)
 
     cells = []
-    for i, (blue, red_id, network) in enumerate(cell_keys):
+    for i, game in enumerate(games):
         rows = results[i * episodes_per_cell:(i + 1) * episodes_per_cell]
         cells.append(CellStats(
-            blue=blue,
-            red=red_id,
-            network=network,
+            blue=game.blue,
+            red=game.red.policy_id,
+            network=game.network,
             episodes=len(rows),
             mean_reward=float(np.mean([r[0] for r in rows])),
             win_rate=float(np.mean([1.0 if r[1] else 0.0 for r in rows])),

@@ -236,11 +236,18 @@ class TestTournamentCommand:
          "seed='x' is not a valid int"),
         ({"reds": ["red.hvt_pref_sp:alpha=inf"]},
          "config.reds[0]: alpha must be positive and finite"),
-        ({"entry_count": 0}, "entry_count=0: count must be >= 1"),
-        ({"entry_count": 9}, "entry_count=9: cannot pick 9 entry nodes on tree30"),
+        ({"entry_count": 0}, "config.entry_count: count must be >= 1"),
+        ({"entry_count": 9}, "config.entry_count: cannot pick 9 entry nodes on tree30"),
         ({"schema_version": 2}, "config.schema_version: must be 1, got 2"),
         ({"reds": {"kind": "hvt_pref_sp", "seed": 5}},
          "config.reds.count: required field is missing"),
+        ({"blues": ["blue.nope"]}, "config.blues[0]: unknown blue policy 'blue.nope'"),
+        ({"networks": ["ring9"]}, "config.networks[0]: unknown topology 'ring9'"),
+        ({"blues": []}, "config.blues: must be non-empty"),
+        ({"blues": ["blue.msn_d", "blue.msn_d"]}, "config.blues: 'blue.msn_d' is repeated"),
+        ({"reds": ["red.hvt_pref_sp:alpha=0.01,seed=1"] * 2},
+         "config.reds: 'red.hvt_pref_sp:alpha=0.01,seed=1' is repeated"),
+        ({"networks": ["tree30", "tree30"]}, "config.networks: 'tree30' is repeated"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         config = {"schema_version": 1, "blues": ["blue.msn_d"],
@@ -253,6 +260,8 @@ class TestTournamentCommand:
                                       "--out", str(tmp_path / "rep")])
         assert result.exit_code == 2, result.output
         assert message in result.output
+        *_, error = result.output.strip().splitlines()
+        assert error.startswith("Error: ") and message in error, result.output
         assert not (tmp_path / "rep").exists()
 
 
@@ -337,6 +346,13 @@ class TestDatasetCommand:
          "config.holdout_reds needs a single red kind"),
         ({"gammas": []}, "config.gammas: must be non-empty"),
         ({"gammas": [0.5, 0.5]}, "config.gammas: 0.5 is repeated"),
+        ({"blues": ["blue.nope"]}, "config.blues[0]: unknown blue policy 'blue.nope'"),
+        ({"networks": ["ring9"]}, "config.networks[0]: unknown topology 'ring9'"),
+        ({"blues": []}, "config.blues: must be non-empty"),
+        ({"blues": ["blue.msn_d", "blue.msn_d"]}, "config.blues: 'blue.msn_d' is repeated"),
+        ({"reds": ["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"] * 2},
+         "config.reds: 'red.hvt_pref_sp:alpha=0.01,seed=5,index=0' is repeated"),
+        ({"networks": ["tree30", "tree30"]}, "config.networks: 'tree30' is repeated"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
@@ -347,6 +363,8 @@ class TestDatasetCommand:
                                       "--out", str(tmp_path / "data")])
         assert result.exit_code == 2, result.output
         assert message in result.output
+        *_, error = result.output.strip().splitlines()
+        assert error.startswith("Error: ") and message in error, result.output
         assert not (tmp_path / "data").exists()
 
 
@@ -490,6 +508,11 @@ def _reuse_episode(source):
     return edit
 
 
+def _exclude_first_sample(obj):
+    obj["excluded"] = [{"episode": obj["samples"][0]["sample_id"], "reason": "blue_win"}]
+    return obj
+
+
 # Every case reaches `nettom score` through a 2-game tree30 build.
 MALFORMED_MANIFESTS = {
     "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
@@ -575,6 +598,10 @@ MALFORMED_MANIFESTS = {
                        "red_split must be an object, got []"),
     "excluded_object": (_edit_manifest(("excluded",), {}),
                         "excluded must be a list, got {}"),
+    "excluded_not_objects": (_edit_manifest(("excluded",), [1, None]),
+                             "excluded[0] must hold string episode and reason, got 1"),
+    "excluded_is_sample": (_exclude_first_sample,
+                           "excluded[0].episode 'g00000-c0' is already"),
     "past_shared": (_reuse_episode(lambda samples: samples[0]["past"][0]["episode_id"]),
                     "samples[1].past[0].episode_id 'g00000-c0-p0' is already"),
     "past_is_current": (_reuse_episode(lambda samples: samples[0]["sample_id"]),

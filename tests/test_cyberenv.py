@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nettom import agents as ag
 from nettom import cyberenv as ce
@@ -711,7 +712,38 @@ MALFORMED_TRAJECTORIES = {
                        "node 30 outside [0, 30)"),
     "unknown_kind": (_set(3, ("red_action", "kind"), "fly"), 3,
                      "unknown action kind 'fly'"),
+    "episode_id_int": (_set(1, ("episode_id",), 5), 1, "episode_id must be a string, got 5"),
+    "network_null": (_set(1, ("network",), None), 1, "network must be a string, got None"),
+    "agents_blue_list": (_set(1, ("agents", "blue"), [1]), 1,
+                         "agents.blue must be a string, got [1]"),
+    "agents_red_int": (_set(1, ("agents", "red"), 3), 1, "agents.red must be a string, got 3"),
+    "edges_object": (_set(1, ("edges",), {}), 1, "edges must be a list, got {}"),
+    "entries_empty": (_set(1, ("entries",), []), 1,
+                      "entries [] are not a non-empty list of distinct nodes"),
+    "entries_object": (_set(1, ("entries",), {}), 1,
+                       "entries {} are not a non-empty list of distinct nodes"),
+    "entries_repeated": (_set(1, ("entries",), [0, 0]), 1,
+                         "entries [0, 0] are not a non-empty list of distinct nodes"),
+    "changed_object": (_set(3, ("changed",), {}), 3, "changed must be a list, got {}"),
+    "changed_string": (_set(3, ("changed",), ""), 3, "changed must be a list, got ''"),
+    "hits_object": (_set(3, ("red_action", "hits"), {}), 3, "hits must be a list, got {}"),
+    "hits_string": (_set(3, ("red_action", "hits"), ""), 3, "hits must be a list, got ''"),
 }
+
+
+# Values the fuzz writes at one JSON path of a file: every JSON type, small
+# and extreme numbers, and the non-finite floats that json writes.
+FUZZ_VALUES = (None, True, False, "", "x", "0", 0, -1, 1, 2, 1.5, 1e308, -1e308,
+               float("nan"), float("inf"), float("-inf"), [], [0], [[1]], [0, 0], {},
+               {"a": 1})
+
+
+def _json_paths(obj, path=()):
+    """Every path into ``obj``, the root ``()`` included."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _json_paths(value, path + (key,))
 
 
 def _nan_vulnerability(traj):
@@ -783,6 +815,35 @@ class TestTrajectoryFile:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: unsupported trajectory schema {version!r}")):
             ce.read_trajectory(path)
+
+    @pytest.fixture(scope="class")
+    def line_paths(self, lines):
+        return [list(_json_paths(json.loads(line))) for line in lines]
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_fuzzed_file_raises_only_value_error(self, lines, line_paths, fuzz_dir,
+                                                data):
+        # Half the examples edit the header, half one step line.
+        k = data.draw(st.one_of(st.just(0), st.integers(1, len(lines) - 1)), label="line")
+        path = data.draw(st.sampled_from(line_paths[k]), label="path")
+        value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+        if path:
+            obj = parent = json.loads(lines[k])
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            value = obj
+        file = self._write(fuzz_dir, lines[:k] + [json.dumps(value)] + lines[k + 1:])
+        try:
+            ce.read_trajectory(file)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(f"{file}:") and "\n" not in message, message
 
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, [])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,20 +41,33 @@ class TestGameSet:
         assert len(games) == 1000
 
     def test_lexicographic_product(self):
-        blues = ["blue.a_first", "blue.b_second"]
+        blues = ["blue.isolate", "blue.msn_d"]
         reds = _members(3)
-        nets = ["n1", "n2", "n3", "n4"]
+        nets = ["tree30", "tree40", "tree50", "tree70"]
         games = ds.build_game_set(blues, reds, nets)
         assert len(games) == 24
-        assert games[0].blue == "blue.a_first"
-        assert games[0].network == "n1"
-        assert games[1].network == "n2"
+        assert games[0].blue == "blue.isolate"
+        assert games[0].network == "tree30"
+        assert games[1].network == "tree40"
         assert games[4].red.policy_id == reds[1].policy_id
         assert [g.game_id for g in games] == [f"g{i:05d}" for i in range(24)]
 
     def test_empty_factor_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
             ds.build_game_set(["blue.msn_d"], [], ["tree30"])
+
+    @pytest.mark.parametrize("blues, red_copies, networks, message", [
+        (["blue.msn_d", "msn_d"], 1, ["tree30"], "blues: 'blue.msn_d' is repeated"),
+        (["blue.msn_d"], 2, ["tree30"],
+         "reds: 'red.hvt_pref_sp:alpha=0.01,seed=5,index=0' is repeated"),
+        (["blue.msn_d"], 1, ["tree30", "TREE30"], "networks: 'tree30' is repeated"),
+        (["blue.msn_d", "blue.nope"], 1, ["tree30"],
+         "blues[1]: unknown blue policy 'blue.nope'"),
+        (["blue.msn_d"], 1, ["ring9"], "networks[0]: unknown topology 'ring9'"),
+    ])
+    def test_bad_factor_rejected(self, blues, red_copies, networks, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ds.build_game_set(blues, _members(1) * red_copies, networks)
 
 
 class TestEpisodeGeneration:

@@ -82,6 +82,17 @@ class TestTournament:
         with pytest.raises(ConfigError, match="non-empty"):
             ek.run_tournament([], [], ["tree30"], 1, 0)
 
+    def test_repeated_factors_rejected(self):
+        # Each repeat would replay the same seeded episodes as another cell.
+        reds = [ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,seed=5")]
+        for blues, networks, message in (
+                (["blue.msn_d"] * 2, ["tree30"], "blues: 'blue.msn_d' is repeated"),
+                (["blue.msn_d"], ["tree30"] * 2, "networks: 'tree30' is repeated")):
+            with pytest.raises(ConfigError, match=message):
+                ek.run_tournament(blues, reds, networks, 2, 1)
+        with pytest.raises(ConfigError, match="reds: .* is repeated"):
+            ek.run_tournament(["blue.msn_d"], reds * 2, ["tree30"], 2, 1)
+
     def test_deterministic_and_parallel_equivalent(self):
         reds = [ag.parse_red_id("red.random_smart:alpha=0.01,seed=1")]
         kwargs = dict(episodes_per_cell=4, seed=99)
