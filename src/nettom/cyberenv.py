@@ -37,12 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .graph_core import (
+    TOPOLOGIES,
     CostMatrix,
     Network,
     all_pairs_shortest_paths,
     entry_candidates,
     json_int,
     place_high_value_nodes,
+    topology,
 )
 from .seeding import derive_seed, rng_for
 
@@ -79,7 +81,7 @@ OBSERVER_RED = "red"
 RED_WIN = "red_win"
 BLUE_WIN = "blue_win"
 
-TRAJECTORY_SCHEMA_VERSION = 2
+TRAJECTORY_SCHEMA_VERSION = 3
 
 # Per-node bits of ``EpisodeTrajectory.flags`` and of a step line's flags.
 FLAG_VISIBLE = 1  # compromised, seen by blue
@@ -422,7 +424,7 @@ class TrajectoryStep:
 class EpisodeTrajectory:
     """One played episode and, when recorded, its full state at every step.
 
-    ``edges`` lists the base edges as ``(i, j)``, ``i < j``, row-major.
+    Only an episode whose ``network`` is a ``TOPOLOGIES`` id can be written.
     ``steps`` holds final_step + 1 entries: one per acted step plus a
     terminal entry with no actions. Row ``t`` of ``vulnerability``
     (float64) and ``flags`` (uint8, ``FLAG_*`` bits), both of shape
@@ -443,7 +445,6 @@ class EpisodeTrajectory:
     final_step: int
     hvns: tuple[int, int, int]
     entries: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     total_blue_reward: float
     steps: list[TrajectoryStep] = field(default_factory=list)
     vulnerability: np.ndarray | None = None
@@ -454,13 +455,10 @@ class EpisodeTrajectory:
             return NotImplemented
         for f in fields(self):
             a, b = getattr(self, f.name), getattr(other, f.name)
-            if f.name in ("vulnerability", "flags"):
-                if a is None or b is None:
-                    if a is not b:
-                        return False
-                elif a.dtype != b.dtype or not np.array_equal(a, b):
+            if f.name in ("vulnerability", "flags") and a is not None and b is not None:
+                if a.dtype != b.dtype or not np.array_equal(a, b):
                     return False
-            elif a != b:
+            elif a is not b and (a is None or b is None or a != b):
                 return False
         return True
 
@@ -521,7 +519,6 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
         final_step=state.step,
         hvns=state.hvns,
         entries=state.entries,
-        edges=net.edges,
         total_blue_reward=total_reward,
         steps=steps,
     )
@@ -537,34 +534,41 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
 _FLAG_LIMIT = (FLAG_VISIBLE | FLAG_HIDDEN | FLAG_ISOLATED) + 1
 
 
-def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
-    """Encode a recorded episode as JSONL.
+def _shipped_network(name) -> Network:
+    """The shipped topology whose id is exactly ``name`` (``TREE30`` is none)."""
+    if name not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {name!r}; expected one of {TOPOLOGIES}")
+    return topology(name)[0]
 
-    The header holds the episode's facts and its static data once: the
-    node count and the base edge list ``traj.edges``. Each step line holds
-    ``t``, both actions, red's hits and ``changed``: a ``[node,
-    vulnerability, flags]`` triple for every node whose vulnerability or
-    flags differ from the previous step (step 0 is diffed against zeros):
-    the rows of ``traj.vulnerability`` and ``traj.flags``. A trajectory
-    without steps or arrays, with other than ``final_step + 1`` steps, or
-    with arrays not of shape ``(len(steps), node_count)`` or a non-finite
-    vulnerability raises ``ValueError`` naming the episode. Step lines are
-    written as ``json`` with sorted keys would write them.
-    """
+
+def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
+    """Encode a recorded episode as JSONL: a header of the episode's facts,
+    which names its topology and copies none of its graph, then per step
+    ``t``, both actions, red's hits and ``changed``, a ``[node,
+    vulnerability, flags]`` triple for every node whose row of
+    ``traj.vulnerability`` or ``traj.flags`` differs from the previous step
+    (step 0 lists every node). Missing steps or arrays, a network not in
+    ``TOPOLOGIES``, other than ``final_step + 1`` steps, arrays not of shape
+    ``(len(steps), node_count)`` or a non-finite vulnerability raise
+    ``ValueError`` naming the episode. Step lines are written as ``json``
+    with sorted keys would write them."""
     steps, vuln, flags = traj.steps, traj.vulnerability, traj.flags
-    if not steps:
-        raise ValueError(f"episode {traj.episode_id}: no recorded steps to encode")
-    if vuln is None or flags is None:
-        raise ValueError(f"episode {traj.episode_id}: no recorded state arrays to encode")
-    if len(steps) != traj.final_step + 1:
-        raise ValueError(f"episode {traj.episode_id}: {len(steps)} steps, expected "
-                         f"final_step + 1 = {traj.final_step + 1}")
-    if vuln.ndim != 2 or vuln.shape[0] != len(steps) or flags.shape != vuln.shape:
-        raise ValueError(f"episode {traj.episode_id}: state arrays of shapes "
-                         f"{vuln.shape} and {flags.shape}, expected "
-                         f"({len(steps)}, node_count)")
-    if not np.isfinite(vuln).all():
-        raise ValueError(f"episode {traj.episode_id}: a vulnerability is not finite")
+    try:
+        if not steps:
+            raise ValueError("no recorded steps to encode")
+        if vuln is None or flags is None:
+            raise ValueError("no recorded state arrays to encode")
+        shape = (len(steps), _shipped_network(traj.network).node_count)
+        if len(steps) != traj.final_step + 1:
+            raise ValueError(f"{len(steps)} steps, expected final_step + 1 = "
+                             f"{traj.final_step + 1}")
+        if vuln.shape != shape or flags.shape != shape:
+            raise ValueError(f"state arrays of shapes {vuln.shape} and {flags.shape}, "
+                             f"expected {shape}")
+        if not np.isfinite(vuln).all():
+            raise ValueError("a vulnerability is not finite")
+    except ValueError as exc:
+        raise ValueError(f"episode {traj.episode_id}: {exc}") from None
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
         "episode_id": traj.episode_id,
@@ -576,14 +580,10 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
         "hvns": list(traj.hvns),
         "entries": list(traj.entries),
         "total_blue_reward": traj.total_blue_reward,
-        "node_count": int(vuln.shape[1]),
-        "edges": [list(e) for e in traj.edges],
     }
-    prev_vuln = np.zeros_like(vuln)
-    prev_vuln[1:] = vuln[:-1]
-    prev_flags = np.zeros_like(flags)
-    prev_flags[1:] = flags[:-1]
-    rows, nodes = np.nonzero((vuln != prev_vuln) | (flags != prev_flags))
+    differs = np.ones(shape, dtype=bool)
+    differs[1:] = (vuln[1:] != vuln[:-1]) | (flags[1:] != flags[:-1])
+    rows, nodes = np.nonzero(differs)
     changed = [f"[{v},{x!r},{f}]" for v, x, f in zip(
         nodes.tolist(), vuln[rows, nodes].tolist(), flags[rows, nodes].tolist())]
     bounds = np.searchsorted(rows, np.arange(len(steps) + 1)).tolist()
@@ -645,16 +645,15 @@ def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
 
 def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     """Decode a file written by ``trajectory_to_jsonl`` into the trajectory
-    that was encoded, field for field. The header's edges must be ``[i, j]``
-    pairs with ``i < j`` in ascending order, each listed once; the episode,
-    network and agent ids strings, ``seed`` an integer, ``final_step``
-    non-negative, ``hvns`` three distinct nodes, ``entries`` a non-empty list
-    of distinct nodes, the winner one the game writes, the target null or a
-    node, and ``total_blue_reward`` a finite number. Step line ``k`` must
-    have ``t == k`` and both actions, the terminal line neither, ``changed``
-    and red's ``hits`` lists, and every changed vulnerability a finite
-    float. Malformed content raises ``ValueError`` naming the file and
-    line."""
+    that was encoded, field for field. The ids must be strings, ``network``
+    a ``TOPOLOGIES`` id, ``entries`` its first entry candidates, ``hvns``
+    three of its leaves that are not entries, ``seed`` an integer,
+    ``final_step`` non-negative, the winner one the game writes, the target
+    null or a node, and ``total_blue_reward`` a finite number. Step line
+    ``k`` must have ``t == k`` and both actions, the terminal line neither,
+    ``changed`` and red's ``hits`` lists, and every changed vulnerability a
+    finite float; step 0 changes every node, in ascending order. Malformed
+    content raises ``ValueError`` naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = _json_object(path, 1, lines[0] if lines else "")
@@ -662,21 +661,14 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     if version != TRAJECTORY_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported trajectory schema {version!r}")
     try:
-        n = json_int(header["node_count"], "node_count")
         for key, value in (("episode_id", header["episode_id"]),
                            ("network", header["network"]),
                            ("agents.blue", header["agents"]["blue"]),
                            ("agents.red", header["agents"]["red"])):
             if not isinstance(value, str):
                 raise ValueError(f"{key} must be a string, got {value!r}")
-        edges = tuple((_node(i, n), _node(j, n))
-                      for i, j in _json_list(header["edges"], "edges"))
-        if any(i >= j for i, j in edges) or edges != tuple(sorted(set(edges))):
-            raise ValueError("edges are not [i, j] pairs with i < j, ascending, "
-                             "each once")
-        hvns = tuple(_node(v, n) for v in header["hvns"])
-        if len(hvns) != 3 or len(set(hvns)) != 3:
-            raise ValueError(f"hvns {list(hvns)} are not three distinct nodes")
+        net = _shipped_network(header["network"])
+        n = net.node_count
         winner = header["outcome"]["winner"]
         if winner not in (RED_WIN, BLUE_WIN):
             raise ValueError(f"unknown winner {winner!r}")
@@ -688,10 +680,14 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
         if final_step < 0:
             raise ValueError(f"final_step {final_step} is negative")
         entries = header["entries"]
-        if (type(entries) is not list or not entries
-                or len({_node(v, n) for v in entries}) != len(entries)):
-            raise ValueError(f"entries {entries!r} are not a non-empty list of "
-                             "distinct nodes")
+        if type(entries) is not list or not entries or tuple(
+                _node(v, n) for v in entries) != entry_candidates(net, len(entries)):
+            raise ValueError(f"entries {entries!r} are not a non-empty list of distinct "
+                             f"nodes, the first of {net.name}'s entry candidates")
+        hvns = tuple(_node(v, n) for v in header["hvns"])
+        if len(hvns) != 3 or len(set(hvns) & (net.leaf_set - set(entries))) != 3:
+            raise ValueError(f"hvns {list(hvns)} are not three distinct nodes among "
+                             f"{net.name}'s leaves other than the entries")
         traj = EpisodeTrajectory(
             episode_id=header["episode_id"],
             network=header["network"],
@@ -703,7 +699,6 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
             final_step=final_step,
             hvns=hvns,
             entries=tuple(entries),
-            edges=edges,
             total_blue_reward=float(reward),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -728,6 +723,8 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                     raise ValueError(f"flags {f!r} is not an integer in "
                                      f"[0, {_FLAG_LIMIT})")
                 flags.append(f)
+            if lineno == 2 and nodes != list(range(n)):
+                raise ValueError(f"step 0 does not change nodes 0..{n - 1} in order")
             counts.append(len(changed))
             t = json_int(rec["t"], "t")
             if t != len(traj.steps):

@@ -43,7 +43,7 @@ from nettom.cyberenv import (
     OBSERVER_RED,
     StateObservation,
 )
-from nettom.graph_core import _hops
+from nettom.graph_core import _hops, topology
 from nettom.sinkhorn import (
     _ABSORB_NORM_SQ,
     _CHECK_EVERY,
@@ -321,7 +321,8 @@ def _state_to_json_v1(vulnerability, flags, traj) -> dict:
         "isolated": isolated,
         "is_entry": [int(v in traj.entries) for v in nodes],
         "is_hvn": [int(v in traj.hvns) for v in nodes],
-        "edges": [[i, j] for i, j in traj.edges if not (isolated[i] or isolated[j])],
+        "edges": [[i, j] for i, j in topology(traj.network)[0].edges
+                  if not (isolated[i] or isolated[j])],
     }
 
 
@@ -336,8 +337,9 @@ def _action_to_json_v1(action, hits=None):
 
 def trajectory_to_jsonl_v1(traj) -> str:
     """An episode as schema-1 JSONL: the header, then every step's full
-    observation (all six per-node vectors and the live-edge list, the
-    episode's base edges between non-isolated nodes)."""
+    observation (all six per-node vectors and the live-edge list: the base
+    edges of the topology ``traj.network`` names, between non-isolated
+    nodes)."""
     header = {
         "schema_version": 1,
         "episode_id": traj.episode_id,

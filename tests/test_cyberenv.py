@@ -635,10 +635,6 @@ def _replace(line: int, value):
     return edit
 
 
-def _edges(change):
-    return lambda lines: change(lines[0]["edges"])
-
-
 def _header_only(final_step: int):
     def edit(lines):
         del lines[1:]
@@ -646,18 +642,34 @@ def _header_only(final_step: int):
     return edit
 
 
-_BAD_EDGES = "edges are not [i, j] pairs with i < j, ascending, each once"
+_STEP_0 = "step 0 does not change nodes 0..29 in order"
 
 # (edit of the decoded lines, line it names, message fragment); line 2 is
 # step 0, which lists every node of tree30, and line -1 the terminal line.
+# The episode has entries [5] and hvns [21, 7, 6]; tree30's entry
+# candidates are 5, 12, ..., and its leaves include 5-8 and 12-15. tree70
+# has the same first entry candidate, and 6-8 are leaves of both.
 MALFORMED_TRAJECTORIES = {
-    "header_missing_key": (_delete(1, "node_count"), 1, "missing key 'node_count'"),
+    "header_missing_key": (_delete(1, "total_blue_reward"), 1,
+                           "missing key 'total_blue_reward'"),
     "header_not_object": (_replace(1, [2]), 1, "not a JSON object"),
-    "edge_outside": (_set(1, ("edges", 0, 1), 30), 1, "node 30 outside [0, 30)"),
-    "edge_reversed": (_set(1, ("edges", 0), [4, 3]), 1, _BAD_EDGES),
-    "edge_self_loop": (_set(1, ("edges", 0), [4, 4]), 1, _BAD_EDGES),
-    "edges_repeated": (_edges(lambda e: e.insert(1, e[0])), 1, _BAD_EDGES),
-    "edges_descending": (_edges(lambda e: e.reverse()), 1, _BAD_EDGES),
+    "network_unknown": (_set(1, ("network",), "ring9"), 1, "unknown topology 'ring9'"),
+    "network_wrong_case": (_set(1, ("network",), "TREE30"), 1,
+                           "unknown topology 'TREE30'"),
+    "network_relabelled": (_set(1, ("network",), "forest72"), 1,
+                           "entries [5] are not a non-empty list of distinct nodes, "
+                           "the first of forest72's entry candidates"),
+    "network_relabelled_tree70": (
+        lambda lines: lines[0].update(network="tree70", hvns=[6, 7, 8]), 2,
+        "step 0 does not change nodes 0..69 in order"),
+    "entries_not_candidates": (_set(1, ("entries",), [12]), 1,
+                               "the first of tree30's entry candidates"),
+    "hvn_not_leaf": (_set(1, ("hvns", 0), 0), 1, "hvns [0, 7, 6] are not three "
+                     "distinct nodes among tree30's leaves other than the entries"),
+    "hvn_on_entry": (_set(1, ("hvns", 0), 5), 1, "hvns [5, 7, 6] are not three "
+                     "distinct nodes among tree30's leaves other than the entries"),
+    "step_0_node_missing": (lambda lines: lines[1]["changed"].pop(4), 2, _STEP_0),
+    "step_0_nodes_reversed": (lambda lines: lines[1]["changed"].reverse(), 2, _STEP_0),
     "hvn_negative": (_set(1, ("hvns", 0), -1), 1, "node -1 outside [0, 30)"),
     "hvns_one": (_set(1, ("hvns",), [1]), 1, "hvns [1] are not three distinct nodes"),
     "hvns_repeated": (_set(1, ("hvns",), [1, 1, 2]), 1,
@@ -717,7 +729,6 @@ MALFORMED_TRAJECTORIES = {
     "agents_blue_list": (_set(1, ("agents", "blue"), [1]), 1,
                          "agents.blue must be a string, got [1]"),
     "agents_red_int": (_set(1, ("agents", "red"), 3), 1, "agents.red must be a string, got 3"),
-    "edges_object": (_set(1, ("edges",), {}), 1, "edges must be a list, got {}"),
     "entries_empty": (_set(1, ("entries",), []), 1,
                       "entries [] are not a non-empty list of distinct nodes"),
     "entries_object": (_set(1, ("entries",), {}), 1,
@@ -731,11 +742,12 @@ MALFORMED_TRAJECTORIES = {
 }
 
 
-# Values the fuzz writes at one JSON path of a file: every JSON type, small
-# and extreme numbers, and the non-finite floats that json writes.
-FUZZ_VALUES = (None, True, False, "", "x", "0", 0, -1, 1, 2, 1.5, 1e308, -1e308,
-               float("nan"), float("inf"), float("-inf"), [], [0], [[1]], [0, 0], {},
-               {"a": 1})
+# Values the fuzz writes at one JSON path of a file: every JSON type, small,
+# large and extreme numbers (31 is one past tree30's last node), and the
+# non-finite floats that json writes.
+FUZZ_VALUES = (None, True, False, "", "x", "0", 0, -1, 1, 2, 31, 10**6, 2**62, 1.5,
+               1e308, -1e308, float("nan"), float("inf"), float("-inf"), [], [0],
+               [[1]], [0, 0], {}, {"a": 1})
 
 
 def _json_paths(obj, path=()):
@@ -763,6 +775,10 @@ INCONSISTENT_TRAJECTORIES = {
         "state arrays of shapes (3, 30) and (3, 30), expected ("),
     "flags_one_node_short": (lambda t: replace(t, flags=t.flags[:, :-1]),
                              "state arrays of shapes ("),
+    "arrays_one_node_short": (
+        lambda t: replace(t, vulnerability=t.vulnerability[:, :-1], flags=t.flags[:, :-1]),
+        "state arrays of shapes (38, 29) and (38, 29), expected (38, 30)"),
+    "network_unknown": (lambda t: replace(t, network="ring9"), "unknown topology 'ring9'"),
     "terminal_step_dropped": (
         lambda t: replace(t, steps=t.steps[:-1], vulnerability=t.vulnerability[:-1],
                           flags=t.flags[:-1]),
@@ -807,7 +823,7 @@ class TestTrajectoryFile:
                 f"{path}: {len(lines) - 2} step lines, expected final_step + 1")):
             ce.read_trajectory(path)
 
-    @pytest.mark.parametrize("version", [1, None, "2"])
+    @pytest.mark.parametrize("version", [1, pytest.param(2, id="schema_2"), None, "2"])
     def test_other_schema_rejected(self, lines, tmp_path, version):
         header = json.loads(lines[0])
         header["schema_version"] = version

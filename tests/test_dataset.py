@@ -26,7 +26,7 @@ def _fake_traj(final_step, hits_by_step, entries=(0,), outcome=ce.RED_WIN,
     return ce.EpisodeTrajectory(
         episode_id=episode_id, network="tree30", seed=0, blue_id="blue.sleep",
         red_id="red.x", outcome=outcome, target_node=None,
-        final_step=final_step, hvns=(5, 6, 7), entries=entries, edges=(),
+        final_step=final_step, hvns=(5, 6, 7), entries=entries,
         total_blue_reward=0.0, steps=steps,
     )
 

@@ -75,12 +75,12 @@ def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
     )
 
 
-EXPECTED_DATASET = "47595019d49472d88fb6569e50bcb5fd2607ee3a8e769f7da13b9c9737937c23"
+EXPECTED_DATASET = "a2895d4739564a4e3726fa2871bf60fed2fc694323b80d28b8604dac1164cdc1"
 EXPECTED_TOURNAMENT = {
     1: "8820f0b41aaff760e18ae75fe7693807531b4d74123aa21d3a81ed433dd14db6",
     3: "aded1ec7b652e934b4b576d09cf34be9e2fd4436ebe1983dd98003dba210849e",
 }
-EXPECTED_SIMULATE = "5de75f775ea8613c9fec18609c54e5bae472b4f58814e885c65ffbb601de7897"
+EXPECTED_SIMULATE = "fb6430f601b92a46a9bb35cfc52131229c44a2a239679f4dff6132774015d17b"
 # The dataset and simulate trees as trajectory schema 1 wrote them.
 EXPECTED_DATASET_V1 = "b610b88c3bbd774b78014d2587db6e4f088039ceed0c4a7b0fee773757bbfa03"
 EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
@@ -126,7 +126,7 @@ def test_dataset_build_fingerprint(tmp_path):
                          ids=["dataset", "simulate"])
 def test_episodes_read_back_as_schema_1(tmp_path, run, expected):
     """Episode files decoded and re-encoded in schema 1 reproduce the
-    digests schema 1 wrote, so the schema-2 files lose nothing."""
+    digests schema 1 wrote, so the schema-3 files lose nothing."""
     run(tmp_path)
     digests = _tree_digests(tmp_path)
     for rel in digests:
