@@ -9,6 +9,7 @@ below from the assertion diff and says so in its change notes.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,8 @@ EXPECTED_SIMULATE = "fb6430f601b92a46a9bb35cfc52131229c44a2a239679f4dff613277401
 EXPECTED_DATASET_V1 = "b610b88c3bbd774b78014d2587db6e4f088039ceed0c4a7b0fee773757bbfa03"
 EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "6f03b992c89bf2b9f4f2894166baa445f550b3d823f64eeb934a6395561a00b8"
+# `nettom score` run twice on the `_build` dataset, scoring `_predictions`.
+EXPECTED_SCORE = "af8507d8468be256915b0158575adcdcc5bd76d8485f4b75e1588d2dba895478"
 EXPECTED_PLANS = "572d5ddae2965b4c247d97cccc8d624a6aca1ae845b26ea4ad970ef2d4dda930"
 EXPECTED_SINKHORN = {
     "tree30": [0.522481981309285, -0.1212994193650917],
@@ -112,6 +115,56 @@ def _simulate(out: Path) -> None:
         "--out", str(out),
     ])
     assert result.exit_code == 0, result.output
+
+
+def _predictions(manifest: ds.DatasetManifest) -> str:
+    """Seeded predictions for every sample, built without any transcendental
+    function: each (sample, discount) vector is the truth, a 0.9/0.1 mix of
+    the truth and a dense vector, or a dense vector alone."""
+    lines = []
+    for i, s in enumerate(manifest.samples):
+        pred_hvn = [0.0, 0.0, 0.0]
+        pred_hvn[s.target_index] = 1.0
+        if i % 2:
+            pred_hvn = [0.25, 0.25, 0.25]
+            pred_hvn[i % 3] = 0.5
+        pred_sr = {}
+        for j, key in enumerate(ds.gamma_key(g) for g in manifest.gammas):
+            truth = np.asarray(s.truth_sr[key])
+            n = truth.size
+            dense = np.arange(n) % 7 + 1.0
+            other = (np.arange(n) * 5 + i) % 11 + 1.0
+            vec = [truth, 0.9 * truth + 0.1 * dense / dense.sum(),
+                   other / other.sum()][(i + j) % 3]
+            pred_sr[key] = [float(x) for x in vec]
+        lines.append(json.dumps({"sample_id": s.sample_id, "pred_hvn": pred_hvn,
+                                 "pred_sr": pred_sr}))
+    return "".join(f"{line}\n" for line in lines)
+
+
+def test_score_fingerprint(tmp_path, monkeypatch):
+    """`nettom score` with the hedging pass on tree30 at k = 4, then on a
+    discount subset: every report file, stdout and stderr."""
+    _build(tmp_path / "data")
+    manifest = ds.read_manifest(tmp_path / "data" / "manifest.json")
+    assert len(manifest.samples) == 6
+    (tmp_path / "preds.jsonl").write_text(_predictions(manifest), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for run, flags in (("default", []),
+                       ("subset", ["--gammas", "0.5", "--coefficients", "0,1",
+                                   "--kmeans-gamma", "0.95", "--kmeans-k", "2"])):
+        result = CliRunner().invoke(main, [
+            "score", "--predictions", "preds.jsonl",
+            "--manifest", str(Path("data") / "manifest.json"), "--out", run,
+        ] + flags)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / run / "hedging_histogram.csv").exists()
+        digests.update({f"{run}/{rel}": d
+                        for rel, d in _tree_digests(tmp_path / run).items()})
+        digests[f"{run}:stdout"] = _sha(result.stdout.encode())
+        digests[f"{run}:stderr"] = _sha(result.stderr.encode())
+    assert _combined(digests) == EXPECTED_SCORE
 
 
 def test_dataset_build_fingerprint(tmp_path):
