@@ -339,7 +339,8 @@ def dataset_cmd(config_path, out, jobs):
                    "(default: every discount in the manifest).")
 @click.option("--floor", type=float, default=evalkit.DEFAULT_FLOOR,
               show_default=True)
-@click.option("--kmeans-k", type=int, default=4, show_default=True)
+@click.option("--kmeans-k", type=int, default=evalkit.DEFAULT_KMEANS_K,
+              show_default=True, help="Clusters of the hedging pass (0: no pass).")
 @click.option("--kmeans-gamma", default=None,
               help="Discount stratum for the hedging pass (default: largest).")
 @click.option("--kmeans-network", default=None,
@@ -355,70 +356,17 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
     except ValueError:
         raise _fail_usage("--coefficients/--gammas: expected comma-separated "
                           "numbers")
-    for flag, values in (("--coefficients", coeffs),
-                         ("--gammas", gamma_set or ())):
-        repeated = [v for v in values if values.count(v) > 1]
-        if repeated:
-            raise _fail_usage(f"{flag}: {repeated[0]:g} is repeated")
     try:
-        # WeightingConfig owns these rules; its messages start with the field.
-        transport.WeightingConfig(features=(np.zeros(1),) * len(coeffs),
-                                  coefficients=coeffs, floor=floor)
-    except ValueError as exc:
-        raise _fail_usage(f"--{exc}")
-    try:
-        manifest = dataset.read_manifest(manifest_path)
-    except (OSError, ValueError, DataError) as exc:
-        raise _fail_data(f"cannot load manifest {manifest_path}: {exc}")
-    sample_networks = sorted({s.network for s in manifest.samples})
-    if kmeans_network is not None and kmeans_network not in sample_networks:
-        raise _fail_usage(f"--kmeans-network: no sample on {kmeans_network!r}; "
-                          f"samples span {', '.join(sample_networks)}")
-    gamma_keys = [dataset.gamma_key(g) for g in manifest.gammas]
-    if kmeans_gamma is not None and kmeans_gamma not in gamma_keys:
-        raise _fail_usage(f"--kmeans-gamma: {kmeans_gamma!r} is not a discount "
-                          f"of the manifest ({', '.join(gamma_keys)})")
-    unknown = [k for k in map(dataset.gamma_key, gamma_set or ())
-               if k not in gamma_keys]
-    if unknown:
-        raise _fail_usage(f"--gammas: {unknown[0]} is not a discount of the "
-                          f"manifest ({', '.join(gamma_keys)})")
-    try:
-        preds = evalkit.read_predictions(pred_path)
-        hvt = evalkit.score_hvt(preds, manifest)
-        sr = evalkit.score_sr(preds, manifest, coefficients=coeffs,
-                              floor=floor, gammas=gamma_set)
-    except (ConfigError, DataError) as exc:
+        hvt, sr, hedging, skipped = evalkit.score_predictions(
+            pred_path, manifest_path, coefficients=coeffs, floor=floor,
+            gammas=gamma_set, kmeans_k=kmeans_k, kmeans_gamma=kmeans_gamma,
+            kmeans_network=kmeans_network, seed=seed)
+    except ConfigError as exc:
+        raise _fail_usage(str(exc))
+    except DataError as exc:
         raise _fail_data(str(exc))
-
-    hedging = None
-    nets = sample_networks if kmeans_network is None else [kmeans_network]
-    if kmeans_k >= 1 and len(nets) > 1:
-        # Vectors over different topologies share no node space to cluster in.
-        click.echo(f"hedging pass skipped: samples span {', '.join(nets)}; "
-                   "choose one with --kmeans-network", err=True)
-    elif kmeans_k >= 1:
-        key = kmeans_gamma or dataset.gamma_key(max(manifest.gammas))
-        net = graph_core.topology(nets[0])[0]
-        vectors = []
-        for s in manifest.samples:
-            vec = preds[s.sample_id].pred_sr.get(key)
-            if vec is None or s.network != nets[0]:
-                continue
-            # Only the scored discounts were length-checked by score_sr.
-            if len(vec) != net.node_count:
-                raise _fail_data(
-                    f"sample {s.sample_id}: pred_sr[{key}] has {len(vec)} "
-                    f"entries, expected {net.node_count} for {nets[0]}")
-            vectors.append(vec)
-        if len(vectors) >= kmeans_k:
-            hedging = evalkit.hedging_clusters(
-                np.asarray(vectors, dtype=float), kmeans_k, seed,
-                branch_of=net.branch_of,
-            )
-        else:
-            click.echo(f"hedging pass skipped: {len(vectors)} vectors for "
-                       f"{kmeans_k} clusters", err=True)
+    if skipped is not None:
+        click.echo(f"hedging pass skipped: {skipped}", err=True)
     paths = evalkit.write_score_reports(out, hvt=hvt, sr=sr, hedging=hedging)
     click.echo(f"weighted_f1={hvt.weighted_f1:.4f}")
     for st in sr.stats():

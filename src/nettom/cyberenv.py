@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .graph_core import (
-    TOPOLOGIES,
     CostMatrix,
     Network,
     all_pairs_shortest_paths,
@@ -534,13 +533,6 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
 _FLAG_LIMIT = (FLAG_VISIBLE | FLAG_HIDDEN | FLAG_ISOLATED) + 1
 
 
-def _shipped_network(name) -> Network:
-    """The shipped topology whose id is exactly ``name`` (``TREE30`` is none)."""
-    if name not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {name!r}; expected one of {TOPOLOGIES}")
-    return topology(name)[0]
-
-
 def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
     """Encode a recorded episode as JSONL: a header of the episode's facts,
     which names its topology and copies none of its graph, then per step
@@ -558,7 +550,7 @@ def trajectory_to_jsonl(traj: EpisodeTrajectory) -> str:
             raise ValueError("no recorded steps to encode")
         if vuln is None or flags is None:
             raise ValueError("no recorded state arrays to encode")
-        shape = (len(steps), _shipped_network(traj.network).node_count)
+        shape = (len(steps), topology(traj.network)[0].node_count)
         if len(steps) != traj.final_step + 1:
             raise ValueError(f"{len(steps)} steps, expected final_step + 1 = "
                              f"{traj.final_step + 1}")
@@ -667,7 +659,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                            ("agents.red", header["agents"]["red"])):
             if not isinstance(value, str):
                 raise ValueError(f"{key} must be a string, got {value!r}")
-        net = _shipped_network(header["network"])
+        net = topology(header["network"])[0]
         n = net.node_count
         winner = header["outcome"]["winner"]
         if winner not in (RED_WIN, BLUE_WIN):

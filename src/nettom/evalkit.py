@@ -21,15 +21,16 @@ import numpy as np
 
 from .cyberenv import BLUE_WIN
 from .dataset import (DatasetManifest, ToMSample, build_game_set, gamma_key, map_jobs,
-                      run_episode)
+                      read_manifest, run_episode)
 from .errors import ConfigError, DataError
 from .graph_core import entry_candidates, number_vector, topology
 from .seeding import derive_seed
-from .transport import WeightingConfig, check_distribution, ntd_weighted
+from .transport import WeightingConfig, ntd_weighted
 
 DEFAULT_COEFFICIENTS = (-1.0, 0.0, 1.0)
 DEFAULT_FLOOR = 0.1
 DEFAULT_ENTRY_COUNT = 1
+DEFAULT_KMEANS_K = 4
 HEDGING_MAX_ITERS = 300  # Lloyd iterations per hedging run, at most
 
 
@@ -206,12 +207,23 @@ def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
 
 def _match(preds: dict[str, PredictionRecord], manifest: DatasetManifest
            ) -> list[tuple[ToMSample, PredictionRecord]]:
+    """Each sample with its prediction, whose ``pred_sr`` names only the
+    manifest's discounts, each by a vector as long as the sample's topology."""
     missing = [s.sample_id for s in manifest.samples if s.sample_id not in preds]
     if missing:
-        shown = ", ".join(missing[:10])
-        raise DataError(
-            f"{len(missing)} sample ids missing from predictions: {shown}"
-        )
+        raise DataError(f"{len(missing)} sample ids missing from predictions: "
+                        f"{', '.join(missing[:10])}")
+    known = {gamma_key(g) for g in manifest.gammas}
+    for s in manifest.samples:
+        n = topology(s.network)[0].node_count
+        for key, vec in preds[s.sample_id].pred_sr.items():
+            if key not in known:
+                raise DataError(f"sample {s.sample_id}: prediction provides gamma "
+                                f"{key} absent from the manifest")
+            if len(vec) != n:
+                raise DataError(f"sample {s.sample_id}: pred_sr[{key}] has {len(vec)} "
+                                f"entries: pred_sr has shape ({len(vec)},), expected ({n},) "
+                                f"for {s.network}")
     return [(s, preds[s.sample_id]) for s in manifest.samples]
 
 
@@ -327,22 +339,15 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
     vector constant, which the weight combiner maps to all-ones, so the
     neutral column equals the unweighted metric exactly.
 
-    Only the predictions are checked here: a manifest from ``build_dataset``
-    or ``read_manifest`` already holds each sample to its game's topology.
+    The manifest is trusted: ``build_dataset`` and ``read_manifest`` hold
+    each sample to its game's topology. ``_match`` holds the predictions to
+    the manifest, and ``read_predictions`` each vector to a distribution.
     """
     pairs = _match(preds, manifest)
-    gamma_keys = ([gamma_key(g) for g in gammas] if gammas is not None
-                  else [gamma_key(g) for g in manifest.gammas])
-    known = {gamma_key(g) for g in manifest.gammas}
+    gamma_keys = [gamma_key(g) for g in (manifest.gammas if gammas is None else gammas)]
     rows = []
     for sample, record in pairs:
-        for key in record.pred_sr:
-            if key not in known:
-                raise DataError(
-                    f"sample {sample.sample_id}: prediction provides gamma "
-                    f"{key} absent from the manifest"
-                )
-        net, cm = topology(sample.network)
+        cm = topology(sample.network)[1]
         remoteness = _sample_remoteness(sample)
         for key in gamma_keys:
             if key not in record.pred_sr:
@@ -356,10 +361,6 @@ def score_sr(preds: dict[str, PredictionRecord], manifest: DatasetManifest,
             total = pred.sum()
             if abs(total - 1.0) > 1e-9:
                 pred = pred / total
-            try:
-                pred = check_distribution(pred, net.node_count, "pred_sr")
-            except ValueError as exc:
-                raise DataError(f"sample {sample.sample_id} gamma {key}: {exc}") from None
             for coef in coefficients:
                 config = WeightingConfig(
                     features=(remoteness,), coefficients=(float(coef),),
@@ -392,9 +393,7 @@ class HedgingResult:
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [X[int(rng.integers(len(X)))]]
     for _ in range(1, k):
-        d2 = np.min(
-            [np.square(X - c).sum(axis=1) for c in centers], axis=0
-        )
+        d2 = np.min([np.square(X - c).sum(axis=1) for c in centers], axis=0)
         total = d2.sum()
         if total <= 0.0:
             centers.append(X[int(rng.integers(len(X)))])
@@ -441,17 +440,79 @@ def hedging_clusters(vectors: np.ndarray, k: int, seed: int,
             mass[branch] = mass.get(branch, 0.0) + centers[j][node]
         best = max(mass.values())
         labels.append(min(b for b, m in mass.items() if m == best))
-    return HedgingResult(
-        assignments=assignments,
-        centroids=centers,
-        histogram=histogram,
-        labels=labels,
-    )
+    return HedgingResult(assignments=assignments, centroids=centers,
+                         histogram=histogram, labels=labels)
 
 
 # ---------------------------------------------------------------------------
-# Report files
+# The scoring pipeline of ``nettom score`` and its report files
 # ---------------------------------------------------------------------------
+
+
+def score_predictions(pred_path: str | Path, manifest_path: str | Path,
+                      coefficients=DEFAULT_COEFFICIENTS, floor: float = DEFAULT_FLOOR,
+                      gammas=None, kmeans_k: int = DEFAULT_KMEANS_K,
+                      kmeans_gamma: str | None = None,
+                      kmeans_network: str | None = None, seed: int = 0):
+    """``(hvt, sr, hedging, skipped)`` for a predictions file scored against
+    a manifest: ``gammas`` (default: the manifest's) with each coefficient,
+    then the hedging pass over one topology's vectors of one discount (the
+    largest by default), or None with the reason in ``skipped``; ``kmeans_k``
+    0 runs no pass. A bad flag raises ``ConfigError`` (``nettom score`` exits
+    2), starting with the flag, and bad data ``DataError`` (exit 1). Every
+    flag is checked before any file is read, and against the manifest before
+    the predictions are read."""
+    for flag, values in (("--coefficients", coefficients), ("--gammas", gammas or ())):
+        repeated = [v for v in values if values.count(v) > 1]
+        if repeated:
+            raise ConfigError(f"{flag}: {repeated[0]:g} is repeated")
+    try:
+        # WeightingConfig owns these rules; its messages start with the field.
+        WeightingConfig(features=(np.zeros(1),) * len(coefficients),
+                        coefficients=coefficients, floor=floor)
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from None
+    if kmeans_k < 0:
+        raise ConfigError(f"--kmeans-k: must be >= 0, got {kmeans_k}")
+    try:
+        manifest = read_manifest(manifest_path)
+    except (OSError, ValueError, DataError) as exc:
+        raise DataError(f"cannot load manifest {manifest_path}: {exc}") from None
+    networks = sorted({s.network for s in manifest.samples})
+    if kmeans_network is not None and kmeans_network not in networks:
+        raise ConfigError(f"--kmeans-network: no sample on {kmeans_network!r}; "
+                          f"samples span {', '.join(networks)}")
+    keys = [gamma_key(g) for g in manifest.gammas]
+    if kmeans_gamma is not None and kmeans_gamma not in keys:
+        raise ConfigError(f"--kmeans-gamma: {kmeans_gamma!r} is not a discount "
+                          f"of the manifest ({', '.join(keys)})")
+    unknown = [k for k in map(gamma_key, gammas or ()) if k not in keys]
+    if unknown:
+        raise ConfigError(f"--gammas: {unknown[0]} is not a discount of the "
+                          f"manifest ({', '.join(keys)})")
+    try:
+        preds = read_predictions(pred_path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read predictions {pred_path}: {exc}") from None
+    hvt = score_hvt(preds, manifest)
+    sr = score_sr(preds, manifest, coefficients=coefficients, floor=floor,
+                  gammas=gammas)
+
+    if not kmeans_k:
+        return hvt, sr, None, None
+    if kmeans_network is None and len(networks) > 1:
+        # Vectors over different topologies share no node space to cluster in.
+        return hvt, sr, None, (f"samples span {', '.join(networks)}; "
+                               "choose one with --kmeans-network")
+    network = kmeans_network or networks[0]
+    key = kmeans_gamma or gamma_key(max(manifest.gammas))
+    vectors = [preds[s.sample_id].pred_sr[key] for s in manifest.samples
+               if s.network == network and key in preds[s.sample_id].pred_sr]
+    if len(vectors) < kmeans_k:
+        return hvt, sr, None, f"{len(vectors)} vectors for {kmeans_k} clusters"
+    hedging = hedging_clusters(np.asarray(vectors, dtype=float), kmeans_k, seed,
+                               branch_of=topology(network)[0].branch_of)
+    return hvt, sr, hedging, None
 
 
 def write_score_reports(out_dir: str | Path, hvt: HvtScore | None = None,
@@ -493,11 +554,8 @@ def write_score_reports(out_dir: str | Path, hvt: HvtScore | None = None,
             writer.writerow(["network", "gamma", "coefficient", "count",
                              "mean", "median", "q25", "q75"])
             for st in sr.stats():
-                writer.writerow([st["network"], st["gamma"], st["coefficient"],
-                                 st["count"], format(st["mean"], ".9g"),
-                                 format(st["median"], ".9g"),
-                                 format(st["q25"], ".9g"),
-                                 format(st["q75"], ".9g")])
+                writer.writerow([st["network"], st["gamma"], st["coefficient"], st["count"]]
+                                + [format(st[k], ".9g") for k in ("mean", "median", "q25", "q75")])
         written.append(path)
     if hedging is not None:
         path = out / "hedging_histogram.csv"

@@ -268,13 +268,13 @@ def _build_layered(name, core_edges, n_core, branch_sizes, branch_core):
 
 
 def generate_network(name: str) -> Network:
-    """Generate one of ``TOPOLOGIES``, each a fixed template."""
-    key = name.lower()
-    if key not in _TEMPLATES:
+    """Generate one of ``TOPOLOGIES``, each a fixed template named by its
+    exact id (``TREE30`` is none)."""
+    if name not in _TEMPLATES:
         raise ConfigError(
             f"unknown topology {name!r}; expected one of {', '.join(TOPOLOGIES)}"
         )
-    return _build_layered(key, *_TEMPLATES[key])
+    return _build_layered(name, *_TEMPLATES[name])
 
 
 def all_pairs_shortest_paths(net: Network) -> CostMatrix:

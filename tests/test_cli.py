@@ -129,6 +129,13 @@ class TestNetworkCommand:
         assert result.exit_code == 2
         assert "tree30" in result.output and "tree90" in result.output
 
+    def test_topology_id_is_exact(self, runner, tmp_path):
+        result = runner.invoke(main, ["network", "--topology", "TREE30",
+                                      "--out", str(tmp_path / "net")])
+        assert result.exit_code == 2, result.output
+        assert "Error: unknown topology 'TREE30'; expected one of tree30," in result.output
+        assert not (tmp_path / "net").exists()
+
 
 class TestSimulateCommand:
     def test_isolation_sweep(self, runner, tmp_path):
@@ -172,6 +179,16 @@ class TestSimulateCommand:
             "--episodes", "1", "--seed", "1", "--out", str(tmp_path),
         ])
         assert result.exit_code == 2
+
+    def test_topology_id_is_exact(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "simulate", "--blue", "blue.sleep", "--red",
+            "red.hvt_pref_sp:alpha=0.01,seed=1", "--network", "TREE30",
+            "--episodes", "1", "--seed", "1", "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "Error: unknown topology 'TREE30'" in result.output
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("red_id", [
         "red.hvt_pref_sp:alpha=abc",
@@ -248,6 +265,7 @@ class TestTournamentCommand:
         ({"reds": ["red.hvt_pref_sp:alpha=0.01,seed=1"] * 2},
          "config.reds: 'red.hvt_pref_sp:alpha=0.01,seed=1' is repeated"),
         ({"networks": ["tree30", "tree30"]}, "config.networks: 'tree30' is repeated"),
+        ({"networks": ["TREE30"]}, "config.networks[0]: unknown topology 'TREE30'"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         config = {"schema_version": 1, "blues": ["blue.msn_d"],
@@ -353,6 +371,7 @@ class TestDatasetCommand:
         ({"reds": ["red.hvt_pref_sp:alpha=0.01,seed=5,index=0"] * 2},
          "config.reds: 'red.hvt_pref_sp:alpha=0.01,seed=5,index=0' is repeated"),
         ({"networks": ["tree30", "tree30"]}, "config.networks: 'tree30' is repeated"),
+        ({"networks": ["TREE30"]}, "config.networks[0]: unknown topology 'TREE30'"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
@@ -826,6 +845,34 @@ class TestScoreCommand:
         assert f"sample {first['sample_id']}: pred_sr[0.95] has 2 entries" \
             in result.output
 
+    @pytest.mark.parametrize("flags", [["--kmeans-k", "0"], ["--kmeans-gamma", "0.5"]])
+    def test_wrong_length_unused_vector_exit_1(self, runner, tmp_path, built_manifest,
+                                               flags):
+        # Neither scored nor clustered, the 0.95 vector is still checked.
+        preds = tmp_path / "preds.jsonl"
+        _perfect_predictions(built_manifest, preds)
+        lines = preds.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["pred_sr"]["0.95"] = [1.0]
+        preds.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n",
+                         encoding="utf-8")
+        result = runner.invoke(main, [
+            "score", "--predictions", str(preds), "--manifest", str(built_manifest),
+            "--gammas", "0.5", "--out", str(tmp_path / "rep")] + flags)
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert result.output.strip().splitlines() == [
+            f"Error: sample {first['sample_id']}: pred_sr[0.95] has 1 entries: "
+            "pred_sr has shape (1,), expected (30,) for tree30"]
+        assert not (tmp_path / "rep").exists()
+
+    def test_unreadable_predictions_exit_1(self, runner, tmp_path, built_manifest):
+        result = self._score(runner, tmp_path, tmp_path / "none.jsonl", built_manifest)
+        assert result.exit_code == 1, result.output
+        assert result.exc_info[0] is SystemExit
+        assert result.output.startswith("Error: cannot read predictions ")
+        assert len(result.output.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--floor", "2"), ("--floor", "nan"), ("--floor", "-0.1"),
         ("--coefficients", "2"), ("--coefficients", "-1,0,1.5"),
@@ -884,6 +931,7 @@ class TestScoreCommand:
         ("--kmeans-gamma", "0.950", "of the manifest (0.5, 0.95)"),
         ("--gammas", "0.7", "0.7 is not a discount of the manifest (0.5, 0.95)"),
         ("--gammas", "0.5,0.9", "0.9 is not a discount of the manifest (0.5, 0.95)"),
+        ("--kmeans-k", "-3", "must be >= 0, got -3"),
     ])
     def test_hedging_flag_matching_nothing_exit_2(self, runner, tmp_path, flag,
                                                   value, listed):

@@ -60,10 +60,11 @@ class TestGameSet:
         (["blue.msn_d", "msn_d"], 1, ["tree30"], "blues: 'blue.msn_d' is repeated"),
         (["blue.msn_d"], 2, ["tree30"],
          "reds: 'red.hvt_pref_sp:alpha=0.01,seed=5,index=0' is repeated"),
-        (["blue.msn_d"], 1, ["tree30", "TREE30"], "networks: 'tree30' is repeated"),
+        (["blue.msn_d"], 1, ["tree30", "tree30"], "networks: 'tree30' is repeated"),
         (["blue.msn_d", "blue.nope"], 1, ["tree30"],
          "blues[1]: unknown blue policy 'blue.nope'"),
         (["blue.msn_d"], 1, ["ring9"], "networks[0]: unknown topology 'ring9'"),
+        (["blue.msn_d"], 1, ["tree30", "TREE30"], "networks[1]: unknown topology 'TREE30'"),
     ])
     def test_bad_factor_rejected(self, blues, red_copies, networks, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

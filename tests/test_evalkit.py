@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nettom import agents as ag
 from nettom import dataset as ds
@@ -9,6 +11,7 @@ from nettom import evalkit as ek
 from nettom import graph_core as gc
 from nettom import transport as tp
 from nettom.errors import ConfigError, DataError
+from test_cyberenv import FUZZ_VALUES, _json_paths
 
 
 def _synthetic_manifest(samples, gammas=(0.5,)):
@@ -361,3 +364,98 @@ class TestPredictionIO:
         assert names == {"hvt_score.json", "sr_scores.csv", "sr_stats.csv"}
         payload = json.loads((tmp_path / "hvt_score.json").read_text())
         assert payload["weighted_f1"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def scored_build(tmp_path_factory):
+    """A 4-sample tree30 build with discounts 0.5 and 0.95, and the lines of
+    its perfect predictions."""
+    out = tmp_path_factory.mktemp("scored")
+    manifest = ds.build_dataset(ds.DatasetConfig(
+        blues=("blue.msn_d",),
+        reds=tuple(ag.parse_red_id(f"red.hvt_pref_sp:alpha=0.01,seed=5,index={i}")
+                   for i in range(2)),
+        networks=("tree30",), master_seed=41, n_c=2, n_p=2, n_past=2, past_k=3,
+        gammas=(0.5, 0.95)), out, jobs=1)
+    lines = []
+    for s in manifest.samples:
+        pred_hvn = [0.0, 0.0, 0.0]
+        pred_hvn[s.target_index] = 1.0
+        lines.append(json.dumps({"sample_id": s.sample_id, "pred_hvn": pred_hvn,
+                                 "pred_sr": {k: list(v) for k, v in s.truth_sr.items()}}))
+    return out / "manifest.json", lines
+
+
+class TestScorePredictions:
+    def _write(self, directory, lines):
+        path = directory / "preds.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return path
+
+    def test_perfect_predictions(self, scored_build, tmp_path):
+        manifest_path, lines = scored_build
+        hvt, sr, hedging, skipped = ek.score_predictions(
+            self._write(tmp_path, lines), manifest_path, kmeans_k=2)
+        assert hvt.weighted_f1 == 1.0
+        assert len(sr.rows) == 4 * 2 * 3 and all(r.value == 0.0 for r in sr.rows)
+        assert sum(hedging.histogram) == 4 and skipped is None
+
+    def test_k_zero_runs_no_hedging_pass(self, scored_build, tmp_path):
+        manifest_path, lines = scored_build
+        result = ek.score_predictions(self._write(tmp_path, lines), manifest_path,
+                                      kmeans_k=0)
+        assert result[2:] == (None, None)
+
+    def test_too_few_vectors_is_a_skip_reason(self, scored_build, tmp_path):
+        manifest_path, lines = scored_build
+        result = ek.score_predictions(self._write(tmp_path, lines), manifest_path,
+                                      kmeans_k=5)
+        assert result[2:] == (None, "4 vectors for 5 clusters")
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"kmeans_k": -3}, "--kmeans-k: must be >= 0, got -3"),
+        ({"coefficients": (0.0, 0.0)}, "--coefficients: 0 is repeated"),
+        ({"gammas": (0.5, 0.5)}, "--gammas: 0.5 is repeated"),
+        ({"floor": 2.0}, "--floor must lie in"),
+    ])
+    def test_flags_checked_before_any_file_is_read(self, tmp_path, flags, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ek.score_predictions(tmp_path / "none.jsonl", tmp_path / "none.json",
+                                 **flags)
+
+    def test_manifest_rules_checked_before_predictions_are_read(self, scored_build,
+                                                                tmp_path):
+        manifest_path, _ = scored_build
+        with pytest.raises(ConfigError, match=re.escape(
+                "--gammas: 0.7 is not a discount of the manifest (0.5, 0.95)")):
+            ek.score_predictions(tmp_path / "none.jsonl", manifest_path, gammas=(0.7,))
+
+    def test_missing_predictions_file(self, scored_build, tmp_path):
+        manifest_path, _ = scored_build
+        with pytest.raises(DataError, match="cannot read predictions .*none.jsonl"):
+            ek.score_predictions(tmp_path / "none.jsonl", manifest_path)
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_fuzzed_prediction_raises_only_data_or_config_error(
+            self, scored_build, fuzz_dir, data):
+        manifest_path, lines = scored_build
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        obj = json.loads(lines[k])
+        path = data.draw(st.sampled_from(list(_json_paths(obj))), label="path")
+        value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+        if path:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            value = obj
+        preds = self._write(fuzz_dir, lines[:k] + [json.dumps(value)] + lines[k + 1:])
+        try:
+            ek.score_predictions(preds, manifest_path)
+        except (ConfigError, DataError) as exc:
+            assert "\n" not in str(exc), str(exc)

@@ -59,6 +59,12 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             gc.generate_network("ring99")
 
+    def test_topology_id_is_exact(self):
+        with pytest.raises(ConfigError, match="unknown topology 'TREE30'"):
+            gc.generate_network("TREE30")
+        with pytest.raises(ConfigError, match="unknown topology 'Tree30'"):
+            gc.topology("Tree30")
+
     @pytest.mark.parametrize("name", sorted(EXPECTED_NODES))
     def test_invariants(self, name):
         net = gc.generate_network(name)
