@@ -406,22 +406,10 @@ class TestScorePredictions:
                                       kmeans_k=0)
         assert result[2:] == (None, None)
 
-    def test_too_few_vectors_is_a_skip_reason(self, scored_build, tmp_path):
-        manifest_path, lines = scored_build
-        result = ek.score_predictions(self._write(tmp_path, lines), manifest_path,
-                                      kmeans_k=5)
-        assert result[2:] == (None, "4 vectors for 5 clusters")
-
-    @pytest.mark.parametrize("flags, message", [
-        ({"kmeans_k": -3}, "--kmeans-k: must be >= 0, got -3"),
-        ({"coefficients": (0.0, 0.0)}, "--coefficients: 0 is repeated"),
-        ({"gammas": (0.5, 0.5)}, "--gammas: 0.5 is repeated"),
-        ({"floor": 2.0}, "--floor must lie in"),
-    ])
-    def test_flags_checked_before_any_file_is_read(self, tmp_path, flags, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
+    def test_negative_k_refused_before_any_file_is_read(self, tmp_path):
+        with pytest.raises(ConfigError, match="--kmeans-k: must be >= 0, got -3"):
             ek.score_predictions(tmp_path / "none.jsonl", tmp_path / "none.json",
-                                 **flags)
+                                 kmeans_k=-3)
 
     def test_manifest_rules_checked_before_predictions_are_read(self, scored_build,
                                                                 tmp_path):
@@ -429,11 +417,6 @@ class TestScorePredictions:
         with pytest.raises(ConfigError, match=re.escape(
                 "--gammas: 0.7 is not a discount of the manifest (0.5, 0.95)")):
             ek.score_predictions(tmp_path / "none.jsonl", manifest_path, gammas=(0.7,))
-
-    def test_missing_predictions_file(self, scored_build, tmp_path):
-        manifest_path, _ = scored_build
-        with pytest.raises(DataError, match="cannot read predictions .*none.jsonl"):
-            ek.score_predictions(tmp_path / "none.jsonl", manifest_path)
 
     @pytest.fixture(scope="class")
     def fuzz_dir(self, tmp_path_factory):
