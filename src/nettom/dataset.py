@@ -32,7 +32,7 @@ from .graph_core import json_int, number_vector, topology
 from .seeding import derive_seed, rng_for
 from .transport import check_distribution
 
-MANIFEST_SCHEMA_VERSION = 3
+MANIFEST_SCHEMA_VERSION = 4
 
 DEFAULT_GAMMAS = (0.5, 0.95, 0.999)
 
@@ -70,11 +70,15 @@ class ToMSample:
     past: tuple[PastRef, ...]
     hvns: tuple[int, int, int]
     target_index: int
-    entry: int
 
     @property
     def current_episode_id(self) -> str:
         return self.sample_id
+
+    @property
+    def entry(self) -> int:
+        """The topology's entry node, the same in every episode played on it."""
+        return topology(self.network)[0].entry_node
 
     @property
     def truth_hvn(self) -> int:
@@ -83,9 +87,7 @@ class ToMSample:
 
 @dataclass
 class DatasetManifest:
-    schema_version: int
     master_seed: int
-    networks: list[str]
     gammas: tuple[float, ...]
     n_c: int
     n_p: int
@@ -313,7 +315,6 @@ def assemble_samples(currents, pools, n_past: int, past_k: int,
             past=past,
             hvns=cur.hvns,
             target_index=cur.hvns.index(cur.target_node),
-            entry=cur.entries[0],
         ))
     return samples, excluded
 
@@ -378,9 +379,7 @@ def build_dataset(config: DatasetConfig, out_dir: str | Path,
     )
 
     manifest = DatasetManifest(
-        schema_version=MANIFEST_SCHEMA_VERSION,
         master_seed=config.master_seed,
-        networks=list(config.networks),
         gammas=config.gammas,
         n_c=config.n_c,
         n_p=config.n_p,
@@ -389,7 +388,7 @@ def build_dataset(config: DatasetConfig, out_dir: str | Path,
         split_ratio=config.split_ratio,
         games={
             g.game_id: {
-                "blue": g.blue,
+                "blue": make_blue(g.blue).policy_id,
                 "red": g.red.policy_id,
                 "network": g.network,
                 "base_seed": g.base_seed,
@@ -417,9 +416,8 @@ def past_pools_disjoint(manifest: DatasetManifest) -> bool:
 
 def manifest_to_json(manifest: DatasetManifest) -> dict:
     return {
-        "schema_version": manifest.schema_version,
+        "schema_version": MANIFEST_SCHEMA_VERSION,
         "master_seed": manifest.master_seed,
-        "networks": manifest.networks,
         "gammas": [float(g) for g in manifest.gammas],
         "n_c": manifest.n_c,
         "n_p": manifest.n_p,
@@ -441,7 +439,6 @@ def manifest_to_json(manifest: DatasetManifest) -> dict:
                 ],
                 "hvns": list(s.hvns),
                 "target_index": s.target_index,
-                "entry": s.entry,
             }
             for s in manifest.samples
         ],
@@ -466,22 +463,39 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         raise DataError(f"malformed manifest: {exc!r}") from None
 
 
+# The keys manifest_to_json writes: the top-level object, a sample, a past ref.
+MANIFEST_KEYS = frozenset({"schema_version", "master_seed", "gammas", "n_c", "n_p",
+                           "n_past", "past_k", "split_ratio", "games", "red_split",
+                           "excluded", "samples"})
+SAMPLE_KEYS = frozenset({"sample_id", "game_id", "t", "truth_sr", "past", "hvns",
+                         "target_index"})
+PAST_KEYS = frozenset({"episode_id", "steps"})
+
+
+def _check_keys(obj, keys: frozenset, where: str) -> None:
+    """Hold the JSON object at ``where`` to exactly the keys its writer writes."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be an object, got {obj!r}")
+    problems = [f"{kind} keys {sorted(found)}" for kind, found in (
+        ("unknown", set(obj) - keys), ("missing", keys - set(obj))) if found]
+    if problems:
+        raise ValueError(f"{where} has {' and '.join(problems)}")
+
+
 def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict,
                       nets: dict, n_past: int, past_k: int) -> ToMSample:
     """Sample ``i``, held to the rules that built it on its game's topology."""
+    _check_keys(s, SAMPLE_KEYS, f"samples[{i}]")
     if not isinstance(s["sample_id"], str):
         raise TypeError(f"samples[{i}].sample_id must be a string, got {s['sample_id']!r}")
     if s["game_id"] not in games:
         raise ValueError(f"samples[{i}].game_id {s['game_id']!r} is not in games")
-    for key in ("t", "target_index", "entry"):
+    for key in ("t", "target_index"):
         json_int(s[key], f"samples[{i}].{key}")
     game = games[s["game_id"]]
     net = nets[game["network"]]
     if s["t"] not in (0, 1):
         raise ValueError(f"samples[{i}].t must be 0 or 1, got {s['t']!r}")
-    if s["entry"] != net.entry_node:
-        raise ValueError(f"samples[{i}].entry must be {net.name}'s entry node "
-                         f"{net.entry_node}, got {s['entry']!r}")
     hvns = s["hvns"]
     if not isinstance(hvns, list) or len(hvns) != 3:
         raise ValueError(f"samples[{i}].hvns must be three integers, got {hvns!r}")
@@ -506,6 +520,7 @@ def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict,
     if type(s["past"]) is not list or len(s["past"]) != n_past:
         raise ValueError(f"samples[{i}].past must list n_past={n_past} episodes")
     for k, ref in enumerate(s["past"]):
+        _check_keys(ref, PAST_KEYS, f"samples[{i}].past[{k}]")
         if not isinstance(ref["episode_id"], str):
             raise TypeError(f"samples[{i}].past[{k}].episode_id must be a string, "
                             f"got {ref['episode_id']!r}")
@@ -530,14 +545,15 @@ def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict,
         ),
         hvns=tuple(hvns),
         target_index=s["target_index"],
-        entry=s["entry"],
     )
 
 
 def _manifest_from_json(obj: dict) -> DatasetManifest:
+    _check_keys(obj, MANIFEST_KEYS, "manifest")
     for key, kind, name in (("games", dict, "an object"),
                             ("red_split", dict, "an object"),
-                            ("excluded", list, "a list")):
+                            ("excluded", list, "a list"),
+                            ("samples", list, "a list")):
         if not isinstance(obj[key], kind):
             raise TypeError(f"{key} must be {name}, got {obj[key]!r}")
     games, names = obj["games"], ("blue", "red", "network")
@@ -560,9 +576,6 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
     check_build_numbers(obj["n_c"], obj["n_p"], obj["n_past"], obj["past_k"],
                         gammas, obj["split_ratio"])
     nets = {game["network"]: topology(game["network"])[0] for game in games.values()}
-    if type(obj["networks"]) is not list or set(obj["networks"]) != set(nets):
-        raise ValueError(f"networks {obj['networks']!r} are not the games' "
-                         f"topologies {sorted(nets)}")
     gamma_keys = [gamma_key(g) for g in gammas]
     samples = [_sample_from_json(i, s, gamma_keys, games, nets, obj["n_past"], obj["past_k"])
                for i, s in enumerate(obj["samples"])]
@@ -589,9 +602,7 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
             raise ValueError(f"{where} {episode_id!r} is already a current or past episode")
         seen.add(episode_id)
     return DatasetManifest(
-        schema_version=obj["schema_version"],
         master_seed=obj["master_seed"],
-        networks=obj["networks"],
         gammas=gammas,
         n_c=obj["n_c"],
         n_p=obj["n_p"],

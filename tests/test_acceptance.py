@@ -366,15 +366,14 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
                 sample_id=f"s{i}", game_id="g00000", network="tree30",
                 blue_id="blue.msn_d", red_id=f"red.r{i % 3}",
                 t=0, truth_sr=sr, past=(), hvns=hvns,
-                target_index=hvns.index(truth), entry=entry,
+                target_index=hvns.index(truth),
             )
             samples.append(sample)
             one_hot = tuple(1.0 if h == truth else 0.0 for h in hvns)
             perfect[sample.sample_id] = ek.PredictionRecord(
                 sample_id=sample.sample_id, pred_hvn=one_hot, pred_sr=sr)
         manifest = ds.DatasetManifest(
-            schema_version=1, master_seed=0, networks=["tree30"],
-            gammas=(0.5,), n_c=3, n_p=8, n_past=4, past_k=5,
+            master_seed=0, gammas=(0.5,), n_c=3, n_p=8, n_past=4, past_k=5,
             split_ratio=0.75, games={}, samples=samples,
             red_split={},
         )
@@ -394,7 +393,7 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
                 sample_id=f"r{i}", game_id="g00000", network="tree30",
                 blue_id="blue.msn_d", red_id="red.r0",
                 t=0, truth_sr=base_sr, past=(), hvns=hvns,
-                target_index=hvns.index(truth), entry=entry,
+                target_index=hvns.index(truth),
             )
             big_samples.append(sample)
             probs = rng.dirichlet(np.ones(3))
@@ -402,8 +401,7 @@ def test_criterion_12_scoring_sanity(tree30, tmp_path):
                 sample_id=sample.sample_id, pred_hvn=tuple(probs),
                 pred_sr=base_sr)
         big_manifest = ds.DatasetManifest(
-            schema_version=1, master_seed=0, networks=["tree30"],
-            gammas=(0.5,), n_c=3, n_p=8, n_past=4, past_k=5,
+            master_seed=0, gammas=(0.5,), n_c=3, n_p=8, n_past=4, past_k=5,
             split_ratio=0.75, games={}, samples=big_samples,
             red_split={},
         )

@@ -489,6 +489,12 @@ def _edit_manifest(path, value):
     return edit
 
 
+def _drop_hvns(obj):
+    """Remove the first sample's high-value nodes."""
+    del obj["samples"][0]["hvns"]
+    return obj
+
+
 def _repeat_sample_id(obj):
     """Give the second sample the first one's id."""
     obj["samples"][1]["sample_id"] = obj["samples"][0]["sample_id"]
@@ -552,13 +558,14 @@ MALFORMED_MANIFESTS = {
                             "gammas must be a list of numbers"),
     "truth_sr_wrong_length": (_edit_manifest(("samples", 0, "truth_sr", "0.5"), [1.0]),
                               "truth_sr has shape (1,), expected (30,)"),
+    # A sample's entry node is its topology's, so the manifest does not record it.
     "entry_off_network": (_edit_manifest(("samples", 0, "entry"), 999),
-                          "samples[0].entry must be tree30's entry node 5, got 999"),
+                          "samples[0] has unknown keys ['entry']"),
     "entry_not_topology_entry": (_edit_manifest(("samples", 0, "entry"), 0),
-                                 "samples[0].entry must be tree30's entry node 5, got 0"),
+                                 "samples[0] has unknown keys ['entry']"),
     "hvn_off_network": (_set_other_hvn(lambda sample: 999),
                         "are not distinct leaves of tree30 other than its entry"),
-    "hvn_is_entry": (_set_other_hvn(lambda sample: sample["entry"]),
+    "hvn_is_entry": (_set_other_hvn(lambda sample: gc.topology("tree30")[0].entry_node),
                      "are not distinct leaves of tree30 other than its entry"),
     "t_seven": (_edit_manifest(("samples", 0, "t"), 7),
                 "samples[0].t must be 0 or 1, got 7"),
@@ -570,7 +577,14 @@ MALFORMED_MANIFESTS = {
     "n_past_zero": (_edit_manifest(("n_past",), 0), "n_past: must lie in [1, n_p=2], got 0"),
     "past_k_negative": (_edit_manifest(("past_k",), -3), "past_k: must be >= 1, got -3"),
     "networks_not_games": (_edit_manifest(("networks",), ["ring9"]),
-                           "networks ['ring9'] are not the games' topologies ['tree30']"),
+                           "manifest has unknown keys ['networks']"),
+    "top_level_unknown_key": (_edit_manifest(("comment",), "x"),
+                              "manifest has unknown keys ['comment']"),
+    "sample_stale_network": (_edit_manifest(("samples", 0, "network"), "tree90"),
+                             "samples[0] has unknown keys ['network']"),
+    "sample_missing_hvns": (_drop_hvns, "samples[0] has missing keys ['hvns']"),
+    "past_unknown_key": (_edit_manifest(("samples", 0, "past", 0, "note"), "x"),
+                         "samples[0].past[0] has unknown keys ['note']"),
     "past_count_not_n_past": (_keep_one_past, "samples[0].past must list n_past=2 episodes"),
     "sample_id_int": (_edit_manifest(("samples", 0, "sample_id"), 5),
                       "samples[0].sample_id must be a string, got 5"),
@@ -580,6 +594,8 @@ MALFORMED_MANIFESTS = {
                  "unsupported manifest schema 1"),
     "schema_2": (_edit_manifest(("schema_version",), 2),
                  "unsupported manifest schema 2"),
+    "schema_3": (_edit_manifest(("schema_version",), 3),
+                 "unsupported manifest schema 3"),
     "split_unknown": (_edit_red_split, "must be 'train' or 'val', got 'nope'"),
     "truth_sr_entry_object": (_edit_manifest(("samples", 0, "truth_sr", "0.5", 0), {}),
                               "samples[0].truth_sr[0.5] must be a list of numbers"),
@@ -617,6 +633,8 @@ MALFORMED_MANIFESTS = {
                        "red_split must be an object, got []"),
     "excluded_object": (_edit_manifest(("excluded",), {}),
                         "excluded must be a list, got {}"),
+    "samples_object": (_edit_manifest(("samples",), {}),
+                       "samples must be a list, got {}"),
     "excluded_not_objects": (_edit_manifest(("excluded",), [1, None]),
                              "excluded[0] must hold string episode and reason, got 1"),
     "excluded_is_sample": (_exclude_first_sample,

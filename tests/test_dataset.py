@@ -1,11 +1,15 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nettom import agents as ag
 from nettom import cyberenv as ce
 from nettom import dataset as ds
+from nettom import graph_core as gc
 from nettom.errors import ConfigError, SampleExclusionError
 from nettom.seeding import rng_for
 
@@ -324,3 +328,51 @@ class TestBuildPipeline:
         assert [p.name for p in serial] == [p.name for p in parallel]
         for a, b in zip(serial, parallel):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+# Two pinned members of every attacker kind.
+PINNED_REDS = [spec for kind in ag.RED_REGISTRY
+               for spec in ag.species_members(kind, 0.01, 2, seed=5)]
+
+
+@st.composite
+def small_configs(draw):
+    """A small valid build: 1-2 blues, 1-3 pinned reds, 1-3 shipped
+    topologies, every size in 1-2, a subset of the default discounts."""
+    n_p = draw(st.integers(1, 2))
+    return ds.DatasetConfig(
+        blues=tuple(draw(st.lists(st.sampled_from(sorted(ag.BLUE_REGISTRY)),
+                                  min_size=1, max_size=2, unique=True))),
+        reds=tuple(draw(st.lists(st.sampled_from(PINNED_REDS), min_size=1,
+                                 max_size=3, unique_by=lambda red: red.policy_id))),
+        networks=tuple(draw(st.lists(st.sampled_from(gc.TOPOLOGIES), min_size=1,
+                                     max_size=3, unique=True))),
+        master_seed=draw(st.integers(0, 2**31 - 1)),
+        n_c=draw(st.integers(1, 2)),
+        n_p=n_p,
+        n_past=draw(st.integers(1, n_p)),
+        past_k=draw(st.integers(1, 2)),
+        gammas=tuple(draw(st.lists(st.sampled_from(ds.DEFAULT_GAMMAS), min_size=1,
+                                   unique=True))),
+        split_ratio=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+
+
+class TestManifestRoundTrip:
+    @settings(max_examples=30)
+    @given(config=small_configs())
+    # A blue named without its "blue." prefix is recorded by its policy id,
+    # as its episodes record it.
+    @example(config=ds.DatasetConfig(blues=("msn_d",), reds=tuple(PINNED_REDS[:1]),
+                                     networks=("tree30",), master_seed=0, n_c=1,
+                                     n_p=1, n_past=1, past_k=1))
+    def test_read_returns_what_the_build_wrote(self, config):
+        with tempfile.TemporaryDirectory(prefix="nettom-roundtrip-") as out:
+            built = ds.build_dataset(config, out)
+            assert ds.read_manifest(Path(out) / "manifest.json") == built
+            # The entry node the manifest no longer records is the one the
+            # current episode entered by: its topology's.
+            for s in built.samples:
+                episode = ce.read_trajectory(Path(out) / "episodes" / f"{s.sample_id}.jsonl")
+                assert episode.entries == (s.entry,)
+                assert s.entry == gc.topology(s.network)[0].entry_node

@@ -16,19 +16,18 @@ from test_cyberenv import FUZZ_VALUES, _json_paths
 
 def _synthetic_manifest(samples, gammas=(0.5,)):
     return ds.DatasetManifest(
-        schema_version=1, master_seed=0, networks=["tree30"],
-        gammas=tuple(gammas), n_c=3, n_p=8, n_past=4, past_k=5,
+        master_seed=0, gammas=tuple(gammas), n_c=3, n_p=8, n_past=4, past_k=5,
         split_ratio=0.75, games={}, samples=samples,
         red_split={},
     )
 
 
-def _sample(sample_id, truth_hvn, hvns, truth_sr, entry, t=0):
+def _sample(sample_id, truth_hvn, hvns, truth_sr, t=0):
     return ds.ToMSample(
         sample_id=sample_id, game_id="g00000", network="tree30",
         blue_id="blue.msn_d", red_id="red.x",
         t=t, truth_sr=truth_sr, past=(), hvns=hvns,
-        target_index=hvns.index(truth_hvn), entry=entry,
+        target_index=hvns.index(truth_hvn),
     )
 
 
@@ -120,7 +119,7 @@ class TestHvtScoring:
         samples, preds = [], {}
         for i, truth in enumerate(hvns):
             sr = {"0.5": tuple(_path_sr(net, cm, net.entry_node, truth))}
-            s = _sample(f"s{i}", truth, hvns, sr, net.entry_node)
+            s = _sample(f"s{i}", truth, hvns, sr)
             samples.append(s)
             one_hot = [1.0 if h == truth else 0.0 for h in hvns]
             preds[s.sample_id] = _record(s.sample_id, one_hot, sr)
@@ -144,7 +143,7 @@ class TestHvtScoring:
         sr = {"0.5": tuple(_path_sr(net, cm, net.entry_node, hvns[0]))}
         for i in range(10_000):
             truth = hvns[i % 3]
-            s = _sample(f"s{i}", truth, hvns, sr, net.entry_node)
+            s = _sample(f"s{i}", truth, hvns, sr)
             samples.append(s)
             probs = rng.dirichlet(np.ones(3))
             preds[s.sample_id] = _record(s.sample_id, tuple(probs), sr)
@@ -156,7 +155,7 @@ class TestHvtScoring:
         leaves = sorted(net.leaf_set - {net.entry_node})
         hvns = (leaves[2], leaves[0], leaves[1])  # deliberately unsorted
         sr = {"0.5": tuple(_path_sr(net, cm, net.entry_node, hvns[0]))}
-        s = _sample("s0", hvns[0], hvns, sr, net.entry_node)
+        s = _sample("s0", hvns[0], hvns, sr)
         record = _record("s0", (0.5, 0.5, 0.0), sr)
         assert ek.predicted_hvn(s, record) == min(hvns[0], hvns[1])
 
@@ -165,7 +164,7 @@ class TestHvtScoring:
         leaves = sorted(net.leaf_set - {net.entry_node})
         hvns = (leaves[0], leaves[1], leaves[2])
         sr = {"0.5": tuple(_path_sr(net, cm, net.entry_node, hvns[0]))}
-        samples = [_sample(f"s{i}", hvns[0], hvns, sr, net.entry_node)
+        samples = [_sample(f"s{i}", hvns[0], hvns, sr)
                    for i in range(12)]
         with pytest.raises(DataError, match="12 sample ids missing"):
             ek.score_hvt({}, _synthetic_manifest(samples))
@@ -181,7 +180,7 @@ def scenario(tree30):
     mid = leaves[len(leaves) // 2]
     hvns = tuple(sorted({near, far, mid}))
     truth_vec = _path_sr(net, cm, entry, near)
-    samples = [_sample("s0", near, hvns, {"0.5": tuple(truth_vec)}, entry)]
+    samples = [_sample("s0", near, hvns, {"0.5": tuple(truth_vec)})]
     manifest = _synthetic_manifest(samples)
     return net, cm, manifest, truth_vec, near, far, hvns
 
@@ -233,7 +232,7 @@ class TestSampleRemoteness:
         net, cm = tree30
         leaves = sorted(net.leaf_set - {net.entry_node})
         hvns = (leaves[0], leaves[1], leaves[2])
-        sample = _sample("s0", hvns[1], hvns, {}, net.entry_node)
+        sample = _sample("s0", hvns[1], hvns, {})
         r = ek._sample_remoteness(sample)
         assert r[net.entry_node] == 0
         assert r[hvns[1]] == 0
@@ -353,8 +352,7 @@ class TestPredictionIO:
         leaves = sorted(net.leaf_set - {net.entry_node})
         hvns = (leaves[0], leaves[1], leaves[2])
         truth = _path_sr(net, cm, net.entry_node, hvns[0])
-        samples = [_sample("s0", hvns[0], hvns, {"0.5": tuple(truth)},
-                           net.entry_node)]
+        samples = [_sample("s0", hvns[0], hvns, {"0.5": tuple(truth)})]
         preds = {"s0": _record("s0", (1.0, 0.0, 0.0), {"0.5": tuple(truth)})}
         manifest = _synthetic_manifest(samples)
         hvt = ek.score_hvt(preds, manifest)

@@ -76,14 +76,14 @@ def _weighting(net: gc.Network, cm: gc.CostMatrix) -> tr.WeightingConfig:
     )
 
 
-EXPECTED_DATASET = "a2895d4739564a4e3726fa2871bf60fed2fc694323b80d28b8604dac1164cdc1"
+EXPECTED_DATASET = "19c00c5f4d234b04bbd003b1a98f6a9e6c9138b773faba36a4d36347a5987847"
 EXPECTED_TOURNAMENT = {
     1: "8820f0b41aaff760e18ae75fe7693807531b4d74123aa21d3a81ed433dd14db6",
     3: "aded1ec7b652e934b4b576d09cf34be9e2fd4436ebe1983dd98003dba210849e",
 }
 EXPECTED_SIMULATE = "fb6430f601b92a46a9bb35cfc52131229c44a2a239679f4dff6132774015d17b"
 # The dataset and simulate trees as trajectory schema 1 wrote them.
-EXPECTED_DATASET_V1 = "b610b88c3bbd774b78014d2587db6e4f088039ceed0c4a7b0fee773757bbfa03"
+EXPECTED_DATASET_V1 = "bc7705b786ce1ae952f48ee71b9647fe437173825fff787a3292bae824a64503"
 EXPECTED_SIMULATE_V1 = "382cc19065242488ab6305efef31a1899734cb8251e2fd1211dcbe5e25819f01"
 EXPECTED_METRIC = "6f03b992c89bf2b9f4f2894166baa445f550b3d823f64eeb934a6395561a00b8"
 # `nettom score` run twice on the `_build` dataset, scoring `_predictions`.
