@@ -63,6 +63,16 @@ _SCAN = _BLUE_UNTARGETED[BLUE_SCAN]
 _RED_IDLE = _RED_UNTARGETED[RED_DO_NOTHING]
 # The blue actions aimed at a visible, non-isolated compromise.
 _ON_VISIBLE = (BLUE_MAKE_SAFE, BLUE_RESTORE, BLUE_ISOLATE)
+# ``BlueRandomSmart``'s choices, in ``BLUE_ACTION_KINDS`` order, keyed by
+# (is a visible compromise not isolated?, may an isolated node be
+# reconnected?).
+_RANDOM_SMART_KINDS = {
+    (has_visible, has_isolated): tuple(
+        k for k in BLUE_ACTION_KINDS
+        if (has_visible or k not in _ON_VISIBLE)
+        and (has_isolated or k != BLUE_RECONNECT))
+    for has_visible in (False, True) for has_isolated in (False, True)
+}
 
 
 def _dirichlet_rows(rng: np.random.Generator, alpha: float, count: int,
@@ -176,11 +186,11 @@ class BlueRandomSmart(_Policy):
     policy_id = "blue.random_smart"
 
     def act(self, obs, rng):
-        visible = (obs.compromised_visible & ~obs.isolated).nonzero()[0]
-        isolated = visible[:0] if obs.compromised_visible.any() else \
+        # On bools, compromised_visible > isolated is compromised_visible & ~isolated.
+        visible = (obs.compromised_visible > obs.isolated).nonzero()[0]
+        isolated = visible[:0] if np.count_nonzero(obs.compromised_visible) else \
             obs.isolated.nonzero()[0]
-        kinds = [k for k in BLUE_ACTION_KINDS if (visible.size or k not in _ON_VISIBLE)
-                 and (isolated.size or k != BLUE_RECONNECT)]
+        kinds = _RANDOM_SMART_KINDS[visible.size > 0, isolated.size > 0]
         kind = kinds[rng.integers(len(kinds))]
         if kind in _BLUE_UNTARGETED:
             return _BLUE_UNTARGETED[kind]
@@ -350,16 +360,17 @@ def _node_attackable(obs: StateObservation, ctx: EpisodeContext, v: int) -> bool
 def _move_targets(obs: StateObservation, ctx: EpisodeContext) -> np.ndarray:
     """Nodes a random move may relocate to: non-isolated neighbours of a
     live (compromised, non-isolated) node, read from the live nodes' rows of
-    the symmetric base adjacency."""
-    live = obs.compromised_visible > obs.isolated
-    frontier = np.logical_or.reduce(ctx.net.adjacency[live], axis=0)
+    the symmetric base adjacency, gathered by ``take`` on their ids."""
+    live = (obs.compromised_visible > obs.isolated).nonzero()[0]
+    frontier = np.logical_or.reduce(ctx.net.adjacency.take(live, axis=0), axis=0)
     return (frontier > obs.isolated).nonzero()[0]
 
 
 def _live_degree(obs: StateObservation, ctx: EpisodeContext,
                  nodes: np.ndarray) -> np.ndarray:
     """Each of ``nodes``' count of live edges (to non-isolated neighbours)."""
-    return (ctx.net.adjacency[nodes] & ~obs.isolated).sum(axis=1)
+    rows = ctx.net.adjacency.take(nodes, axis=0)
+    return np.add.reduce(rows > obs.isolated, axis=1)
 
 
 def _strike_kind(obs: StateObservation) -> str:
@@ -392,11 +403,16 @@ class RedRandomSimple(_RedBase):
     are uniform over whatever is currently attackable. Happily wastes a
     turn on a zero-day it does not have."""
 
+    # Whether an unavailable zero-day is swapped for an ordinary attack.
+    swaps_zero_day = False
+
     def act(self, obs, rng):
         kind = RED_PROB_ORDER[bisect.bisect_right(self._cdf, rng.random())]
         return self._emit(kind, obs, rng)
 
     def _emit(self, kind, obs, rng):
+        if kind == RED_ZERO_DAY and self.swaps_zero_day:
+            kind = _strike_kind(obs)
         if kind in _RED_UNTARGETED:
             return _RED_UNTARGETED[kind]
         if kind == RED_RANDOM_MOVE:
@@ -418,10 +434,7 @@ class RedRandomSmart(RedRandomSimple):
     """As the unskilled attacker, but swaps an unavailable zero-day for an
     ordinary attack instead of wasting the turn."""
 
-    def _emit(self, kind, obs, rng):
-        if kind == RED_ZERO_DAY:
-            kind = _strike_kind(obs)
-        return super()._emit(kind, obs, rng)
+    swaps_zero_day = True
 
 
 class RedTargetConnected(RedRandomSmart):
@@ -459,8 +472,12 @@ class RedHvtSimple(RedRandomSimple):
     becomes attackable and then strikes it deterministically: zero-day if
     available, ordinary attack otherwise."""
 
+    def begin_episode(self, ctx, rng):
+        super().begin_episode(ctx, rng)
+        self._hvns = sorted(ctx.hvns)
+
     def act(self, obs, rng):
-        for h in sorted(self._ctx.hvns):
+        for h in self._hvns:
             if _node_attackable(obs, self._ctx, h):
                 return RedAction(_strike_kind(obs), h)
         return super().act(obs, rng)
@@ -505,7 +522,7 @@ class RedHvtPreferenceSP(_RedBase):
             pool = _move_targets(obs, self._ctx)
             if pool.size:
                 return RedAction(RED_RANDOM_MOVE,
-                                 int(pool[rng.integers(pool.size)]))
+                                   int(pool[rng.integers(pool.size)]))
         return _RED_IDLE
 
     def _path_step(self, obs):
@@ -599,6 +616,13 @@ def make_red(spec: RedPolicySpec):
 _RED_ID_KEYS = ("alpha", "seed", "index", "probs")
 
 
+def red_id_kind(name: str) -> str:
+    """The attacker kind a red id names, read as ``parse_red_id`` reads it:
+    the text before the first colon, without its optional ``red.`` prefix.
+    It draws no species member, and the kind may be unregistered."""
+    return name.removeprefix("red.").partition(":")[0]
+
+
 def parse_red_id(name: str) -> RedPolicySpec:
     """Parse a red agent id string into a spec.
 
@@ -608,8 +632,8 @@ def parse_red_id(name: str) -> RedPolicySpec:
     ``seed``) names the species; adding ``seed`` and ``index`` pins the
     index-th member of the seeded draw sequence.
     """
-    body = name.removeprefix("red.")
-    kind, _, argstr = body.partition(":")
+    kind = red_id_kind(name)
+    argstr = name.removeprefix("red.").partition(":")[2]
     if kind not in RED_REGISTRY:
         raise ConfigError(
             f"unknown red policy {name!r}; expected one of "

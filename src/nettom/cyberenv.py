@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,8 +174,7 @@ class EpisodeContext:
     entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     blue_reward: float
     red_reward: float
     done: bool
@@ -192,9 +192,11 @@ def attackable_nodes(adjacency: np.ndarray, compromised: np.ndarray,
 
     ``adjacency`` must be symmetric, as the base topology and the live-edge
     matrix are: the frontier is the union of the live nodes' rows, which
-    are their columns.
+    are their columns. The rows are gathered by ``take`` on the live
+    nodes' ids, which costs less than indexing by the boolean mask.
     """
-    reachable = np.logical_or.reduce(adjacency[compromised > isolated], axis=0)
+    live = (compromised > isolated).nonzero()[0]
+    reachable = np.logical_or.reduce(adjacency.take(live, axis=0), axis=0)
     reachable |= is_entry
     return reachable > (isolated | compromised)
 
@@ -209,7 +211,13 @@ def node_attackable(neighbors: tuple[tuple[int, ...], ...], v: int,
         return False
     if is_entry[v]:
         return True
-    return any(compromised[u] and not isolated[u] for u in neighbors[v])
+    for u in neighbors[v]:
+        if compromised[u] and not isolated[u]:
+            return True
+    return False
+
+
+_NOT_RESET = "call reset() before interacting with the env"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -277,7 +285,9 @@ class CyberEnv:
         shows the state as of this call only: observe again after any step
         or any write to the state. Raises if the state's arrays were rebound.
         """
-        s = self._require_state()
+        s = self.state
+        if s is None:
+            raise RuntimeError(_NOT_RESET)
         red = self._red_obs
         if not (red.vulnerability.base is s.vulnerability
                 and red.compromised_visible.base is s.compromised
@@ -295,7 +305,9 @@ class CyberEnv:
     # -- dynamics --------------------------------------------------------
 
     def apply_blue(self, action: BlueAction) -> EpisodeState:
-        s = self._require_state()
+        s = self.state
+        if s is None:
+            raise RuntimeError(_NOT_RESET)
         kind, v = action.kind, action.target
         if kind not in BLUE_ACTION_KINDS:
             raise ValueError(f"unknown blue action {kind!r}")
@@ -323,7 +335,9 @@ class CyberEnv:
 
     def apply_red(self, action: RedAction) -> tuple[int, ...]:
         """Apply a red action; returns the nodes newly compromised by it."""
-        s = self._require_state()
+        s = self.state
+        if s is None:
+            raise RuntimeError(_NOT_RESET)
         kind, v = action.kind, action.target
         if kind not in RED_ACTION_KINDS:
             raise ValueError(f"unknown red action {kind!r}")
@@ -374,7 +388,9 @@ class CyberEnv:
             hits.append(v)
 
     def step(self, blue_action: BlueAction, red_action: RedAction) -> StepResult:
-        s = self._require_state()
+        s = self.state
+        if s is None:
+            raise RuntimeError(_NOT_RESET)
         if s.done:
             raise RuntimeError("step() called on a finished episode")
         self.apply_blue(blue_action)
@@ -396,14 +412,7 @@ class CyberEnv:
         elif s.step >= MAX_STEPS:
             s.done = True
             s.outcome = BLUE_WIN
-        return StepResult(
-            blue_reward=reward, red_reward=-reward, done=s.done, red_hits=hits
-        )
-
-    def _require_state(self) -> EpisodeState:
-        if self.state is None:
-            raise RuntimeError("call reset() before interacting with the env")
-        return self.state
+        return StepResult(reward, -reward, s.done, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +499,16 @@ def rollout(net: Network, blue_policy, red_policy, seed: int,
     steps: list[TrajectoryStep] = []
     snapshots: list[tuple[np.ndarray, ...]] = []
     total_reward = 0.0
+    observe, step = env.observe, env.step
+    blue_act, red_act = blue_policy.act, red_policy.act
     while not state.done:
         t = state.step
         if record:
             snapshots.append(_snapshot(state))
-        blue_action = blue_policy.act(env.observe(OBSERVER_BLUE), blue_rng)
-        red_action = red_policy.act(env.observe(OBSERVER_RED), red_rng)
+        blue_action = blue_act(observe(OBSERVER_BLUE), blue_rng)
+        red_action = red_act(observe(OBSERVER_RED), red_rng)
         try:
-            result = env.step(blue_action, red_action)
+            result = step(blue_action, red_action)
         except ValueError as exc:
             raise RuntimeError(
                 f"invalid action at step {t} "

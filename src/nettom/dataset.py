@@ -25,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import RedPolicySpec, make_blue, make_red
+from .agents import (
+    BLUE_REGISTRY,
+    RED_REGISTRY,
+    RedPolicySpec,
+    make_blue,
+    make_red,
+    red_id_kind,
+)
 from .cyberenv import MAX_STEPS, RED_WIN, EpisodeTrajectory, rollout, write_trajectory
 from .errors import ConfigError, DataError, SampleExclusionError
 from .graph_core import json_int, number_vector, topology
@@ -114,11 +121,16 @@ class DatasetConfig:
     split_ratio: float = 0.75
 
     def __post_init__(self):
-        """Reject unpinned attackers, a bad game grid, then bad sizes and discounts."""
+        """Reject unpinned attackers and attackers whose id does not name
+        their kind (``read_manifest`` refuses such an id), a bad game grid,
+        then bad sizes and discounts."""
         for i, spec in enumerate(self.reds):
             if spec.params is None:
                 raise ConfigError(f"reds[{i}]: dataset attackers must be pinned "
                                   "members (give seed= and index=, or probs=)")
+            if red_id_kind(spec.policy_id) != spec.kind:
+                raise ConfigError(f"reds[{i}]: policy id {spec.policy_id!r} does not "
+                                  f"name its kind {spec.kind!r}")
         build_game_set(self.blues, self.reds, self.networks)
         check_build_numbers(self.n_c, self.n_p, self.n_past, self.past_k,
                             self.gammas, self.split_ratio)
@@ -470,6 +482,8 @@ MANIFEST_KEYS = frozenset({"schema_version", "master_seed", "gammas", "n_c", "n_
 SAMPLE_KEYS = frozenset({"sample_id", "game_id", "t", "truth_sr", "past", "hvns",
                          "target_index"})
 PAST_KEYS = frozenset({"episode_id", "steps"})
+# The blue ids a build writes: each blue policy's own id.
+_BLUE_IDS = frozenset(make_blue(name).policy_id for name in BLUE_REGISTRY)
 
 
 def _check_keys(obj, keys: frozenset, where: str) -> None:
@@ -563,6 +577,9 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
                 or type(game["base_seed"]) is not int):
             raise ValueError(f"games[{game_id!r}] must hold string blue, red and network "
                              f"and integer base_seed, got {game!r}")
+        if game["blue"] not in _BLUE_IDS:
+            raise ValueError(f"games[{game_id!r}].blue {game['blue']!r} is not a blue "
+                             f"policy id; expected one of {sorted(_BLUE_IDS)}")
     for k, entry in enumerate(obj["excluded"]):
         if (not isinstance(entry, dict) or set(entry) != {"episode", "reason"}
                 or not all(isinstance(v, str) for v in entry.values())):
@@ -588,6 +605,10 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
         if side not in ("train", "val"):
             raise ValueError(f"red_split[{red!r}] must be 'train' or 'val', "
                              f"got {side!r}")
+    for game_id, game in games.items():
+        if red_id_kind(game["red"]) not in RED_REGISTRY:
+            raise ValueError(f"games[{game_id!r}].red {game['red']!r} names no red "
+                             f"policy kind; expected one of {sorted(RED_REGISTRY)}")
     # Every sample is its own current episode, and no episode is named twice:
     # no sample id repeats, no past episode leaks between samples, and no
     # excluded current episode is also a sample's.

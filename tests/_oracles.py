@@ -21,7 +21,9 @@ the source that records each node's parent and stops at the target, and
 every edge between non-core nodes. ``attackable_nodes_nn`` and
 ``move_targets_nn`` read the attack frontier from the n x n
 ``adjacency & live`` matrix, reduced over each row, which needs no
-symmetry; ``defence_probability_clip`` clamps with ``np.clip``.
+symmetry; ``live_degree_loop`` counts each node's non-isolated neighbours
+one by one from ``Network.neighbors``; ``defence_probability_clip`` clamps
+with ``np.clip``.
 ``observe_snapshot`` is the observation built afresh from copies of the
 state, against which the episode's read-only views are checked, and
 ``active_adjacency`` the live-edge matrix of an episode.
@@ -217,6 +219,12 @@ def move_targets_nn(adjacency, compromised_visible, isolated):
     reduction."""
     live = compromised_visible & ~isolated
     return np.flatnonzero(~isolated & (adjacency & live[None, :]).any(axis=1))
+
+
+def live_degree_loop(neighbors, isolated, nodes) -> np.ndarray:
+    """Each of ``nodes``' count of non-isolated neighbours, node by node."""
+    return np.array([sum(not isolated[u] for u in neighbors[v]) for v in nodes],
+                    dtype=np.intp)
 
 
 def observe_snapshot(state, observer: str) -> StateObservation:

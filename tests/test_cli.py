@@ -533,6 +533,18 @@ def _reuse_episode(source):
     return edit
 
 
+def _rename_reds(red_id):
+    """An edit that names ``red_id`` as every game's attacker and as the
+    split's only attacker."""
+    def edit(obj):
+        side = next(iter(obj["red_split"].values()))
+        for game in obj["games"].values():
+            game["red"] = red_id
+        obj["red_split"] = {red_id: side}
+        return obj
+    return edit
+
+
 def _exclude_first_sample(obj):
     obj["excluded"] = [{"episode": obj["samples"][0]["sample_id"], "reason": "blue_win"}]
     return obj
@@ -657,6 +669,11 @@ MALFORMED_MANIFESTS = {
     "red_id_not_in_red_split": (_edit_manifest(("games", "g00000", "red"), "red.x"),
                                 "not the games' attackers "
                                 "['red.hvt_pref_sp:alpha=0.01,seed=5,index=1', 'red.x']"),
+    "game_blue_unknown": (_edit_manifest(("games", "g00000", "blue"), "blue.nope"),
+                          "games['g00000'].blue 'blue.nope' is not a blue policy id"),
+    "game_red_unknown_kind": (_rename_reds("red.nope:alpha=1"),
+                              "games['g00000'].red 'red.nope:alpha=1' names no red "
+                              "policy kind"),
     "red_split_extra_attacker": (_edit_manifest(("red_split", "red.y"), "train"),
                                  "red_split names ['red.hvt_pref_sp:alpha=0.01,seed=5,"
                                  "index=0', 'red.hvt_pref_sp:alpha=0.01,seed=5,index=1', "

@@ -13,6 +13,7 @@ from nettom import graph_core as gc
 from _oracles import (
     active_adjacency,
     attackable_nodes_nn,
+    live_degree_loop,
     move_targets_nn,
     observe_snapshot,
 )
@@ -317,6 +318,18 @@ class TestStep:
             env.step(ce.BlueAction(ce.BLUE_DO_NOTHING),
                      ce.RedAction(ce.RED_DO_NOTHING))
 
+    def test_result_unpacks_and_refuses_assignment(self, tree30):
+        env = _env(tree30)
+        state = env.reset(seed=4)
+        result = env.step(ce.BlueAction(ce.BLUE_DO_NOTHING),
+                          ce.RedAction(ce.RED_INTRUDE))
+        blue_reward, red_reward, done, red_hits = result
+        assert (blue_reward, red_reward, done, red_hits) == (
+            result.blue_reward, result.red_reward, result.done, result.red_hits)
+        assert red_hits and set(red_hits) <= set(state.compromised.nonzero()[0])
+        with pytest.raises(AttributeError):
+            result.blue_reward = 0.0
+
     def test_budget_refills_every_four_steps(self, tree30):
         env = _env(tree30)
         state = env.reset(seed=4)
@@ -566,6 +579,8 @@ class TestRollout:
                                ag.make_red(red), seed=seed, cm=cm, record=rec)
                     for rec in (True, False))
                 key = (blue_id, red_kind)
+                assert type(full.total_blue_reward) is float, key
+                assert type(lean.total_blue_reward) is float, key
                 assert lean.steps == [], key
                 assert lean.vulnerability is None and lean.flags is None, key
                 assert len(full.steps) == full.final_step + 1, key
@@ -935,6 +950,38 @@ class TestInvariants:
             assert np.array_equal(ag._live_degree(obs, ctx, alive),
                                   live_adj[alive].sum(axis=1)), trial
 
+    @pytest.mark.parametrize("network", gc.TOPOLOGIES)
+    def test_row_gathers_match_oracles(self, network):
+        """The attackable mask, the random-move pool and the live degree,
+        each read from rows gathered by ``take``, against the n x n row
+        reductions and a per-node neighbour count: on random states, with
+        no live node (zero rows gathered) and with every node isolated."""
+        net, cm = gc.topology(network)
+        env = ce.CyberEnv(net, cm=cm, entry_count=2)
+        state = env.reset(seed=1)
+        ctx = ce.EpisodeContext(net, cm, state.hvns, state.entries)
+        n = net.node_count
+        rng = np.random.default_rng(11)
+        none, every = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        cases = [(none, none), (every, none), (rng.random(n) < 0.5, every)] + [
+            (rng.random(n) < rng.random() * 0.6, rng.random(n) < rng.random() * 0.4)
+            for _ in range(40)]
+        nodes = np.arange(n)
+        for k, (compromised, isolated) in enumerate(cases):
+            state.compromised[:], state.isolated[:] = compromised, isolated
+            obs = env.observe(ce.OBSERVER_RED)
+            assert np.array_equal(
+                ce.attackable_nodes(net.adjacency, state.compromised,
+                                    state.isolated, state.is_entry),
+                attackable_nodes_nn(net.adjacency, compromised, isolated,
+                                    state.is_entry)), k
+            assert np.array_equal(ag._move_targets(obs, ctx),
+                                  move_targets_nn(net.adjacency, compromised,
+                                                  isolated)), k
+            assert np.array_equal(ag._live_degree(obs, ctx, nodes),
+                                  live_degree_loop(net.neighbors, isolated, nodes)), k
+            assert ag._live_degree(obs, ctx, nodes[:0]).shape == (0,), k
+
     def test_fuzzed_episodes(self, tree30):
         net, cm = tree30
         blues = ["blue.sleep", "blue.random", "blue.random_smart", "blue.msn_s"]
@@ -1000,3 +1047,5 @@ class TestInvariants:
                 if state.outcome == ce.RED_WIN:
                     want -= ce.RED_WIN_PENALTY
                 assert result.blue_reward == want
+                assert type(result.blue_reward) is float
+                assert type(result.red_reward) is float

@@ -227,6 +227,11 @@ class TestConfigRanges:
         ({"split_ratio": 1.0}, "split_ratio"),
         ({"reds": (ag.parse_red_id("red.hvt_pref_sp:alpha=0.01,seed=5"),)},
          r"reds\[0\]"),
+        # An id that names no kind, or another kind, would not read back.
+        ({"reds": (ag.RedPolicySpec(kind="hvt_pref_sp", params=(1.0, 0.0, 0.0),
+                                    label="insider"),)}, r"reds\[0\]"),
+        ({"reds": (ag.RedPolicySpec(kind="hvt_pref_sp", params=(1.0, 0.0, 0.0),
+                                    label="red.hvt_pref:probs=1:0:0"),)}, r"reds\[0\]"),
     ])
     def test_out_of_range_rejected(self, overrides, field):
         config = {"blues": ("blue.sleep",), "reds": tuple(_members(1)),
@@ -366,6 +371,11 @@ class TestManifestRoundTrip:
     @example(config=ds.DatasetConfig(blues=("msn_d",), reds=tuple(PINNED_REDS[:1]),
                                      networks=("tree30",), master_seed=0, n_c=1,
                                      n_p=1, n_past=1, past_k=1))
+    # A red named without its "red." prefix is read back by the kind it names.
+    @example(config=ds.DatasetConfig(
+        blues=("blue.sleep",),
+        reds=(ag.parse_red_id("hvt_pref_sp:alpha=0.01,seed=5,index=0"),),
+        networks=("tree30",), master_seed=0, n_c=1, n_p=1, n_past=1, past_k=1))
     def test_read_returns_what_the_build_wrote(self, config):
         with tempfile.TemporaryDirectory(prefix="nettom-roundtrip-") as out:
             built = ds.build_dataset(config, out)

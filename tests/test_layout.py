@@ -1,7 +1,10 @@
 """A guard against dead code: every top-level function or class of
 ``src/nettom``, public or private, is used somewhere in the package or the
 benchmark, so a helper that only tests call lives in the tests, and a
-private helper that nothing calls is deleted.
+private helper that nothing calls is deleted. The same holds for the
+private methods of a class: each ``_name`` (not a dunder) is read as an
+attribute somewhere in the package, ``self._name`` as well as
+``obj._name``.
 
 A use counts only where it resolves to that definition: a bare name in the
 defining module (outside the definition itself), a name imported from that
@@ -103,6 +106,33 @@ def _unused() -> list[str]:
         and not any(word == name and not first <= line <= last
                     for word, line in bare[path])
     ]
+
+
+def _private_methods():
+    """(module, class, method) of every private method, not a dunder, of a
+    top-level class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name.startswith("_") and not node.name.endswith("__")):
+                    yield path.stem, cls.name, node.name
+
+
+def _attributes_read() -> set[str]:
+    """Every attribute name the package reads as ``x.name``."""
+    return {node.attr for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_every_private_method_is_read_as_an_attribute():
+    read = _attributes_read()
+    assert [f"{module}.{cls}.{name}" for module, cls, name in _private_methods()
+            if name not in read] == []
 
 
 def test_every_public_definition_is_named_elsewhere():
