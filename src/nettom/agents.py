@@ -616,24 +616,12 @@ def make_red(spec: RedPolicySpec):
 _RED_ID_KEYS = ("alpha", "seed", "index", "probs")
 
 
-def red_id_kind(name: str) -> str:
-    """The attacker kind a red id names, read as ``parse_red_id`` reads it:
-    the text before the first colon, without its optional ``red.`` prefix.
-    It draws no species member, and the kind may be unregistered."""
-    return name.removeprefix("red.").partition(":")[0]
-
-
-def parse_red_id(name: str) -> RedPolicySpec:
-    """Parse a red agent id string into a spec.
-
-    Grammar: ``red.<kind>[:key=value,...]`` with keys ``alpha``, ``seed``,
-    ``index`` and ``probs`` (colon-separated floats), each given at most
-    once. ``probs`` stands alone; ``alpha`` alone (or with an integer
-    ``seed``) names the species; adding ``seed`` and ``index`` pins the
-    index-th member of the seeded draw sequence.
-    """
-    kind = red_id_kind(name)
-    argstr = name.removeprefix("red.").partition(":")[2]
+def red_id_args(name: str) -> tuple[str, dict]:
+    """The attacker kind a red id names and its checked arguments, read
+    by the grammar ``parse_red_id`` documents; no species member is drawn
+    and no spec is built. Each argument is converted (``alpha`` a float,
+    ``seed`` and ``index`` ints, ``probs`` a tuple of floats)."""
+    kind, _, argstr = name.removeprefix("red.").partition(":")
     if kind not in RED_REGISTRY:
         raise ConfigError(
             f"unknown red policy {name!r}; expected one of "
@@ -658,23 +646,40 @@ def parse_red_id(name: str) -> RedPolicySpec:
     if "probs" in kv:
         if len(kv) > 1:
             raise ConfigError(f"{name!r}: probs=... takes no other argument")
-        params = tuple(
-            _id_number(name, "probs", x, float) for x in kv["probs"].split(":")
-        )
-        return RedPolicySpec(kind=kind, params=params, label=name)
+        return kind, {"probs": tuple(
+            _id_number(name, "probs", x, float) for x in kv["probs"].split(":"))}
     if "alpha" not in kv:
         raise ConfigError(f"red policy {name!r} needs alpha=... or probs=...")
-    alpha = _id_number(name, "alpha", kv["alpha"], float)
-    seed = _id_number(name, "seed", kv["seed"], int) if "seed" in kv else None
-    if "index" not in kv:
-        return RedPolicySpec(kind=kind, alpha=alpha, label=name)
-    if seed is None:
-        raise ConfigError(f"{name!r}: index=... requires seed=...")
-    index = _id_number(name, "index", kv["index"], int)
-    if not 0 <= index < MAX_SPECIES_MEMBERS:
-        raise ConfigError(f"{name!r}: index must be >= 0 and below "
-                          f"{MAX_SPECIES_MEMBERS}, got {index}")
-    [spec] = _member_specs(kind, alpha, seed, index + 1, [index], label=name)
+    args = {"alpha": _id_number(name, "alpha", kv["alpha"], float)}
+    if "seed" in kv:
+        args["seed"] = _id_number(name, "seed", kv["seed"], int)
+    if "index" in kv:
+        if "seed" not in args:
+            raise ConfigError(f"{name!r}: index=... requires seed=...")
+        args["index"] = _id_number(name, "index", kv["index"], int)
+        if not 0 <= args["index"] < MAX_SPECIES_MEMBERS:
+            raise ConfigError(f"{name!r}: index must be >= 0 and below "
+                              f"{MAX_SPECIES_MEMBERS}, got {args['index']}")
+    return kind, args
+
+
+def parse_red_id(name: str) -> RedPolicySpec:
+    """Parse a red agent id string into a spec.
+
+    Grammar: ``red.<kind>[:key=value,...]`` with keys ``alpha``, ``seed``,
+    ``index`` and ``probs`` (colon-separated floats), each given at most
+    once; the ``red.`` prefix is optional. ``probs`` stands alone; ``alpha``
+    alone (or with an integer ``seed``) names the species; adding ``seed``
+    and ``index`` pins the index-th member of the seeded draw sequence.
+    """
+    kind, args = red_id_args(name)
+    if "probs" in args:
+        return RedPolicySpec(kind=kind, params=args["probs"], label=name)
+    if "index" not in args:
+        return RedPolicySpec(kind=kind, alpha=args["alpha"], label=name)
+    index = args["index"]
+    [spec] = _member_specs(kind, args["alpha"], args["seed"], index + 1, [index],
+                           label=name)
     return spec
 
 

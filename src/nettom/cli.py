@@ -13,86 +13,22 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
 from . import agents, cyberenv, dataset, evalkit, graph_core, sinkhorn, transport
 from .errors import ConfigError, DataError
+from .jsonkeys import Key, number_vector, read_keys
 from .seeding import derive_seed
 
 CONFIG_SCHEMA_VERSION = 1
 
-#: Marks a config key that has no default.
-REQUIRED = object()
 
+class _UsageFailure(click.ClickException):
+    """A bad config, id or option value: one ``Error:`` line, exit code 2."""
 
-class Key(NamedTuple):
-    """One config key: its JSON type (an int also passes as a float; JSON
-    true/false pass as neither), the type of each item of a list, its
-    default, the inclusive bounds the CLI owns, and a converter that checks
-    the value further and returns what the command passes on."""
-
-    kind: type | tuple[type, ...]
-    default: object = REQUIRED
-    item: type | None = None
-    bounds: tuple[int, int] | None = None
-    convert: Callable | None = None
-
-
-def _fail_usage(message: str) -> "click.UsageError":
-    err = click.UsageError(message)
-    err.exit_code = 2
-    return err
-
-
-def _fail_data(message: str) -> "click.ClickException":
-    err = click.ClickException(message)
-    err.exit_code = 1
-    return err
-
-
-def _read_keys(obj, table: dict[str, Key], where: str) -> dict:
-    """The checked value of every key of ``table`` read from ``obj`` (the
-    default for an absent key, a tuple for a list); a key that ``table``
-    does not name is an error."""
-    if not isinstance(obj, dict):
-        raise _fail_usage(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = [name for name in obj if name not in table]
-    if unknown:
-        raise _fail_usage(
-            f"unknown key {', '.join(f'{where}.{name}' for name in unknown)} "
-            f"(known: {', '.join(table)})"
-        )
-
-    def typed(value, at: str, kind):
-        if kind is float and type(value) is int:
-            return float(value)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
-            raise _fail_usage(f"{at}: expected {' or '.join(names)}, "
-                              f"got {type(value).__name__}")
-        return value
-
-    out = {}
-    for name, key in table.items():
-        at = f"{where}.{name}"
-        if name not in obj:
-            if key.default is REQUIRED:
-                raise _fail_usage(f"{at}: required field is missing")
-            out[name] = key.default
-            continue
-        value = typed(obj[name], at, key.kind)
-        if isinstance(value, list):
-            value = tuple(typed(x, f"{at}[{i}]", key.item) for i, x in enumerate(value))
-        if key.bounds is not None:
-            lo, hi = key.bounds
-            if not lo <= value <= hi:
-                rule = f"{lo}" if lo == hi else f">= {lo} and at most {hi}"
-                raise _fail_usage(f"{at}: must be {rule}, got {value}")
-        out[name] = key.convert(value, at) if key.convert else value
-    return out
+    exit_code = 2
 
 
 SPECIES_KEYS = {
@@ -106,17 +42,17 @@ SPECIES_KEYS = {
 def _red_specs(reds, where: str) -> tuple[agents.RedPolicySpec, ...]:
     """Attacker specs from a list of agent ids or a species object."""
     if isinstance(reds, dict):
-        species = _read_keys(reds, SPECIES_KEYS, where)
+        species = read_keys(reds, SPECIES_KEYS, where)
         try:
             return tuple(agents.species_members(**species))
-        except (ConfigError, ValueError) as exc:
-            raise _fail_usage(f"{where}: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     specs = []
     for i, red_id in enumerate(reds):
         try:
             specs.append(agents.parse_red_id(red_id))
         except ConfigError as exc:
-            raise _fail_usage(f"{where}[{i}]: {exc}")
+            raise ValueError(f"{where}[{i}]: {exc}") from None
     return tuple(specs)
 
 
@@ -153,9 +89,12 @@ def _load_config(path: str, table: dict[str, Key]) -> dict:
     """The checked config at ``path``, less its schema version."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail_usage(f"cannot read config {path}: {exc}")
-    config = _read_keys(obj, table, "config")
+    except (OSError, ValueError) as exc:
+        raise _UsageFailure(f"cannot read config {path}: {exc}")
+    try:
+        config = read_keys(obj, table, "config")
+    except ValueError as exc:
+        raise _UsageFailure(str(exc))
     del config["schema_version"]
     return config
 
@@ -163,21 +102,20 @@ def _load_config(path: str, table: dict[str, Key]) -> dict:
 def _read_distribution(path: str, n: int, name: str) -> np.ndarray:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        values = graph_core.number_vector(data, name)
-    except (OSError, TypeError, ValueError) as exc:
-        raise _fail_data(f"cannot read distribution {path}: {exc}")
+        values = number_vector(data, name)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"cannot read distribution {path}: {exc}")
     try:
         return transport.check_distribution(values, n, name)
     except ValueError as exc:
-        raise _fail_data(str(exc))
+        raise click.ClickException(str(exc))
 
 
 def _load_net(path: str) -> graph_core.Network:
     try:
         return graph_core.load_network(path)
-    except (OSError, json.JSONDecodeError, IndexError, KeyError, TypeError,
-            ValueError) as exc:
-        raise _fail_data(f"cannot load network {path}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"cannot load network {path}: {exc}")
 
 
 @click.group()
@@ -197,7 +135,7 @@ def network(topology, seed, out):
     try:
         net = graph_core.generate_network(topology)
     except ConfigError as exc:
-        raise _fail_usage(str(exc))
+        raise _UsageFailure(str(exc))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{net.name}.json"
@@ -220,13 +158,13 @@ def network(topology, seed, out):
 def simulate(blue, red_id, topology, episodes, seed, out):
     """Roll out episodes of one matchup and write trajectories + summary."""
     if episodes < 0:
-        raise _fail_usage("--episodes must be >= 0")
+        raise _UsageFailure("--episodes must be >= 0")
     try:
         graph_core.topology(topology)
         agents.make_blue(blue)
         red_spec = agents.parse_red_id(red_id)
     except ConfigError as exc:
-        raise _fail_usage(str(exc))
+        raise _UsageFailure(str(exc))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rewards, durations, wins = [], [], 0
@@ -235,7 +173,7 @@ def simulate(blue, red_id, topology, episodes, seed, out):
             traj = dataset.run_episode(topology, blue, red_spec, f"sim-{e}",
                                        derive_seed(seed, "simulate", e))
         except RuntimeError as exc:
-            raise _fail_data(str(exc))
+            raise click.ClickException(str(exc))
         cyberenv.write_trajectory(traj, out_dir / f"episode_{e:04d}.jsonl")
         rewards.append(traj.total_blue_reward)
         durations.append(traj.final_step)
@@ -268,9 +206,9 @@ def tournament(config_path, out, jobs):
         table = evalkit.run_tournament(**config, jobs=max(1, jobs))
     except ConfigError as exc:
         # run_tournament's messages start with the config key they check.
-        raise _fail_usage(f"config.{exc}")
+        raise _UsageFailure(f"config.{exc}")
     except (DataError, RuntimeError, ValueError) as exc:
-        raise _fail_data(str(exc))
+        raise click.ClickException(str(exc))
     paths = evalkit.write_tournament_reports(table, out)
     click.echo(f"wrote {len(paths)} tables to {out}")
     for cell in table.averaged():
@@ -292,15 +230,15 @@ def dataset_cmd(config_path, out, jobs):
     try:
         ds_config = dataset.DatasetConfig(master_seed=config.pop("seed"), **config)
     except ConfigError as exc:
-        raise _fail_usage(f"config.{exc}")
+        raise _UsageFailure(f"config.{exc}")
     if holdout and len({spec.kind for spec in ds_config.reds}) != 1:
-        raise _fail_usage("config.holdout_reds needs a single red kind")
+        raise _UsageFailure("config.holdout_reds needs a single red kind")
 
     def build(config, where):
         try:
             return dataset.build_dataset(config, where, jobs=max(1, jobs))
         except (RuntimeError, ValueError) as exc:
-            raise _fail_data(str(exc))
+            raise click.ClickException(str(exc))
 
     manifest = build(ds_config, out)
     disjoint = dataset.past_pools_disjoint(manifest)
@@ -324,7 +262,7 @@ def dataset_cmd(config_path, out, jobs):
             f"holdout: reds={holdout} samples={len(test_manifest.samples)}"
         )
     if not disjoint:
-        raise _fail_data("past pools are not disjoint; dataset is invalid")
+        raise click.ClickException("past pools are not disjoint; dataset is invalid")
 
 
 @main.command()
@@ -354,17 +292,17 @@ def score(pred_path, manifest_path, out, coefficients, gammas, floor,
         gamma_set = (tuple(float(x) for x in gammas.split(","))
                      if gammas else None)
     except ValueError:
-        raise _fail_usage("--coefficients/--gammas: expected comma-separated "
-                          "numbers")
+        raise _UsageFailure("--coefficients/--gammas: expected comma-separated "
+                            "numbers")
     try:
         hvt, sr, hedging, skipped = evalkit.score_predictions(
             pred_path, manifest_path, coefficients=coeffs, floor=floor,
             gammas=gamma_set, kmeans_k=kmeans_k, kmeans_gamma=kmeans_gamma,
             kmeans_network=kmeans_network, seed=seed)
     except ConfigError as exc:
-        raise _fail_usage(str(exc))
+        raise _UsageFailure(str(exc))
     except DataError as exc:
-        raise _fail_data(str(exc))
+        raise click.ClickException(str(exc))
     if skipped is not None:
         click.echo(f"hedging pass skipped: {skipped}", err=True)
     paths = evalkit.write_score_reports(out, hvt=hvt, sr=sr, hedging=hedging)
@@ -399,7 +337,7 @@ def ntd_score(p_path, q_path, net_path, with_plan):
     try:
         result = transport.wasserstein(p, q, cm)
     except (ValueError, RuntimeError) as exc:
-        raise _fail_data(str(exc))
+        raise click.ClickException(str(exc))
     payload = {
         "cost": result.cost,
         "ntd": result.cost / cm.diameter,
@@ -441,11 +379,11 @@ def ntd_sinkhorn(p_path, q_path, net_path, lam, max_iters, tol):
         # SinkhornParams owns these rules; name the flag for the field its
         # message starts with, and pass any other message on unchanged.
         field, _, rest = str(exc).partition(" ")
-        raise _fail_data(f"{_SINKHORN_FLAGS.get(field, field)} {rest}")
+        raise click.ClickException(f"{_SINKHORN_FLAGS.get(field, field)} {rest}")
     try:
         result = sinkhorn.sinkhorn_plan(p, q, cm, params)
     except (ValueError, RuntimeError) as exc:
-        raise _fail_data(str(exc))
+        raise click.ClickException(str(exc))
     click.echo(json.dumps({
         "value": result.value,
         "iterations": result.iterations_used,

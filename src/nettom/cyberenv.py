@@ -42,10 +42,10 @@ from .graph_core import (
     Network,
     all_pairs_shortest_paths,
     entry_candidates,
-    json_int,
     place_high_value_nodes,
     topology,
 )
+from .jsonkeys import Key, check_known, json_int, read_keys
 from .seeding import derive_seed, rng_for
 
 BLUE_DO_NOTHING = "do_nothing"
@@ -610,6 +610,26 @@ def write_trajectory(traj: EpisodeTrajectory, path: str | Path) -> None:
     Path(path).write_text(trajectory_to_jsonl(traj), encoding="utf-8")
 
 
+#: The keys of the header ``trajectory_to_jsonl`` writes.
+HEADER_KEYS = {
+    "schema_version": Key(int),
+    "episode_id": Key(str),
+    "network": Key(str),
+    "seed": Key(int),
+    "agents": Key({"blue": Key(str), "red": Key(str)}),
+    "outcome": Key({"winner": Key(str), "target": Key((int, type(None)))}),
+    "final_step": Key(int),
+    "hvns": Key(list, item=int),
+    "entries": Key(list, item=int),
+    "total_blue_reward": Key(float),
+}
+# The keys of a step line and of each action on it; the step loop reads
+# them by hand, the hot path of reading an episode back.
+_STEP_KEYS = ("blue_action", "changed", "red_action", "t")
+_BLUE_ACTION_KEYS = ("kind", "target")
+_RED_ACTION_KEYS = ("hits", "kind", "target")
+
+
 def _json_object(path, lineno: int, line: str) -> dict:
     try:
         obj = json.loads(line)
@@ -618,11 +638,6 @@ def _json_object(path, lineno: int, line: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}:{lineno}: not a JSON object")
     return obj
-
-
-def _line_error(path, lineno: int, exc: Exception) -> ValueError:
-    why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ValueError(f"{path}:{lineno}: {why}")
 
 
 def _json_list(v, what: str) -> list:
@@ -637,26 +652,30 @@ def _node(v, n: int) -> int:
     return v
 
 
-def _action_from_json(cls, kinds: tuple[str, ...], obj: dict | None, n: int):
+def _action_from_json(cls, kinds: tuple[str, ...], known: tuple[str, ...],
+                      obj: dict | None, n: int, where: str):
     if obj is None:
         return None
-    if obj["kind"] not in kinds:
-        raise ValueError(f"unknown action kind {obj['kind']!r}")
-    target = obj["target"]
-    return cls(obj["kind"], None if target is None else _node(target, n))
+    kind, target = obj["kind"], obj["target"]
+    if len(obj) != len(known):
+        check_known(obj, known, where)
+    if kind not in kinds:
+        raise ValueError(f"unknown action kind {kind!r}")
+    return cls(kind, None if target is None else _node(target, n))
 
 
 def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     """Decode a file written by ``trajectory_to_jsonl`` into the trajectory
-    that was encoded, field for field. The ids must be strings, ``network``
-    a ``TOPOLOGIES`` id, ``entries`` its first entry candidates, ``hvns``
-    three of its leaves that are not entries, ``seed`` an integer,
-    ``final_step`` non-negative, the winner one the game writes, the target
-    null or a node, and ``total_blue_reward`` a finite number. Step line
-    ``k`` must have ``t == k`` and both actions, the terminal line neither,
-    ``changed`` and red's ``hits`` lists, and every changed vulnerability a
-    finite float; step 0 changes every node, in ascending order. Malformed
-    content raises ``ValueError`` naming the file and line."""
+    that was encoded, field for field. The header is read against
+    ``HEADER_KEYS``; ``network`` must be a ``TOPOLOGIES`` id, ``entries``
+    its first entry candidates, ``hvns`` three of its leaves that are not
+    entries, ``final_step`` non-negative, the winner one the game writes,
+    the target null or a node, and ``total_blue_reward`` finite. Step line
+    ``k`` must hold exactly the keys the writer writes, ``t == k`` and both
+    actions, the terminal line neither, ``changed`` and red's ``hits``
+    lists, and every changed vulnerability a finite float; step 0 changes
+    every node, in ascending order. Malformed content raises ``ValueError``
+    naming the file and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     header = _json_object(path, 1, lines[0] if lines else "")
@@ -664,48 +683,33 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     if version != TRAJECTORY_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported trajectory schema {version!r}")
     try:
-        for key, value in (("episode_id", header["episode_id"]),
-                           ("network", header["network"]),
-                           ("agents.blue", header["agents"]["blue"]),
-                           ("agents.red", header["agents"]["red"])):
-            if not isinstance(value, str):
-                raise ValueError(f"{key} must be a string, got {value!r}")
-        net = topology(header["network"])[0]
+        h = read_keys(header, HEADER_KEYS)
+        net = topology(h["network"])[0]
         n = net.node_count
-        winner = header["outcome"]["winner"]
+        winner, target = h["outcome"]["winner"], h["outcome"]["target"]
         if winner not in (RED_WIN, BLUE_WIN):
             raise ValueError(f"unknown winner {winner!r}")
-        target = header["outcome"]["target"]
-        reward = header["total_blue_reward"]
-        if type(reward) not in (int, float) or not math.isfinite(reward):
+        reward, final_step, entries = h["total_blue_reward"], h["final_step"], h["entries"]
+        if not math.isfinite(reward):
             raise ValueError(f"total_blue_reward {reward!r} is not a finite number")
-        final_step = json_int(header["final_step"], "final_step")
         if final_step < 0:
             raise ValueError(f"final_step {final_step} is negative")
-        entries = header["entries"]
-        if type(entries) is not list or not entries or tuple(
+        if not entries or tuple(
                 _node(v, n) for v in entries) != entry_candidates(net, len(entries)):
-            raise ValueError(f"entries {entries!r} are not a non-empty list of distinct "
-                             f"nodes, the first of {net.name}'s entry candidates")
-        hvns = tuple(_node(v, n) for v in header["hvns"])
+            raise ValueError(f"entries {list(entries)!r} are not a non-empty list of "
+                             f"distinct nodes, the first of {net.name}'s entry candidates")
+        hvns = tuple(_node(v, n) for v in h["hvns"])
         if len(hvns) != 3 or len(set(hvns) & (net.leaf_set - set(entries))) != 3:
             raise ValueError(f"hvns {list(hvns)} are not three distinct nodes among "
                              f"{net.name}'s leaves other than the entries")
         traj = EpisodeTrajectory(
-            episode_id=header["episode_id"],
-            network=header["network"],
-            seed=json_int(header["seed"], "seed"),
-            blue_id=header["agents"]["blue"],
-            red_id=header["agents"]["red"],
-            outcome=winner,
+            episode_id=h["episode_id"], network=h["network"], seed=h["seed"],
+            blue_id=h["agents"]["blue"], red_id=h["agents"]["red"], outcome=winner,
             target_node=None if target is None else _node(target, n),
-            final_step=final_step,
-            hvns=hvns,
-            entries=tuple(entries),
-            total_blue_reward=float(reward),
+            final_step=final_step, hvns=hvns, entries=entries, total_blue_reward=reward,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _line_error(path, 1, exc) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     if len(lines) - 1 != traj.final_step + 1:
         raise ValueError(f"{path}: {len(lines) - 1} step lines, expected "
                          f"final_step + 1 = {traj.final_step + 1}")
@@ -714,6 +718,8 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
     for lineno, line in enumerate(lines[1:], 2):
         rec = _json_object(path, lineno, line)
         try:
+            if len(rec) != len(_STEP_KEYS):
+                check_known(rec, _STEP_KEYS)
             changed = _json_list(rec["changed"], "changed")
             for v, x, f in changed:
                 nodes.append(_node(v, n))
@@ -740,13 +746,16 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
                 raise ValueError("a null action before the terminal line")
             traj.steps.append(TrajectoryStep(
                 t=t,
-                blue_action=_action_from_json(BlueAction, BLUE_ACTION_KINDS, blue, n),
-                red_action=_action_from_json(RedAction, RED_ACTION_KINDS, red, n),
+                blue_action=_action_from_json(BlueAction, BLUE_ACTION_KINDS,
+                                              _BLUE_ACTION_KEYS, blue, n, "blue_action"),
+                red_action=_action_from_json(RedAction, RED_ACTION_KINDS,
+                                             _RED_ACTION_KEYS, red, n, "red_action"),
                 red_hits=() if red is None else tuple(
                     _node(v, n) for v in _json_list(red["hits"], "hits")),
             ))
         except (KeyError, TypeError, ValueError) as exc:
-            raise _line_error(path, lineno, exc) from None
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}:{lineno}: {why}") from None
 
     # Scatter the changes into per-step rows, then carry each node's value
     # forward from the last step that changed it.

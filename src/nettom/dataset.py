@@ -25,17 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import (
-    BLUE_REGISTRY,
-    RED_REGISTRY,
-    RedPolicySpec,
-    make_blue,
-    make_red,
-    red_id_kind,
-)
+from .agents import BLUE_REGISTRY, RedPolicySpec, make_blue, make_red, red_id_args
 from .cyberenv import MAX_STEPS, RED_WIN, EpisodeTrajectory, rollout, write_trajectory
 from .errors import ConfigError, DataError, SampleExclusionError
-from .graph_core import json_int, number_vector, topology
+from .graph_core import topology
+from .jsonkeys import Key, number_map, number_vector, read_keys
 from .seeding import derive_seed, rng_for
 from .transport import check_distribution
 
@@ -121,14 +115,18 @@ class DatasetConfig:
     split_ratio: float = 0.75
 
     def __post_init__(self):
-        """Reject unpinned attackers and attackers whose id does not name
-        their kind (``read_manifest`` refuses such an id), a bad game grid,
-        then bad sizes and discounts."""
+        """Reject unpinned attackers and attackers whose id does not parse
+        as a red id of their kind (``read_manifest`` refuses such an id), a
+        bad game grid, then bad sizes and discounts."""
         for i, spec in enumerate(self.reds):
             if spec.params is None:
                 raise ConfigError(f"reds[{i}]: dataset attackers must be pinned "
                                   "members (give seed= and index=, or probs=)")
-            if red_id_kind(spec.policy_id) != spec.kind:
+            try:
+                named = red_id_args(spec.policy_id)[0]
+            except ConfigError as exc:
+                raise ConfigError(f"reds[{i}]: {exc}") from None
+            if named != spec.kind:
                 raise ConfigError(f"reds[{i}]: policy id {spec.policy_id!r} does not "
                                   f"name its kind {spec.kind!r}")
         build_game_set(self.blues, self.reds, self.networks)
@@ -463,152 +461,125 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     Path(path).write_text(payload, encoding="utf-8")
 
 
+def _blue_id(value: str, at: str) -> str:
+    if value not in _BLUE_IDS:
+        raise ValueError(f"{at}: {value!r} is not a blue policy id; expected one of "
+                         f"{sorted(_BLUE_IDS)}")
+    return value
+
+
+def _red_id(value: str, at: str) -> str:
+    try:
+        red_id_args(value)
+    except ConfigError as exc:
+        raise ValueError(f"{at}: {exc}") from None
+    return value
+
+
+def _red_split(split: dict, at: str) -> dict:
+    for red, side in split.items():
+        _red_id(red, f"{at}[{red}]")
+        if side not in ("train", "val"):
+            raise ValueError(f"{at}[{red}]: must be 'train' or 'val', got {side!r}")
+    return split
+
+
+# The blue ids a build writes: each blue policy's own id.
+_BLUE_IDS = frozenset(make_blue(name).policy_id for name in BLUE_REGISTRY)
+# The keys manifest_to_json writes: a game, a past ref, a sample, the top level.
+GAME_KEYS = {"blue": Key(str, convert=_blue_id), "red": Key(str, convert=_red_id),
+             "network": Key(str), "base_seed": Key(int)}
+PAST_KEYS = {"episode_id": Key(str), "steps": Key(list, item=int)}
+SAMPLE_KEYS = {
+    "sample_id": Key(str),
+    "game_id": Key(str),
+    "t": Key(int, bounds=(0, 1)),
+    "truth_sr": Key(dict, convert=number_map),
+    "past": Key(list, item=PAST_KEYS),
+    "hvns": Key(list, item=int),
+    "target_index": Key(int, bounds=(0, 2)),
+}
+MANIFEST_KEYS = {
+    "schema_version": Key(int),
+    "master_seed": Key(int),
+    "gammas": Key(list, convert=number_vector),
+    "n_c": Key(int),
+    "n_p": Key(int),
+    "n_past": Key(int),
+    "past_k": Key(int),
+    "split_ratio": Key(float),
+    "games": Key(dict, item=GAME_KEYS),
+    "red_split": Key(dict, item=str, convert=_red_split),
+    "excluded": Key(list, item={"episode": Key(str), "reason": Key(str)}),
+    "samples": Key(list, item=SAMPLE_KEYS),
+}
+
+
 def read_manifest(path: str | Path) -> DatasetManifest:
+    """The manifest at ``path``, read against ``MANIFEST_KEYS`` and held to
+    the rules that built it; malformed content raises ``DataError``."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict):
         raise DataError("manifest must be a JSON object")
     if obj.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema {obj.get('schema_version')!r}")
     try:
-        return _manifest_from_json(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed manifest: {exc!r}") from None
-
-
-# The keys manifest_to_json writes: the top-level object, a sample, a past ref.
-MANIFEST_KEYS = frozenset({"schema_version", "master_seed", "gammas", "n_c", "n_p",
-                           "n_past", "past_k", "split_ratio", "games", "red_split",
-                           "excluded", "samples"})
-SAMPLE_KEYS = frozenset({"sample_id", "game_id", "t", "truth_sr", "past", "hvns",
-                         "target_index"})
-PAST_KEYS = frozenset({"episode_id", "steps"})
-# The blue ids a build writes: each blue policy's own id.
-_BLUE_IDS = frozenset(make_blue(name).policy_id for name in BLUE_REGISTRY)
-
-
-def _check_keys(obj, keys: frozenset, where: str) -> None:
-    """Hold the JSON object at ``where`` to exactly the keys its writer writes."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{where} must be an object, got {obj!r}")
-    problems = [f"{kind} keys {sorted(found)}" for kind, found in (
-        ("unknown", set(obj) - keys), ("missing", keys - set(obj))) if found]
-    if problems:
-        raise ValueError(f"{where} has {' and '.join(problems)}")
+        return _manifest_from_json(read_keys(obj, MANIFEST_KEYS))
+    except ValueError as exc:
+        raise DataError(f"malformed manifest: {exc}") from None
 
 
 def _sample_from_json(i: int, s: dict, gamma_keys: list[str], games: dict,
                       nets: dict, n_past: int, past_k: int) -> ToMSample:
     """Sample ``i``, held to the rules that built it on its game's topology."""
-    _check_keys(s, SAMPLE_KEYS, f"samples[{i}]")
-    if not isinstance(s["sample_id"], str):
-        raise TypeError(f"samples[{i}].sample_id must be a string, got {s['sample_id']!r}")
     if s["game_id"] not in games:
         raise ValueError(f"samples[{i}].game_id {s['game_id']!r} is not in games")
-    for key in ("t", "target_index"):
-        json_int(s[key], f"samples[{i}].{key}")
     game = games[s["game_id"]]
     net = nets[game["network"]]
-    if s["t"] not in (0, 1):
-        raise ValueError(f"samples[{i}].t must be 0 or 1, got {s['t']!r}")
     hvns = s["hvns"]
-    if not isinstance(hvns, list) or len(hvns) != 3:
-        raise ValueError(f"samples[{i}].hvns must be three integers, got {hvns!r}")
-    for h in hvns:
-        json_int(h, f"samples[{i}].hvns entry")
+    if len(hvns) != 3:
+        raise ValueError(f"samples[{i}].hvns must be three integers, got {list(hvns)!r}")
     if len(set(hvns)) != 3 or not set(hvns) <= net.leaf_set - {net.entry_node}:
-        raise ValueError(f"samples[{i}].hvns {hvns!r} are not distinct leaves of "
+        raise ValueError(f"samples[{i}].hvns {list(hvns)!r} are not distinct leaves of "
                          f"{net.name} other than its entry")
-    if s["target_index"] not in (0, 1, 2):
-        raise ValueError(f"samples[{i}].target_index must be 0, 1 or 2, "
-                         f"got {s['target_index']!r}")
     if set(s["truth_sr"]) != set(gamma_keys):
         raise ValueError(f"samples[{i}].truth_sr keys {sorted(s['truth_sr'])} "
                          f"are not the manifest's discounts {gamma_keys}")
-    truth_sr = {}
     for k, v in s["truth_sr"].items():
-        truth_sr[k] = number_vector(v, f"samples[{i}].truth_sr[{k}]")
         try:
-            check_distribution(truth_sr[k], net.node_count, "truth_sr")
+            check_distribution(v, net.node_count, "truth_sr")
         except ValueError as exc:
             raise ValueError(f"samples[{i}] gamma {k}: {exc}") from None
-    if type(s["past"]) is not list or len(s["past"]) != n_past:
+    if len(s["past"]) != n_past:
         raise ValueError(f"samples[{i}].past must list n_past={n_past} episodes")
     for k, ref in enumerate(s["past"]):
-        _check_keys(ref, PAST_KEYS, f"samples[{i}].past[{k}]")
-        if not isinstance(ref["episode_id"], str):
-            raise TypeError(f"samples[{i}].past[{k}].episode_id must be a string, "
-                            f"got {ref['episode_id']!r}")
         steps = ref["steps"]
-        if type(steps) is not list or not 0 < len(steps) <= past_k or any(
-                json_int(t, f"samples[{i}].past[{k}].steps entry") > MAX_STEPS
-                for t in steps) or steps[0] != 0 or sorted(set(steps)) != steps:
+        if (not 0 < len(steps) <= past_k or steps[0] != 0
+                or sorted(set(steps)) != list(steps) or steps[-1] > MAX_STEPS):
             raise ValueError(f"samples[{i}].past[{k}].steps must be a list of non-negative "
                              f"integers rising strictly from 0, at most past_k={past_k} "
-                             f"of them and none above {MAX_STEPS}, got {steps!r}")
+                             f"of them and none above {MAX_STEPS}, got {list(steps)!r}")
     return ToMSample(
-        sample_id=s["sample_id"],
-        game_id=s["game_id"],
-        network=game["network"],
-        blue_id=game["blue"],
-        red_id=game["red"],
-        t=s["t"],
-        truth_sr=truth_sr,
-        past=tuple(
-            PastRef(episode_id=p["episode_id"], step_indices=tuple(p["steps"]))
-            for p in s["past"]
-        ),
-        hvns=tuple(hvns),
-        target_index=s["target_index"],
+        sample_id=s["sample_id"], game_id=s["game_id"], network=game["network"],
+        blue_id=game["blue"], red_id=game["red"], t=s["t"], truth_sr=s["truth_sr"],
+        past=tuple(PastRef(p["episode_id"], p["steps"]) for p in s["past"]),
+        hvns=hvns, target_index=s["target_index"],
     )
 
 
-def _manifest_from_json(obj: dict) -> DatasetManifest:
-    _check_keys(obj, MANIFEST_KEYS, "manifest")
-    for key, kind, name in (("games", dict, "an object"),
-                            ("red_split", dict, "an object"),
-                            ("excluded", list, "a list"),
-                            ("samples", list, "a list")):
-        if not isinstance(obj[key], kind):
-            raise TypeError(f"{key} must be {name}, got {obj[key]!r}")
-    games, names = obj["games"], ("blue", "red", "network")
-    for game_id, game in games.items():
-        if (not isinstance(game, dict) or set(game) != {*names, "base_seed"}
-                or not all(isinstance(game[k], str) for k in names)
-                or type(game["base_seed"]) is not int):
-            raise ValueError(f"games[{game_id!r}] must hold string blue, red and network "
-                             f"and integer base_seed, got {game!r}")
-        if game["blue"] not in _BLUE_IDS:
-            raise ValueError(f"games[{game_id!r}].blue {game['blue']!r} is not a blue "
-                             f"policy id; expected one of {sorted(_BLUE_IDS)}")
-    for k, entry in enumerate(obj["excluded"]):
-        if (not isinstance(entry, dict) or set(entry) != {"episode", "reason"}
-                or not all(isinstance(v, str) for v in entry.values())):
-            raise ValueError(f"excluded[{k}] must hold string episode and reason, "
-                             f"got {entry!r}")
-    for key in ("master_seed", "n_c", "n_p", "n_past", "past_k"):
-        json_int(obj[key], key)
-    gammas = number_vector(obj["gammas"], "gammas")
-    if type(obj["split_ratio"]) not in (int, float):
-        raise TypeError(f"split_ratio must be a number, got {obj['split_ratio']!r}")
-    check_build_numbers(obj["n_c"], obj["n_p"], obj["n_past"], obj["past_k"],
-                        gammas, obj["split_ratio"])
+def _manifest_from_json(m: dict) -> DatasetManifest:
+    """The manifest of the checked keys ``m``, held to the cross-key rules."""
+    check_build_numbers(m["n_c"], m["n_p"], m["n_past"], m["past_k"], m["gammas"],
+                        m["split_ratio"])
+    games = m["games"]
     nets = {game["network"]: topology(game["network"])[0] for game in games.values()}
-    gamma_keys = [gamma_key(g) for g in gammas]
-    samples = [_sample_from_json(i, s, gamma_keys, games, nets, obj["n_past"], obj["past_k"])
-               for i, s in enumerate(obj["samples"])]
-    red_split = obj["red_split"]
+    gamma_keys = [gamma_key(g) for g in m["gammas"]]
+    samples = [_sample_from_json(i, s, gamma_keys, games, nets, m["n_past"], m["past_k"])
+               for i, s in enumerate(m["samples"])]
     reds = {game["red"] for game in games.values()}
-    if set(red_split) != reds:
-        raise ValueError(f"red_split names {sorted(red_split)}, not the games' "
+    if set(m["red_split"]) != reds:
+        raise ValueError(f"red_split names {sorted(m['red_split'])}, not the games' "
                          f"attackers {sorted(reds)}")
-    for red, side in red_split.items():
-        if side not in ("train", "val"):
-            raise ValueError(f"red_split[{red!r}] must be 'train' or 'val', "
-                             f"got {side!r}")
-    for game_id, game in games.items():
-        if red_id_kind(game["red"]) not in RED_REGISTRY:
-            raise ValueError(f"games[{game_id!r}].red {game['red']!r} names no red "
-                             f"policy kind; expected one of {sorted(RED_REGISTRY)}")
     # Every sample is its own current episode, and no episode is named twice:
     # no sample id repeats, no past episode leaks between samples, and no
     # excluded current episode is also a sample's.
@@ -616,22 +587,11 @@ def _manifest_from_json(obj: dict) -> DatasetManifest:
              for where, episode_id in [("sample_id", s.sample_id)] + [
                  (f"past[{k}].episode_id", ref.episode_id) for k, ref in enumerate(s.past)]]
     named += [(f"excluded[{k}].episode", e["episode"])
-              for k, e in enumerate(obj["excluded"])]
+              for k, e in enumerate(m["excluded"])]
     seen: set[str] = set()
     for where, episode_id in named:
         if episode_id in seen:
             raise ValueError(f"{where} {episode_id!r} is already a current or past episode")
         seen.add(episode_id)
-    return DatasetManifest(
-        master_seed=obj["master_seed"],
-        gammas=gammas,
-        n_c=obj["n_c"],
-        n_p=obj["n_p"],
-        n_past=obj["n_past"],
-        past_k=obj["past_k"],
-        split_ratio=obj["split_ratio"],
-        games=games,
-        samples=samples,
-        red_split=red_split,
-        excluded=obj["excluded"],
-    )
+    del m["schema_version"]
+    return DatasetManifest(**{**m, "samples": samples, "excluded": list(m["excluded"])})

@@ -23,7 +23,8 @@ from .cyberenv import BLUE_WIN
 from .dataset import (DatasetManifest, ToMSample, build_game_set, gamma_key, map_jobs,
                       read_manifest, run_episode)
 from .errors import ConfigError, DataError
-from .graph_core import entry_candidates, number_vector, topology
+from .graph_core import entry_candidates, topology
+from .jsonkeys import Key, number_map, number_vector, read_keys
 from .seeding import derive_seed
 from .transport import WeightingConfig, ntd_weighted
 
@@ -156,35 +157,25 @@ class PredictionRecord:
     pred_sr: dict[str, tuple[float, ...]]
 
 
+#: The keys of a prediction line.
+PREDICTION_KEYS = {"sample_id": Key(str), "pred_hvn": Key(list, convert=number_vector),
+                   "pred_sr": Key(dict, convert=number_map)}
+
+
 def read_predictions(path: str | Path) -> dict[str, PredictionRecord]:
-    """Parse a predictions file: one JSON object per line with keys
-    sample_id, pred_hvn (a list of numbers), and pred_sr (a map from
-    discount to a list of numbers)."""
+    """Parse a predictions file: one JSON object per line, read against
+    ``PREDICTION_KEYS``: sample_id, pred_hvn (a list of numbers) and
+    pred_sr (a map from discount to a list of numbers), each list a
+    distribution within 1e-6."""
     records = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError("not a JSON object")
-                sample_id, pred_sr = obj["sample_id"], obj["pred_sr"]
-                if not isinstance(sample_id, str):
-                    raise TypeError("sample_id must be a string, got "
-                                    f"{type(sample_id).__name__}")
-                if not isinstance(pred_sr, dict):
-                    raise TypeError("pred_sr must be an object, got "
-                                    f"{type(pred_sr).__name__}")
-                rec = PredictionRecord(
-                    sample_id=sample_id,
-                    pred_hvn=number_vector(obj["pred_hvn"], "pred_hvn"),
-                    pred_sr={k: number_vector(v, f"pred_sr[{k}]")
-                             for k, v in pred_sr.items()},
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise DataError(f"{path}:{lineno}: malformed prediction: {why}")
+                rec = PredictionRecord(**read_keys(json.loads(line), PREDICTION_KEYS))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed prediction: {exc}") from None
             for label, vec in [("pred_hvn", rec.pred_hvn)] + [
                 (f"pred_sr[{k}]", v) for k, v in rec.pred_sr.items()
             ]:

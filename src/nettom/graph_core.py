@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .jsonkeys import Key, json_int, read_keys
 
 LAYERS = ("core", "edge", "aggregation", "access", "subnet")
 
@@ -129,17 +130,19 @@ class Network:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, name: str = "custom") -> "Network":
-        """The network of a ``to_json`` object; ``nodes``, ``entry`` and
-        every edge endpoint must be JSON integers."""
-        ends = [[json_int(v, "edge endpoint") for v in e] for e in obj["edges"]]
-        return cls(
-            name=name,
-            node_count=json_int(obj["nodes"], "nodes"),
-            edges=tuple(sorted((min(i, j), max(i, j)) for i, j in ends)),
-            entry_node=json_int(obj["entry"], "entry"),
-            node_layer=tuple(obj["layers"]),
-        )
+    def from_json(cls, obj, name: str = "custom") -> "Network":
+        """The network of a ``to_json`` object, read against
+        ``NETWORK_KEYS``; every edge is a pair of JSON integers."""
+        net = read_keys(obj, NETWORK_KEYS)
+        ends = [[json_int(v, f"edges[{k}]") for v in e] for k, e in enumerate(net["edges"])]
+        return cls(name=name, node_count=net["nodes"],
+                   edges=tuple(sorted((min(i, j), max(i, j)) for i, j in ends)),
+                   entry_node=net["entry"], node_layer=net["layers"])
+
+
+#: The keys ``Network.to_json`` writes.
+NETWORK_KEYS = {"edges": Key(list, item=list), "entry": Key(int),
+                "layers": Key(list, item=str), "nodes": Key(int)}
 
 
 @dataclass(frozen=True)
@@ -163,23 +166,6 @@ class CostMatrix:
     bfs_parent: np.ndarray
     bfs_up_arc: np.ndarray
     bfs_down_arc: np.ndarray
-
-
-def json_int(v, what: str) -> int:
-    """``v`` if it is a JSON integer (not a float or a boolean)."""
-    if type(v) is not int:
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
-
-
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def number_vector(value, label: str) -> tuple[float, ...]:
-    """A JSON list of numbers (not booleans) as a tuple of floats."""
-    if type(value) is not list or not _NUMBER_TYPES.issuperset(map(type, value)):
-        raise TypeError(f"{label} must be a list of numbers")
-    return tuple(map(float, value))
 
 
 def _hops(neighbors, source: int, blocked=frozenset()) -> list[int]:

@@ -120,12 +120,27 @@ def _never_absorbs(n: int, logK: np.ndarray) -> bool:
     return 4.0 * (math.log(n) - float(logK.min())) <= _NEVER_ABSORBS_LOG
 
 
-def _scale(P: np.ndarray, Q: np.ndarray, cm, params: SinkhornParams,
-           violation_trace: list[tuple[float, float]] | None):
-    """The scaling loop of :func:`sinkhorn_plan`.
+def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
+                  params: SinkhornParams,
+                  violation_trace: list[tuple[float, float]] | None = None
+                  ) -> SinkhornResult:
+    """Run scaling updates until the marginals match within tolerance.
 
-    Returns (logK, log_u, log_v, iterations, converged, violation,
-    absorptions).
+    Zero coordinates are smoothed by an internal 1e-9 uniform mixture, which
+    sits below every tolerance used elsewhere. Convergence is judged on the
+    worst single marginal error (matching ``convergence_tol``), checked
+    every few iterations; with ``violation_trace`` supplied it is checked
+    every iteration and ``(max_violation, total_violation)`` pairs are
+    appended. The total violation decreases monotonically (the updates are
+    alternating information projections); the max can wobble during the
+    first few iterations. A check costs no extra product: the row sums of
+    the plan are ``u * (K v)``, where ``K v`` feeds the next u-update, and
+    the column sums ``v * (K' u)`` come from the last v-update. The
+    absorption test runs only where the scalings can reach its threshold
+    (see ``_never_absorbs``). The n x n plan is built once, from the final
+    potentials.
+
+    Deterministic: identical inputs and params give bit-identical results.
     """
     n = cm.dist.shape[0]
     P = check_distribution(P, n, "P")
@@ -182,34 +197,8 @@ def _scale(P: np.ndarray, Q: np.ndarray, cm, params: SinkhornParams,
             break
 
     # max_iters >= 1, so u and v hold the last update.
-    return (logK, f + np.log(u), g + np.log(v), iters, converged, violation,
-            absorptions)
-
-
-def sinkhorn_plan(P: np.ndarray, Q: np.ndarray, cm,
-                  params: SinkhornParams,
-                  violation_trace: list[tuple[float, float]] | None = None
-                  ) -> SinkhornResult:
-    """Run scaling updates until the marginals match within tolerance.
-
-    Zero coordinates are smoothed by an internal 1e-9 uniform mixture, which
-    sits below every tolerance used elsewhere. Convergence is judged on the
-    worst single marginal error (matching ``convergence_tol``), checked
-    every few iterations; with ``violation_trace`` supplied it is checked
-    every iteration and ``(max_violation, total_violation)`` pairs are
-    appended. The total violation decreases monotonically (the updates are
-    alternating information projections); the max can wobble during the
-    first few iterations. A check costs no extra product: the row sums of
-    the plan are ``u * (K v)``, where ``K v`` feeds the next u-update, and
-    the column sums ``v * (K' u)`` come from the last v-update. The
-    absorption test runs only where the scalings can reach its threshold
-    (see ``_never_absorbs``). The n x n plan is built once, from the final
-    potentials.
-
-    Deterministic: identical inputs and params give bit-identical results.
-    """
-    logK, log_u, log_v, iters, converged, violation, absorptions = _scale(
-        P, Q, cm, params, violation_trace)
+    log_u = f + np.log(u)
+    log_v = g + np.log(v)
     M = logK + log_u[:, None] + log_v[None, :]
     plan = np.exp(M)
     cost_term = float((plan * cm.dist).sum())
@@ -236,18 +225,17 @@ def ntd_loss(P: np.ndarray, Q: np.ndarray, cm, params: SinkhornParams) -> float:
 def ntd_loss_grad(P: np.ndarray, Q: np.ndarray, cm, params: SinkhornParams) -> np.ndarray:
     """Gradient of the loss in the first argument.
 
-    From the converged dual potentials: ``lam * log(u)`` divided by the
-    diameter, centered to sum to zero (the loss is defined on the simplex,
-    where gradients are identifiable only up to an additive constant).
-    Runs the scaling loop of :func:`sinkhorn_plan` without building the
-    plan, its cost or its entropy.
+    From the converged dual potentials of :func:`sinkhorn_plan`:
+    ``lam * log(u)`` divided by the diameter, centered to sum to zero (the
+    loss is defined on the simplex, where gradients are identifiable only
+    up to an additive constant).
     """
-    _, log_u, _, iters, converged, violation, _ = _scale(P, Q, cm, params, None)
-    if not converged:
+    result = sinkhorn_plan(P, Q, cm, params)
+    if not result.converged:
         raise RuntimeError(
-            f"no converged plan after {iters} iterations "
-            f"(violation {violation:.3e}); the gradient is "
+            f"no converged plan after {result.iterations_used} iterations "
+            f"(violation {result.marginal_violation:.3e}); the gradient is "
             "defined only at convergence"
         )
-    grad = params.lam * log_u / cm.diameter
+    grad = params.lam * result.log_u / cm.diameter
     return grad - grad.mean()

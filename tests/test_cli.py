@@ -1,10 +1,13 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nettom import agents as ag
 from nettom import cyberenv as ce
@@ -12,8 +15,9 @@ from nettom import dataset as ds
 from nettom import graph_core as gc
 from nettom import sinkhorn
 from nettom import transport as tp
-from nettom.cli import (DATASET_KEYS, SPECIES_KEYS, TOURNAMENT_KEYS, _read_keys,
-                        main)
+from nettom.cli import DATASET_KEYS, SPECIES_KEYS, TOURNAMENT_KEYS, main
+from nettom.errors import ConfigError
+from nettom.jsonkeys import read_keys
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -372,6 +376,7 @@ class TestDatasetCommand:
          "config.reds: 'red.hvt_pref_sp:alpha=0.01,seed=5,index=0' is repeated"),
         ({"networks": ["tree30", "tree30"]}, "config.networks: 'tree30' is repeated"),
         ({"networks": ["TREE30"]}, "config.networks[0]: unknown topology 'TREE30'"),
+        ({"split_ratio": 10**400}, "config.split_ratio: expected float, got int"),
     ])
     def test_config_type_errors_exit_2(self, runner, tmp_path, overrides, message):
         cfg = tmp_path / "d.json"
@@ -465,6 +470,16 @@ class TestConfigSchema:
         assert "config: expected an object" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_undecodable_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff{}")
+        result = runner.invoke(main, ["tournament", "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.exc_info[0] is SystemExit
+        assert result.output.startswith(f"Error: cannot read config {cfg}: 'utf-8' codec")
+        assert len(result.output.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("heading, table", [
         ("Tournament config:", TOURNAMENT_KEYS),
         ("Dataset config", DATASET_KEYS),
@@ -473,9 +488,99 @@ class TestConfigSchema:
         text = README.read_text(encoding="utf-8")
         block = re.search(re.escape(heading) + r".*?```json\n(.*?)```", text,
                           re.DOTALL).group(1)
-        config = _read_keys(json.loads(block), table, "config")
+        config = read_keys(json.loads(block), table, "config")
         assert set(config) == set(table)
         assert config["reds"] and config["networks"] and config["blues"]
+
+
+_PINNED_RED = "red.hvt_pref_sp:alpha=0.01,seed=5,index=0"
+
+# For each DATASET_KEYS key: values of its type, an accepted one first,
+# then one of a wrong type. A key with table bounds gets each bound and one
+# past it, but not holdout_reds' upper bound, which would draw 100,000
+# attackers; the sizes, discounts and split get the edges of
+# DatasetConfig's rules. Every accepted config is one tree30 network with
+# n_c and n_p at most 2.
+_DATASET_DRAWS = {
+    "schema_version": ([1, 0, 2], "1"),
+    "blues": ([["blue.msn_d"], [], ["blue.nope"]], "blue.msn_d"),
+    "networks": ([["tree30"], ["TREE30"]], "tree30"),
+    "seed": ([41, 0], 1.5),
+    "reds": ([[_PINNED_RED], {"kind": "hvt_pref_sp", "count": 1, "seed": 5},
+              ["red.hvt_pref_sp:alpha=0.01,seed=5"]], 3),
+    "holdout_reds": ([0, 1, -1, ag.MAX_SPECIES_MEMBERS + 1], True),
+    "n_c": ([1, 2, 0], 1.0),
+    "n_p": ([2, 1, 0], "2"),
+    "n_past": ([1, 2, 3, 0], None),
+    "past_k": ([1, 2, 0], [1]),
+    "gammas": ([[0.5], [0.5, 0.9], [], [0.5, 0.5], [1.0]], [True]),
+    "split_ratio": ([0.5, 0, 1.0], "0.5"),
+}
+# Absent, these would build with the default sizes, 3 and 8.
+_ALWAYS_GIVEN = ("n_c", "n_p")
+
+
+@st.composite
+def _dataset_configs(draw):
+    """A config whose keys take the accepted first value of their draws,
+    except up to three drawn from all of their options (absent included),
+    and whether every key it gives has its table's type."""
+    edited = draw(st.sets(st.sampled_from(list(DATASET_KEYS)), max_size=3), label="edited")
+    config, typed = {}, True
+    for name in DATASET_KEYS:
+        right, wrong = _DATASET_DRAWS[name]
+        options = [("right", v) for v in right] + [("wrong", wrong)]
+        if name not in _ALWAYS_GIVEN:
+            options.append(("absent", None))
+        how, value = draw(st.sampled_from(options), label=name) if name in edited else options[0]
+        if how != "absent":
+            config[name] = value
+        typed = typed and how != "wrong"
+    return config, typed
+
+
+def _dataset_accepts(config) -> bool:
+    """Whether ``DatasetConfig`` and the command's own rules (the schema
+    version, the required keys, the holdout bounds) accept a config whose
+    keys all have their table's type."""
+    if (config.get("schema_version", 1) != 1
+            or not {"blues", "networks", "seed", "reds"} <= set(config)
+            or not 0 <= config.get("holdout_reds", 0) <= ag.MAX_SPECIES_MEMBERS):
+        return False
+    reds = config["reds"]
+    sizes = {k: tuple(v) if k == "gammas" else v for k, v in config.items()
+             if k in ("n_c", "n_p", "n_past", "past_k", "gammas", "split_ratio")}
+    try:
+        specs = (ag.species_members(reds["kind"], 0.01, reds["count"], reds["seed"])
+                 if isinstance(reds, dict) else [ag.parse_red_id(r) for r in reds])
+        ds.DatasetConfig(blues=tuple(config["blues"]), reds=tuple(specs),
+                         networks=tuple(config["networks"]), master_seed=config["seed"],
+                         **sizes)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_dataset_draws_cover_the_table():
+    assert set(_DATASET_DRAWS) == set(DATASET_KEYS)
+
+
+@settings(max_examples=100)
+@given(drawn=_dataset_configs())
+def test_dataset_exits_0_exactly_when_the_config_is_accepted(drawn):
+    config, typed = drawn
+    with tempfile.TemporaryDirectory(prefix="nettom-config-") as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = CliRunner().invoke(main, ["dataset", "--config", str(path),
+                                           "--out", str(Path(tmp) / "out")])
+    assert result.exc_info[0] is SystemExit, result.output
+    if typed and _dataset_accepts(config):
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
 
 
 def _edit_manifest(path, value):
@@ -554,7 +659,8 @@ def _exclude_first_sample(obj):
 MALFORMED_MANIFESTS = {
     "top_level_list": (lambda obj: [obj], "manifest must be a JSON object"),
     "sample_not_object": (_edit_manifest(("samples",), [1]), "malformed manifest"),
-    "gammas_string": (_edit_manifest(("gammas",), "x"), "malformed manifest"),
+    "gammas_string": (_edit_manifest(("gammas",), "x"), "malformed manifest: gammas: "
+                      "expected list, got str"),
     "gammas_empty": (_edit_manifest(("gammas",), []), "gammas: must be non-empty"),
     "gammas_repeated": (_edit_manifest(("gammas",), [0.5, 0.5, 0.95, 0.999]),
                         "gammas: 0.5 is repeated"),
@@ -572,36 +678,36 @@ MALFORMED_MANIFESTS = {
                               "truth_sr has shape (1,), expected (30,)"),
     # A sample's entry node is its topology's, so the manifest does not record it.
     "entry_off_network": (_edit_manifest(("samples", 0, "entry"), 999),
-                          "samples[0] has unknown keys ['entry']"),
+                          "unknown key samples[0].entry (known: "),
     "entry_not_topology_entry": (_edit_manifest(("samples", 0, "entry"), 0),
-                                 "samples[0] has unknown keys ['entry']"),
+                                 "unknown key samples[0].entry (known: "),
     "hvn_off_network": (_set_other_hvn(lambda sample: 999),
                         "are not distinct leaves of tree30 other than its entry"),
     "hvn_is_entry": (_set_other_hvn(lambda sample: gc.topology("tree30")[0].entry_node),
                      "are not distinct leaves of tree30 other than its entry"),
     "t_seven": (_edit_manifest(("samples", 0, "t"), 7),
-                "samples[0].t must be 0 or 1, got 7"),
-    "n_c_string": (_edit_manifest(("n_c",), "x"), "n_c must be an integer, got 'x'"),
+                "samples[0].t: must be >= 0 and at most 1, got 7"),
+    "n_c_string": (_edit_manifest(("n_c",), "x"), "n_c: expected int, got str"),
     "master_seed_list": (_edit_manifest(("master_seed",), [1]),
-                         "master_seed must be an integer, got [1]"),
+                         "master_seed: expected int, got list"),
     "split_ratio_null": (_edit_manifest(("split_ratio",), None),
-                         "split_ratio must be a number, got None"),
+                         "split_ratio: expected float, got null"),
     "n_past_zero": (_edit_manifest(("n_past",), 0), "n_past: must lie in [1, n_p=2], got 0"),
     "past_k_negative": (_edit_manifest(("past_k",), -3), "past_k: must be >= 1, got -3"),
     "networks_not_games": (_edit_manifest(("networks",), ["ring9"]),
-                           "manifest has unknown keys ['networks']"),
+                           "unknown key networks (known: "),
     "top_level_unknown_key": (_edit_manifest(("comment",), "x"),
-                              "manifest has unknown keys ['comment']"),
+                              "unknown key comment (known: "),
     "sample_stale_network": (_edit_manifest(("samples", 0, "network"), "tree90"),
-                             "samples[0] has unknown keys ['network']"),
-    "sample_missing_hvns": (_drop_hvns, "samples[0] has missing keys ['hvns']"),
+                             "unknown key samples[0].network (known: "),
+    "sample_missing_hvns": (_drop_hvns, "samples[0].hvns: required field is missing"),
     "past_unknown_key": (_edit_manifest(("samples", 0, "past", 0, "note"), "x"),
-                         "samples[0].past[0] has unknown keys ['note']"),
+                         "unknown key samples[0].past[0].note (known: "),
     "past_count_not_n_past": (_keep_one_past, "samples[0].past must list n_past=2 episodes"),
     "sample_id_int": (_edit_manifest(("samples", 0, "sample_id"), 5),
-                      "samples[0].sample_id must be a string, got 5"),
+                      "samples[0].sample_id: expected str, got int"),
     "t_string": (_edit_manifest(("samples", 0, "t"), "x"),
-                 "samples[0].t must be an integer, got 'x'"),
+                 "samples[0].t: expected int, got str"),
     "schema_1": (_edit_manifest(("schema_version",), 1),
                  "unsupported manifest schema 1"),
     "schema_2": (_edit_manifest(("schema_version",), 2),
@@ -617,13 +723,13 @@ MALFORMED_MANIFESTS = {
                                "samples[0].truth_sr keys ['0.5', '0.7', '0.95'] "
                                "are not the manifest's discounts ['0.5', '0.95']"),
     "hvns_string": (_edit_manifest(("samples", 0, "hvns", 0), "a"),
-                    "samples[0].hvns entry must be an integer, got 'a'"),
+                    "samples[0].hvns[0]: expected int, got str"),
     "hvns_repeated": (_edit_manifest(("samples", 0, "hvns"), [1, 1, 2]),
                       "samples[0].hvns [1, 1, 2] are not distinct"),
     "target_index_9": (_edit_manifest(("samples", 0, "target_index"), 9),
-                       "samples[0].target_index must be 0, 1 or 2, got 9"),
+                       "samples[0].target_index: must be >= 0 and at most 2, got 9"),
     "past_step_string": (_edit_manifest(("samples", 0, "past", 0, "steps"), ["x"]),
-                         "samples[0].past[0].steps entry must be an integer"),
+                         "samples[0].past[0].steps[0]: expected int, got str"),
     "past_step_negative": (_edit_manifest(("samples", 0, "past", 0, "steps"), [-1]),
                            "samples[0].past[0].steps must be a list of non-negative"),
     # Each steps row breaks one rule only: the bound, the order, the count.
@@ -638,17 +744,17 @@ MALFORMED_MANIFESTS = {
                                               [0, 1, 2, 3]),
                                "samples[0].past[0].steps must be a list of non-negative"),
     "past_episode_id_int": (_edit_manifest(("samples", 0, "past", 0, "episode_id"), 3),
-                            "samples[0].past[0].episode_id must be a string, got 3"),
+                            "samples[0].past[0].episode_id: expected str, got int"),
     "games_list": (_edit_manifest(("games",), [1]),
-                   "games must be an object, got [1]"),
+                   "games: expected an object, got list"),
     "red_split_list": (_edit_manifest(("red_split",), []),
-                       "red_split must be an object, got []"),
+                       "red_split: expected an object, got list"),
     "excluded_object": (_edit_manifest(("excluded",), {}),
-                        "excluded must be a list, got {}"),
+                        "excluded: expected list, got an object"),
     "samples_object": (_edit_manifest(("samples",), {}),
-                       "samples must be a list, got {}"),
+                       "samples: expected list, got an object"),
     "excluded_not_objects": (_edit_manifest(("excluded",), [1, None]),
-                             "excluded[0] must hold string episode and reason, got 1"),
+                             "excluded[0]: expected an object, got int"),
     "excluded_is_sample": (_exclude_first_sample,
                            "excluded[0].episode 'g00000-c0' is already"),
     "past_shared": (_reuse_episode(lambda samples: samples[0]["past"][0]["episode_id"]),
@@ -660,24 +766,30 @@ MALFORMED_MANIFESTS = {
     "game_id_unknown": (_edit_manifest(("samples", 0, "game_id"), "g99999"),
                         "samples[0].game_id 'g99999' is not in games"),
     "game_entry_not_object": (_edit_manifest(("games", "g00000"), 1),
-                              "games['g00000'] must hold string blue, red and network "
-                              "and integer base_seed, got 1"),
+                              "games[g00000]: expected an object, got int"),
     "game_red_not_string": (_edit_manifest(("games", "g00000", "red"), 5),
-                            "games['g00000'] must hold string blue, red and network"),
+                            "games[g00000].red: expected str, got int"),
     "game_base_seed_string": (_edit_manifest(("games", "g00000", "base_seed"), "7"),
-                              "games['g00000'] must hold string blue, red and network"),
-    "red_id_not_in_red_split": (_edit_manifest(("games", "g00000", "red"), "red.x"),
+                              "games[g00000].base_seed: expected int, got str"),
+    "red_id_not_in_red_split": (_edit_manifest(("games", "g00000", "red"),
+                                               "red.hvt_pref_sp:alpha=0.5"),
                                 "not the games' attackers "
-                                "['red.hvt_pref_sp:alpha=0.01,seed=5,index=1', 'red.x']"),
+                                "['red.hvt_pref_sp:alpha=0.01,seed=5,index=1', "
+                                "'red.hvt_pref_sp:alpha=0.5']"),
     "game_blue_unknown": (_edit_manifest(("games", "g00000", "blue"), "blue.nope"),
-                          "games['g00000'].blue 'blue.nope' is not a blue policy id"),
+                          "games[g00000].blue: 'blue.nope' is not a blue policy id"),
     "game_red_unknown_kind": (_rename_reds("red.nope:alpha=1"),
-                              "games['g00000'].red 'red.nope:alpha=1' names no red "
-                              "policy kind"),
-    "red_split_extra_attacker": (_edit_manifest(("red_split", "red.y"), "train"),
+                              "games[g00000].red: unknown red policy 'red.nope:alpha=1'"),
+    "game_red_bad_argument": (_rename_reds("red.hvt_pref_sp:alpha=x"),
+                              "games[g00000].red: 'red.hvt_pref_sp:alpha=x': "
+                              "alpha='x' is not a valid float"),
+    "red_split_unknown_kind": (_edit_manifest(("red_split", "red.y"), "train"),
+                               "red_split[red.y]: unknown red policy 'red.y'"),
+    "red_split_extra_attacker": (_edit_manifest(("red_split", "red.hvt_pref_sp:alpha=0.5"),
+                                                "train"),
                                  "red_split names ['red.hvt_pref_sp:alpha=0.01,seed=5,"
                                  "index=0', 'red.hvt_pref_sp:alpha=0.01,seed=5,index=1', "
-                                 "'red.y'], not the games' attackers"),
+                                 "'red.hvt_pref_sp:alpha=0.5'], not the games' attackers"),
 }
 
 
@@ -704,11 +816,13 @@ MALFORMED_PREDICTIONS = {
                   "prediction: not a JSON object"),
     "missing_pred_hvn": (_edit_prediction(
         lambda obj: {k: v for k, v in obj.items() if k != "pred_hvn"}),
-        "missing key 'pred_hvn'"),
+        "pred_hvn: required field is missing"),
     "sample_id_int": (_set_prediction(("sample_id",), 5),
-                      "sample_id must be a string, got int"),
+                      "sample_id: expected str, got int"),
     "pred_hvn_bool": (_set_prediction(("pred_hvn",), [True, False, False]),
                       "pred_hvn must be a list of numbers"),
+    "pred_hvn_huge_int": (_set_prediction(("pred_hvn",), [10**400, 0, 0]),
+                          "pred_hvn must be a list of numbers"),
     "pred_hvn_nan": (_set_prediction(("pred_hvn",), [float("nan"), 0.0, 1.0]),
                      "pred_hvn has non-finite entries"),
     "pred_hvn_negative": (_set_prediction(("pred_hvn",), [-0.5, 0.5, 1.0]),
@@ -718,12 +832,14 @@ MALFORMED_PREDICTIONS = {
     "pred_hvn_wrong_length": (_set_prediction(("pred_hvn",), [0.5, 0.5]),
                               "pred_hvn has 2 entries, expected 3"),
     "pred_sr_list": (_set_prediction(("pred_sr",), [[1.0]]),
-                     "pred_sr must be an object, got list"),
+                     "pred_sr: expected an object, got list"),
     "pred_sr_unknown_gamma": (_set_prediction(("pred_sr", "0.7"), [1.0] + [0.0] * 29),
                               "prediction provides gamma 0.7 absent from the manifest"),
     "pred_sr_wrong_length": (_set_prediction(("pred_sr", "0.5"), [1.0]),
                              "pred_sr has shape (1,), expected (30,)"),
     "duplicate_id": (lambda lines: lines + lines[:1], "duplicate sample_id"),
+    "unknown_key": (_set_prediction(("bogus",), 1), "preds.jsonl:1: malformed prediction: "
+                    "unknown key bogus (known: sample_id, pred_hvn, pred_sr)"),
 }
 
 
@@ -1185,9 +1301,11 @@ class TestNtdCommands:
          "layers": ["subnet"] * 3, "nodes": 3},
         {"edges": [[0, 1], [1, 2], [1, 2]], "entry": 0,
          "layers": ["subnet"] * 3, "nodes": 3},
+        {"edges": [[0, 1], [1, 2]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3, "bogus": 1},
     ], ids=["list", "string_endpoints", "float_endpoint", "nodes_overflow",
             "nodes_float", "nodes_string", "entry_bool",
-            "edge_repeated_reversed", "edge_repeated"])
+            "edge_repeated_reversed", "edge_repeated", "unknown_key"])
     @pytest.mark.parametrize("command", ["score", "sinkhorn"])
     def test_malformed_network_exits_1(self, runner, files, tmp_path, payload,
                                        command):

@@ -666,7 +666,7 @@ _STEP_0 = "step 0 does not change nodes 0..29 in order"
 # has the same first entry candidate, and 6-8 are leaves of both.
 MALFORMED_TRAJECTORIES = {
     "header_missing_key": (_delete(1, "total_blue_reward"), 1,
-                           "missing key 'total_blue_reward'"),
+                           "total_blue_reward: required field is missing"),
     "header_not_object": (_replace(1, [2]), 1, "not a JSON object"),
     "network_unknown": (_set(1, ("network",), "ring9"), 1, "unknown topology 'ring9'"),
     "network_wrong_case": (_set(1, ("network",), "TREE30"), 1,
@@ -691,22 +691,25 @@ MALFORMED_TRAJECTORIES = {
                       "hvns [1, 1, 2] are not three distinct nodes"),
     "hvns_four": (_set(1, ("hvns",), [1, 2, 3, 4]), 1,
                   "hvns [1, 2, 3, 4] are not three distinct nodes"),
-    "seed_string": (_set(1, ("seed",), "x"), 1, "seed must be an integer, got 'x'"),
-    "seed_float": (_set(1, ("seed",), 11.0), 1, "seed must be an integer, got 11.0"),
+    "seed_string": (_set(1, ("seed",), "x"), 1, "seed: expected int, got str"),
+    "seed_float": (_set(1, ("seed",), 11.0), 1, "seed: expected int, got float"),
     "winner_unknown": (_set(1, ("outcome", "winner"), "nobody"), 1,
                        "unknown winner 'nobody'"),
-    "winner_null": (_set(1, ("outcome", "winner"), None), 1, "unknown winner None"),
+    "winner_null": (_set(1, ("outcome", "winner"), None), 1,
+                    "outcome.winner: expected str, got null"),
     "outcome_target_outside": (_set(1, ("outcome", "target"), 30), 1,
                                "node 30 outside [0, 30)"),
     "outcome_target_string": (_set(1, ("outcome", "target"), "3"), 1,
-                              "node '3' outside [0, 30)"),
+                              "outcome.target: expected int or null, got str"),
     "reward_string": (_set(1, ("total_blue_reward",), "lots"), 1,
-                      "total_blue_reward 'lots' is not a finite number"),
+                      "total_blue_reward: expected float, got str"),
     "reward_bool": (_set(1, ("total_blue_reward",), True), 1,
-                    "total_blue_reward True is not a finite number"),
+                    "total_blue_reward: expected float, got bool"),
+    "reward_huge_int": (_set(1, ("total_blue_reward",), 10**400), 1,
+                        "total_blue_reward: expected float, got int"),
     "reward_nan": (_set(1, ("total_blue_reward",), float("nan")), 1,
                    "total_blue_reward nan is not a finite number"),
-    "final_step_float": (_set(1, ("final_step",), 3.0), 1, "final_step must be an integer"),
+    "final_step_float": (_set(1, ("final_step",), 3.0), 1, "final_step: expected int, got float"),
     "final_step_negative": (_header_only(-1), 1, "final_step -1 is negative"),
     "step_missing_changed": (_delete(3, "changed"), 3, "missing key 'changed'"),
     "step_missing_t": (_delete(2, "t"), 2, "missing key 't'"),
@@ -739,21 +742,28 @@ MALFORMED_TRAJECTORIES = {
                        "node 30 outside [0, 30)"),
     "unknown_kind": (_set(3, ("red_action", "kind"), "fly"), 3,
                      "unknown action kind 'fly'"),
-    "episode_id_int": (_set(1, ("episode_id",), 5), 1, "episode_id must be a string, got 5"),
-    "network_null": (_set(1, ("network",), None), 1, "network must be a string, got None"),
+    "episode_id_int": (_set(1, ("episode_id",), 5), 1, "episode_id: expected str, got int"),
+    "network_null": (_set(1, ("network",), None), 1, "network: expected str, got null"),
     "agents_blue_list": (_set(1, ("agents", "blue"), [1]), 1,
-                         "agents.blue must be a string, got [1]"),
-    "agents_red_int": (_set(1, ("agents", "red"), 3), 1, "agents.red must be a string, got 3"),
+                         "agents.blue: expected str, got list"),
+    "agents_red_int": (_set(1, ("agents", "red"), 3), 1, "agents.red: expected str, got int"),
     "entries_empty": (_set(1, ("entries",), []), 1,
                       "entries [] are not a non-empty list of distinct nodes"),
     "entries_object": (_set(1, ("entries",), {}), 1,
-                       "entries {} are not a non-empty list of distinct nodes"),
+                       "entries: expected list, got an object"),
     "entries_repeated": (_set(1, ("entries",), [0, 0]), 1,
                          "entries [0, 0] are not a non-empty list of distinct nodes"),
     "changed_object": (_set(3, ("changed",), {}), 3, "changed must be a list, got {}"),
     "changed_string": (_set(3, ("changed",), ""), 3, "changed must be a list, got ''"),
     "hits_object": (_set(3, ("red_action", "hits"), {}), 3, "hits must be a list, got {}"),
     "hits_string": (_set(3, ("red_action", "hits"), ""), 3, "hits must be a list, got ''"),
+    "header_unknown_key": (_set(1, ("bogus",), 1), 1, "unknown key bogus (known: "),
+    "header_agents_unknown_key": (_set(1, ("agents", "bogus"), 1), 1,
+                                  "unknown key agents.bogus (known: blue, red)"),
+    "step_unknown_key": (_set(3, ("bogus",), 1), 3,
+                         "unknown key bogus (known: blue_action, changed, red_action, t)"),
+    "action_unknown_key": (_set(3, ("red_action", "bogus"), 1), 3,
+                           "unknown key red_action.bogus (known: hits, kind, target)"),
 }
 
 
