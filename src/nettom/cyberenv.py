@@ -45,7 +45,7 @@ from .graph_core import (
     place_high_value_nodes,
     topology,
 )
-from .jsonkeys import Key, check_known, json_int, read_keys
+from .jsonkeys import Key, check_known, read_keys, read_value
 from .seeding import derive_seed, rng_for
 
 BLUE_DO_NOTHING = "do_nothing"
@@ -735,7 +735,7 @@ def read_trajectory(path: str | Path) -> EpisodeTrajectory:
             if lineno == 2 and nodes != list(range(n)):
                 raise ValueError(f"step 0 does not change nodes 0..{n - 1} in order")
             counts.append(len(changed))
-            t = json_int(rec["t"], "t")
+            t = read_value(rec["t"], int, "t")
             if t != len(traj.steps):
                 raise ValueError(f"t {t} is not the line's step index {len(traj.steps)}")
             blue, red = rec["blue_action"], rec["red_action"]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .jsonkeys import Key, json_int, read_keys
+from .jsonkeys import Key, read_keys, read_value
 
 LAYERS = ("core", "edge", "aggregation", "access", "subnet")
 
@@ -132,16 +132,24 @@ class Network:
     @classmethod
     def from_json(cls, obj, name: str = "custom") -> "Network":
         """The network of a ``to_json`` object, read against
-        ``NETWORK_KEYS``; every edge is a pair of JSON integers."""
+        ``NETWORK_KEYS``."""
         net = read_keys(obj, NETWORK_KEYS)
-        ends = [[json_int(v, f"edges[{k}]") for v in e] for k, e in enumerate(net["edges"])]
         return cls(name=name, node_count=net["nodes"],
-                   edges=tuple(sorted((min(i, j), max(i, j)) for i, j in ends)),
+                   edges=tuple(sorted((min(i, j), max(i, j)) for i, j in net["edges"])),
                    entry_node=net["entry"], node_layer=net["layers"])
 
 
+def _edge_pairs(edges: tuple, at: str) -> list[tuple[int, int]]:
+    """Each edge of ``edges`` as a pair of JSON integers."""
+    for k, edge in enumerate(edges):
+        if len(edge) != 2:
+            raise ValueError(f"{at}[{k}]: expected 2 endpoints, got {len(edge)}")
+    return [(read_value(i, int, f"{at}[{k}][0]"), read_value(j, int, f"{at}[{k}][1]"))
+            for k, (i, j) in enumerate(edges)]
+
+
 #: The keys ``Network.to_json`` writes.
-NETWORK_KEYS = {"edges": Key(list, item=list), "entry": Key(int),
+NETWORK_KEYS = {"edges": Key(list, item=list, convert=_edge_pairs), "entry": Key(int),
                 "layers": Key(list, item=str), "nodes": Key(int)}
 
 

@@ -55,15 +55,12 @@ def read_keys(obj, table: dict[str, Key], where: str = "") -> dict:
                 raise ValueError(f"{at}: required field is missing")
             out[name] = key.default
             continue
-        value = _typed(obj[name], key.kind, at)
+        value = read_value(obj[name], key.kind, at)
         item = key.item
-        # Items already of the item type (never a table) pass as they are.
         if item is not None and type(value) is list:
-            value = tuple(value) if all(type(x) is item for x in value) else tuple(
-                _typed(x, item, f"{at}[{i}]") for i, x in enumerate(value))
-        elif item is not None and key.kind is dict and not all(
-                type(x) is item for x in value.values()):
-            value = {k: _typed(x, item, f"{at}[{k}]") for k, x in value.items()}
+            value = tuple(read_value(x, item, f"{at}[{i}]") for i, x in enumerate(value))
+        elif item is not None and key.kind is dict:
+            value = {k: read_value(x, item, f"{at}[{k}]") for k, x in value.items()}
         if key.bounds is not None and not key.bounds[0] <= value <= key.bounds[1]:
             lo, hi = key.bounds
             rule = f"{lo}" if lo == hi else f">= {lo} and at most {hi}"
@@ -80,7 +77,9 @@ def check_known(obj: dict, known, where: str = "") -> None:
         raise ValueError(f"unknown key {', '.join(unknown)} (known: {', '.join(known)})")
 
 
-def _typed(value, kind, at: str):
+def read_value(value, kind, at: str):
+    """``value``, the value at path ``at``, checked against ``kind`` (a type,
+    a tuple of types, or a table); an integer passes as a float."""
     if type(value) is kind:
         return value
     if type(kind) is dict:
@@ -95,13 +94,6 @@ def _typed(value, kind, at: str):
         raise ValueError(f"{at}: expected {' or '.join(map(_name, kinds))}, "
                          f"got {_name(type(value))}")
     return value
-
-
-def json_int(v, what: str) -> int:
-    """``v`` if it is a JSON integer (not a float or a boolean)."""
-    if type(v) is not int:
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
 
 
 _NUMBER_TYPES = frozenset({int, float})

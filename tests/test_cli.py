@@ -1303,9 +1303,12 @@ class TestNtdCommands:
          "layers": ["subnet"] * 3, "nodes": 3},
         {"edges": [[0, 1], [1, 2]], "entry": 0,
          "layers": ["subnet"] * 3, "nodes": 3, "bogus": 1},
+        {"edges": [[0, 1, 2], [1, 2]], "entry": 0,
+         "layers": ["subnet"] * 3, "nodes": 3},
     ], ids=["list", "string_endpoints", "float_endpoint", "nodes_overflow",
             "nodes_float", "nodes_string", "entry_bool",
-            "edge_repeated_reversed", "edge_repeated", "unknown_key"])
+            "edge_repeated_reversed", "edge_repeated", "unknown_key",
+            "edge_three_endpoints"])
     @pytest.mark.parametrize("command", ["score", "sinkhorn"])
     def test_malformed_network_exits_1(self, runner, files, tmp_path, payload,
                                        command):

@@ -716,6 +716,7 @@ MALFORMED_TRAJECTORIES = {
     "step_not_object": (_replace(3, [1, 0.5, 0]), 3, "not a JSON object"),
     "step_not_json": (_replace(4, "{"), 4, "not JSON"),
     "step_t_not_index": (_set(3, ("t",), 7), 3, "t 7 is not the line's step index 1"),
+    "step_t_float": (_set(3, ("t",), 1.0), 3, "t: expected int, got float"),
     "step_blue_action_null": (_set(3, ("blue_action",), None), 3,
                               "a null action before the terminal line"),
     "step_red_action_null": (_set(4, ("red_action",), None), 4,

@@ -288,6 +288,20 @@ class TestSerialization:
         assert clone.entry_node == net.entry_node
         assert clone.node_layer == net.node_layer
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 2], [1, 2]], "edges[0]: expected 2 endpoints, got 3"),
+        ([[0, 1], [1]], "edges[1]: expected 2 endpoints, got 1"),
+        ([[0, 1], [1, 2.0]], "edges[1][1]: expected int, got float"),
+        ([["0", 1], [1, 2]], "edges[0][0]: expected int, got str"),
+        ([[0, 1], [True, 2]], "edges[1][0]: expected int, got bool"),
+        ([[0, 1], 2], "edges[1]: expected list, got int"),
+    ])
+    def test_from_json_names_the_bad_edge(self, edges, message):
+        obj = {"edges": edges, "entry": 0, "layers": ["subnet"] * 3, "nodes": 3}
+        with pytest.raises(ValueError) as info:
+            gc.Network.from_json(obj)
+        assert str(info.value) == message
+
     def test_canonical_bytes(self, tree30):
         net, _ = tree30
         assert gc.network_to_json_str(net) == gc.network_to_json_str(net)
